@@ -14,7 +14,6 @@ from .solvers import (
     SolverTrace,
     StoppingCriterion,
     SubSolverSpec,
-    TrustRegionParams,
     armijo_linesearch,
     dca_solve,
     dcppa_solve,
@@ -40,7 +39,6 @@ __all__ = [
     "SolverTrace",
     "StoppingCriterion",
     "SubSolverSpec",
-    "TrustRegionParams",
     "armijo_linesearch",
     "dca_solve",
     "dcppa_solve",

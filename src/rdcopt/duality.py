@@ -74,7 +74,7 @@ def _sample_cost(f: Callable, pts: np.ndarray) -> np.ndarray:
         vals = np.asarray(f(pts), dtype=float)
         if vals.shape == (pts.shape[0],):
             return vals
-    except Exception:
+    except (TypeError, ValueError):  # a cost that takes one point at a time
         pass
     return np.asarray([float(f(q)) for q in pts])
 

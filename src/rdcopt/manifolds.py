@@ -129,9 +129,6 @@ class SPDManifold(Geometry):
         b = rng.standard_normal((self.n, self.n))
         return symmetrize(b @ b.T + self.n * 1e-3 * np.eye(self.n)) * scale
 
-    def random_tangent(self, rng: np.random.Generator, scale: float = 1.0):
-        return symmetrize(rng.standard_normal((self.n, self.n))) * scale
-
     def inner(self, p, x, y) -> float:
         px = np.linalg.solve(p, x)
         py = np.linalg.solve(p, y)

@@ -17,6 +17,7 @@ hook when g is an indicator function.
 
 from __future__ import annotations
 
+import math
 import time
 from array import array
 from dataclasses import dataclass, field
@@ -28,7 +29,6 @@ from .manifolds import Euclidean, Geometry, RosenbrockPlane
 
 __all__ = [
     "ArmijoParams",
-    "TrustRegionParams",
     "StoppingCriterion",
     "SubSolverSpec",
     "SolverTrace",
@@ -69,19 +69,19 @@ class ArmijoParams:
             raise ValueError("invalid line-search parameters")
 
 
-@dataclass(frozen=True)
-class TrustRegionParams:
-    initial_radius: float = 1.0
-    max_radius: float = 8.0
-    accept_ratio: float = 0.1
-    expand_ratio: float = 0.75
-    shrink_factor: float = 0.25
-    fd_step_scale: float = 1e-8
-    cg_max_iter: Optional[int] = None
-    # regularizes the acceptance ratio against cost-difference round-off;
-    # without it, steps whose true decrease is below one ulp of f are
-    # rejected forever and the solver stalls above tight gradient tolerances
-    rho_regularization: float = 1e3
+# trust region: radius bounds, rho thresholds for accepting a step and for
+# growing the radius, the shrink factor, and the finite-difference step of
+# the Hessian products relative to 1 + ||p||
+_TR_INITIAL_RADIUS = 1.0
+_TR_MAX_RADIUS = 8.0
+_TR_ACCEPT_RATIO = 0.1
+_TR_EXPAND_RATIO = 0.75
+_TR_SHRINK_FACTOR = 0.25
+_FD_STEP_SCALE = 1e-8
+# regularizes the acceptance ratio against cost-difference round-off;
+# without it, steps whose true decrease is below one ulp of f are
+# rejected forever and the solver stalls above tight gradient tolerances
+_TR_RHO_REGULARIZATION = 1e3
 
 
 @dataclass(frozen=True)
@@ -103,6 +103,32 @@ class StoppingCriterion:
         for tol in (self.grad_norm_tol, self.iterate_change_tol, self.grad_change_tol):
             if tol is not None and not tol > 0:
                 raise ValueError("tolerances must be positive")
+
+
+def _stop_reason(stop: StoppingCriterion, steps: int, grad_norm: float,
+                 step: Optional[float] = None, grad_change: Optional[Callable] = None,
+                 zero_grad_stops: bool = True) -> Optional[str]:
+    """The first clause of ``stop`` that holds after ``steps`` steps, or None.
+
+    ``step`` is the distance of the step just taken; it is None at the start
+    and after a rejected trust-region step, where the two change clauses do
+    not apply. ``grad_change()`` returns the norm of the change of the
+    transported gradient; it is called only when its tolerance is set and no
+    earlier clause holds. By default an exact zero gradient meets the
+    gradient-norm clause without a tolerance, since a descent method cannot
+    step along it; the outer DC and Frank-Wolfe loop turns that off.
+    """
+    tol = stop.grad_norm_tol
+    if (tol is not None and grad_norm <= tol) or (zero_grad_stops and grad_norm == 0.0):
+        return "gradient norm"
+    if step is not None:
+        if stop.iterate_change_tol is not None and step <= stop.iterate_change_tol:
+            return "iterate change"
+        if stop.grad_change_tol is not None and grad_change() <= stop.grad_change_tol:
+            return "gradient change"
+    if steps >= stop.max_iter:
+        return "max iterations"
+    return None
 
 
 class SolverTrace:
@@ -143,14 +169,6 @@ class SolverTrace:
     def iterations(self) -> int:
         """Number of recorded rows (the initial point is row 0)."""
         return len(self.f)
-
-    def as_arrays(self) -> dict[str, np.ndarray]:
-        return {
-            "f": np.asarray(self.f),
-            "step": np.asarray(self.step),
-            "grad_norm": np.asarray(self.grad_norm),
-            "seconds": np.asarray(self.seconds),
-        }
 
 
 @dataclass
@@ -254,21 +272,12 @@ def gradient_descent(geometry: Geometry, f: Callable, rgrad: Callable, p0,
     g = rgrad(p)
     gn = geometry.norm(p, g)
     trace.append(fp, 0.0, gn, time.perf_counter() - t0, point=p)
+    trace.reason = _stop_reason(stop, 0, gn)
     steps = 0
-    max_iter = stop.max_iter
-    grad_tol = stop.grad_norm_tol
-    change_tol = stop.iterate_change_tol
-    gchange_tol = stop.grad_change_tol
     # each search warm-starts from the previous accepted step (with room to
     # grow back), which keeps the backtrack count small on stiff valleys
     t_guess = linesearch.initial_step
-    while True:
-        if gn == 0.0 or (grad_tol is not None and gn <= grad_tol):
-            trace.reason = "gradient norm"
-            break
-        if steps >= max_iter:
-            trace.reason = "max iterations"
-            break
+    while trace.reason is None:
         try:
             t, p_next, f_next = armijo_linesearch(
                 geometry, f, p, -g, linesearch, f_at_p=fp, slope=-gn * gn,
@@ -283,16 +292,9 @@ def gradient_descent(geometry: Geometry, f: Callable, rgrad: Callable, p0,
         gn_next = geometry.norm(p_next, g_next)
         steps += 1
         trace.append(f_next, step_dist, gn_next, time.perf_counter() - t0, point=p_next)
-        if change_tol is not None and step_dist <= change_tol:
-            p, fp, g, gn = p_next, f_next, g_next, gn_next
-            trace.reason = "iterate change"
-            break
-        if gchange_tol is not None:
-            moved = geometry.transport(p, p_next, g)
-            if geometry.norm(p_next, moved - g_next) <= gchange_tol:
-                p, fp, g, gn = p_next, f_next, g_next, gn_next
-                trace.reason = "gradient change"
-                break
+        trace.reason = _stop_reason(
+            stop, steps, gn_next, step_dist,
+            lambda: geometry.norm(p_next, geometry.transport(p, p_next, g) - g_next))
         p, fp, g, gn = p_next, f_next, g_next, gn_next
     return p, trace
 
@@ -308,7 +310,7 @@ def fd_hessian_apply(geometry: Geometry, rgrad: Callable, p, x,
     xnorm = geometry.norm(p, x)
     if xnorm == 0.0:
         return np.zeros_like(np.asarray(x, dtype=float))
-    h = step if step is not None else 1e-8 * (1.0 + geometry.point_norm(p))
+    h = step if step is not None else _FD_STEP_SCALE * (1.0 + geometry.point_norm(p))
     q = geometry.exp(p, (h / xnorm) * x)
     gq = geometry.transport(q, p, rgrad(q))
     gp = rgrad(p) if rgrad_p is None else rgrad_p
@@ -354,16 +356,14 @@ def _boundary_tau(dd: float, ed: float, ee: float, radius: float) -> float:
 
 
 def trust_region_solve(geometry: Geometry, f: Callable, rgrad: Callable, p0,
-                       stop: StoppingCriterion,
-                       params: TrustRegionParams = TrustRegionParams(),
-                       record_points: bool = False):
+                       stop: StoppingCriterion, record_points: bool = False):
     """Riemannian trust-region method with a finite-difference Hessian.
 
     The quadratic model m(X) = f(p) + <grad f, X> + <H X, X>/2 uses
     :func:`fd_hessian_apply`; the subproblem is solved by truncated CG with
-    the kappa-theta rule min(0.5, sqrt(||g||)) ||g||, and the radius follows
-    the classic rho-based update. Rejected steps are recorded as rows with
-    zero step distance.
+    the kappa-theta rule min(0.5, sqrt(||g||)) ||g|| and at most
+    max(dim, 10) CG steps, and the radius follows the classic rho-based
+    update. Rejected steps are recorded as rows with zero step distance.
     """
     t0 = time.perf_counter()
     trace = SolverTrace(record_points)
@@ -372,17 +372,12 @@ def trust_region_solve(geometry: Geometry, f: Callable, rgrad: Callable, p0,
     g = rgrad(p)
     gn = geometry.norm(p, g)
     trace.append(fp, 0.0, gn, time.perf_counter() - t0, point=p)
-    radius = params.initial_radius
-    fd_step = params.fd_step_scale * (1.0 + geometry.point_norm(p))
-    cg_budget = params.cg_max_iter or max(geometry.dim, 10)
+    trace.reason = _stop_reason(stop, 0, gn)
+    radius = _TR_INITIAL_RADIUS
+    fd_step = _FD_STEP_SCALE * (1.0 + geometry.point_norm(p))
+    cg_budget = max(geometry.dim, 10)
     steps = 0
-    while True:
-        if gn == 0.0 or (stop.grad_norm_tol is not None and gn <= stop.grad_norm_tol):
-            trace.reason = "gradient norm"
-            break
-        if steps >= stop.max_iter:
-            trace.reason = "max iterations"
-            break
+    while trace.reason is None:
 
         def hvp(v, _p=p, _g=g):
             return fd_hessian_apply(geometry, rgrad, _p, v, step=fd_step, rgrad_p=_g)
@@ -393,34 +388,28 @@ def trust_region_solve(geometry: Geometry, f: Callable, rgrad: Callable, p0,
                            + 0.5 * geometry.inner(p, hvp(eta), eta))
         cand = geometry.exp(p, eta)
         f_cand = _require_finite(float(f(cand)), "cost")
-        reg = params.rho_regularization * np.finfo(float).eps * max(1.0, abs(fp))
+        reg = _TR_RHO_REGULARIZATION * np.finfo(float).eps * max(1.0, abs(fp))
         if model_decrease + reg > 0.0:
             rho = (fp - f_cand + reg) / (model_decrease + reg)
         else:
             rho = -np.inf
         steps += 1
-        if rho >= params.accept_ratio:
+        step_dist = None  # a rejected step keeps p
+        if rho >= _TR_ACCEPT_RATIO:
             step_dist = geometry.norm(p, eta)
             g_prev, p_prev = g, p
             p, fp = cand, f_cand
             g = rgrad(p)
             gn = geometry.norm(p, g)
-            fd_step = params.fd_step_scale * (1.0 + geometry.point_norm(p))
-            trace.append(fp, step_dist, gn, time.perf_counter() - t0, point=p)
-            if stop.iterate_change_tol is not None and step_dist <= stop.iterate_change_tol:
-                trace.reason = "iterate change"
-                break
-            if stop.grad_change_tol is not None:
-                moved = geometry.transport(p_prev, p, g_prev)
-                if geometry.norm(p, moved - g) <= stop.grad_change_tol:
-                    trace.reason = "gradient change"
-                    break
-        else:
-            trace.append(fp, 0.0, gn, time.perf_counter() - t0, point=p)
+            fd_step = _FD_STEP_SCALE * (1.0 + geometry.point_norm(p))
+        trace.append(fp, step_dist or 0.0, gn, time.perf_counter() - t0, point=p)
+        trace.reason = _stop_reason(
+            stop, steps, gn, step_dist,
+            lambda: geometry.norm(p, geometry.transport(p_prev, p, g_prev) - g))
         if rho < 0.25:
-            radius *= params.shrink_factor
-        elif rho > params.expand_ratio and boundary:
-            radius = min(2.0 * radius, params.max_radius)
+            radius *= _TR_SHRINK_FACTOR
+        elif rho > _TR_EXPAND_RATIO and boundary:
+            radius = min(2.0 * radius, _TR_MAX_RADIUS)
     return p, trace
 
 
@@ -431,7 +420,6 @@ class SubSolverSpec:
     kind: str = "trust_region"  # "trust_region" | "gradient_descent"
     criterion: StoppingCriterion = StoppingCriterion(max_iter=5000, grad_norm_tol=1e-10)
     armijo: ArmijoParams = field(default_factory=ArmijoParams)
-    trust_region: TrustRegionParams = field(default_factory=TrustRegionParams)
 
     def __post_init__(self):
         if self.kind not in ("trust_region", "gradient_descent"):
@@ -464,80 +452,107 @@ def _surrogate(problem: DCProblem, p_k, x_k, lam: Optional[float]):
     return cost, grad
 
 
-def _descend_2d(plane: bool, cost, egrad, start, params: ArmijoParams,
-                max_iter: int, grad_tol: float):
-    """Scalar Armijo descent on the two 2-D geometries (flat / adapted plane).
+def _descend_2d(plane: bool, cost, rgrad, start, params: ArmijoParams,
+                stop: StoppingCriterion):
+    """:func:`gradient_descent` in plain floats on the two 2-D geometries.
 
-    Same iteration as :func:`gradient_descent` without trace bookkeeping;
-    the multi-million inner iterations of the DC benchmarks make the array
-    round-trips of the generic path the dominant cost. Returns
-    ``(point, hit_max_iter)``.
+    ``rgrad`` returns the Riemannian gradient r (on the plane too), so the
+    step is exp_x(-t r) and the squared norm is <r, r>_G, with the same
+    arithmetic as the geometry's own ``exp`` and ``inner``: the iterates
+    equal gradient_descent's. Skipping the trace and the array round-trips
+    makes a step about three times cheaper, which matters for the
+    multi-million inner steps of the Rosenbrock DC runs. Returns
+    ``(point, reason)``.
     """
     x1, x2 = float(start[0]), float(start[1])
     beta = params.contraction
     c = params.sufficient_decrease
     max_bt = params.max_backtracks
     t0 = params.initial_step
-    tol2 = grad_tol * grad_tol
     f = float(cost((x1, x2)))
     t_guess = t0
     it = 0
     while True:
-        g1, g2 = egrad((x1, x2))
-        g1, g2 = float(g1), float(g2)
+        r1, r2 = rgrad((x1, x2))
+        r1, r2 = float(r1), float(r2)
         if plane:
-            two_p1 = 2.0 * x1
-            r1 = g1 + two_p1 * g2
-            r2 = two_p1 * g1 + (1.0 + two_p1 * two_p1) * g2
-            n2 = g1 * r1 + g2 * r2  # <rgrad, rgrad>_G = egrad . rgrad
+            n2 = (1.0 + 4.0 * x1 * x1) * r1 * r1 - 2.0 * x1 * (r1 * r2 + r2 * r1) + r2 * r2
         else:
-            r1, r2 = g1, g2
-            n2 = g1 * g1 + g2 * g2
-        if n2 <= tol2:
-            return np.array([x1, x2]), False
-        if it >= max_iter:
-            return np.array([x1, x2]), True
-        slope = -n2
+            n2 = r1 * r1 + r2 * r2
+        gn = math.sqrt(0.0 if n2 < 0.0 else n2)  # Geometry.norm without a max() call
+        reason = _stop_reason(stop, it, gn)
+        if reason is not None:
+            return np.array([x1, x2]), reason
+        slope = -gn * gn
         t = t_guess
-        accepted = False
         for _ in range(max_bt + 1):
-            c1 = x1 - t * r1
-            c2 = x2 - t * r2 + (t * t * r1 * r1 if plane else 0.0)
+            u = t * r1
+            c1 = x1 - u
+            c2 = x2 - t * r2 + (u * u if plane else 0.0)
             fc = float(cost((c1, c2)))
             if fc <= f + c * t * slope:
-                accepted = True
                 break
             t *= beta
-        if not accepted:  # stalled line search: no measurable progress left
-            return np.array([x1, x2]), False
+        else:
+            return np.array([x1, x2]), "linesearch stalled"
         x1, x2, f = c1, c2, fc
         t_guess = min(t0, 4.0 * t)
         it += 1
 
 
 def _minimize(geometry, cost, grad, start, sub: SubSolverSpec):
-    if sub.kind == "gradient_descent":
-        crit = sub.criterion
-        if (crit.iterate_change_tol is None and crit.grad_change_tol is None
-                and geometry.dim == 2
-                and isinstance(geometry, (Euclidean, RosenbrockPlane))):
-            return _descend_2d(isinstance(geometry, RosenbrockPlane), cost, grad,
-                               start, sub.armijo, crit.max_iter,
-                               crit.grad_norm_tol or 0.0)
-        point, inner = gradient_descent(geometry, cost, grad, start,
-                                        sub.armijo, sub.criterion)
+    """One DC subproblem from ``start``; returns (point, termination reason)."""
+    crit = sub.criterion
+    if sub.kind == "trust_region":
+        point, inner = trust_region_solve(geometry, cost, grad, start, crit)
+    elif (crit.iterate_change_tol is None and crit.grad_change_tol is None
+            and geometry.dim == 2 and isinstance(geometry, (Euclidean, RosenbrockPlane))):
+        return _descend_2d(isinstance(geometry, RosenbrockPlane), cost, grad,
+                           start, sub.armijo, crit)
     else:
-        point, inner = trust_region_solve(geometry, cost, grad, start,
-                                          sub.criterion, sub.trust_region)
-    failed = inner.reason == "max iterations"
-    return point, failed
+        point, inner = gradient_descent(geometry, cost, grad, start, sub.armijo, crit)
+    return point, inner.reason
 
 
-def _dc_loop(problem: DCProblem, p0, sub: Optional[SubSolverSpec],
-             stop: StoppingCriterion, lam: Optional[float],
-             record_points: bool):
+def _outer_loop(geometry: Geometry, p, evaluate: Callable, step: Callable,
+                stop: StoppingCriterion, trace: SolverTrace):
+    """The outer iteration shared by DCA, DCPPA and Frank-Wolfe.
+
+    ``evaluate(p) -> (f, x, g)`` gives the cost at p, the covector the step
+    map reads (grad h for the DC methods, grad f for Frank-Wolfe) and the
+    gradient the stopping rule reads; ``step(k, p_k, x_k)`` returns p_{k+1}.
+    A step that returns p_k itself ends the run as a fixed point.
+    """
+    t0 = time.perf_counter()
+    f, x, g = evaluate(p)
+    trace.append(f, 0.0, geometry.norm(p, g), time.perf_counter() - t0,
+                 point=p, subgradient=x)
+    k = 0
+    while trace.reason is None:
+        p_next = step(k, p, x)
+        if _same_point(p_next, p):
+            trace.reason = "fixed point"
+            break
+        f, x_next, g_next = evaluate(p_next)
+        gn = geometry.norm(p_next, g_next)
+        step_dist = geometry.dist(p, p_next)
+        k += 1
+        trace.append(f, step_dist, gn, time.perf_counter() - t0,
+                     point=p_next, subgradient=x_next)
+        trace.reason = _stop_reason(
+            stop, k, gn, step_dist,
+            lambda: geometry.norm(p_next, geometry.transport(p, p_next, g) - g_next),
+            zero_grad_stops=False)
+        p, x, g = p_next, x_next, g_next
+    return p, trace
+
+
+def _dc_solve(problem: DCProblem, p0, sub: Optional[SubSolverSpec],
+              stop: StoppingCriterion, lam: Optional[float], record_points: bool):
+    """DCA (``lam`` None) or DCPPA: the outer loop with the DC step map."""
     geom = problem.geometry
-    if problem.constrained_subsolver is None:
+    hook = problem.constrained_subsolver
+    if hook is None:
         if sub is None:
             raise ValueError("smooth DC problems need a sub-solver spec")
         if problem.subproblem is None and problem.g_rgrad is None:
@@ -546,51 +561,27 @@ def _dc_loop(problem: DCProblem, p0, sub: Optional[SubSolverSpec],
     elif lam is not None:
         raise ValueError("the proximal variant needs a smooth surrogate; "
                          "constrained closed-form hooks solve the plain DC subproblem")
-    t0 = time.perf_counter()
     trace = SolverTrace(record_points)
-    p = p0
-    f = problem.cost(p)
-    if problem.constrained_subsolver is None or np.isnan(f):
+
+    def evaluate(p):
+        f = problem.cost(p)
         # an indicator-valued g may be +inf at the start (DCA needs no
         # feasible starting point); everything after the first step is finite
-        _require_finite(f, "cost")
-    x = problem.h_rgrad(p)
-    gs = problem.stopping_grad(p, x)
-    gn = geom.norm(p, gs)
-    trace.append(f, 0.0, gn, time.perf_counter() - t0, point=p, subgradient=x)
-    steps = 0
-    while True:
-        if problem.constrained_subsolver is not None:
-            p_next = problem.constrained_subsolver(p, x)
-        else:
-            cost, grad = _surrogate(problem, p, x, lam)
-            p_next, failed = _minimize(geom, cost, grad, p, sub)
-            if failed:
-                trace.subsolver_failures.append(steps)
-        if _same_point(p_next, p):
-            trace.reason = "fixed point"
-            break
-        f_next = _require_finite(problem.cost(p_next), "cost")
-        x_next = problem.h_rgrad(p_next)
-        gs_next = problem.stopping_grad(p_next, x_next)
-        gn_next = geom.norm(p_next, gs_next)
-        step_dist = geom.dist(p, p_next)
-        steps += 1
-        trace.append(f_next, step_dist, gn_next, time.perf_counter() - t0,
-                     point=p_next, subgradient=x_next)
-        if stop.grad_norm_tol is not None and gn_next <= stop.grad_norm_tol:
-            trace.reason = "gradient norm"
-        elif stop.iterate_change_tol is not None and step_dist <= stop.iterate_change_tol:
-            trace.reason = "iterate change"
-        elif stop.grad_change_tol is not None and geom.norm(
-                p_next, geom.transport(p, p_next, gs) - gs_next) <= stop.grad_change_tol:
-            trace.reason = "gradient change"
-        elif steps >= stop.max_iter:
-            trace.reason = "max iterations"
-        p, f, x, gs, gn = p_next, f_next, x_next, gs_next, gn_next
-        if trace.reason is not None:
-            break
-    return p, trace
+        if hook is None or trace.iterations or np.isnan(f):
+            _require_finite(f, "cost")
+        x = problem.h_rgrad(p)
+        return f, x, problem.stopping_grad(p, x)
+
+    def step(k, p, x):
+        if hook is not None:
+            return hook(p, x)
+        cost, grad = _surrogate(problem, p, x, lam)
+        p_next, reason = _minimize(geom, cost, grad, p, sub)
+        if reason == "max iterations":
+            trace.subsolver_failures.append(k)
+        return p_next
+
+    return _outer_loop(geom, p0, evaluate, step, stop, trace)
 
 
 def dca_solve(problem: DCProblem, p0, sub: Optional[SubSolverSpec],
@@ -603,7 +594,7 @@ def dca_solve(problem: DCProblem, p0, sub: Optional[SubSolverSpec],
     closed-form hook. The cost sequence is nonincreasing; a subproblem
     returning p_k exactly ends the run as a fixed point.
     """
-    return _dc_loop(problem, p0, sub, stop, lam=None, record_points=record_points)
+    return _dc_solve(problem, p0, sub, stop, lam=None, record_points=record_points)
 
 
 def dcppa_solve(problem: DCProblem, p0, lam: float, sub: Optional[SubSolverSpec],
@@ -611,7 +602,7 @@ def dcppa_solve(problem: DCProblem, p0, lam: float, sub: Optional[SubSolverSpec]
     """Proximal-point DC algorithm: the DCA surrogate plus d^2(p, p_k)/(2 lam)."""
     if not lam > 0:
         raise ValueError("proximal parameter must be positive")
-    return _dc_loop(problem, p0, sub, stop, lam=lam, record_points=record_points)
+    return _dc_solve(problem, p0, sub, stop, lam=lam, record_points=record_points)
 
 
 def frank_wolfe_solve(geometry: Geometry, rgrad_f: Callable, linear_oracle: Callable,
@@ -627,43 +618,21 @@ def frank_wolfe_solve(geometry: Geometry, rgrad_f: Callable, linear_oracle: Call
     """
     if feasible is not None and not feasible(p0):
         raise ValueError("Frank-Wolfe requires feasible start")
-    t0 = time.perf_counter()
     trace = SolverTrace(record_points)
-    trace.extra["step_size"] = []
-    p = p0
-    f = _require_finite(float(cost(p)), "cost") if cost is not None else np.nan
-    g = rgrad_f(p)
-    gn = geometry.norm(p, g)
-    trace.append(f, 0.0, gn, time.perf_counter() - t0, point=p, subgradient=g)
-    k = 0
-    while True:
+    step_sizes = trace.extra["step_size"] = []
+
+    def evaluate(p):
+        f = _require_finite(float(cost(p)), "cost") if cost is not None else np.nan
+        g = rgrad_f(p)
+        return f, g, g
+
+    def step(k, p, g):
         q = linear_oracle(p, g)
         s_k = 2.0 / (2.0 + k)
-        p_next = geometry.geodesic(p, q, s_k)
-        trace.extra["step_size"].append(s_k)
-        if _same_point(p_next, p):
-            trace.reason = "fixed point"
-            break
-        f_next = _require_finite(float(cost(p_next)), "cost") if cost is not None else np.nan
-        g_next = rgrad_f(p_next)
-        gn_next = geometry.norm(p_next, g_next)
-        step_dist = geometry.dist(p, p_next)
-        k += 1
-        trace.append(f_next, step_dist, gn_next, time.perf_counter() - t0,
-                     point=p_next, subgradient=g_next)
-        if stop.grad_norm_tol is not None and gn_next <= stop.grad_norm_tol:
-            trace.reason = "gradient norm"
-        elif stop.iterate_change_tol is not None and step_dist <= stop.iterate_change_tol:
-            trace.reason = "iterate change"
-        elif stop.grad_change_tol is not None and geometry.norm(
-                p_next, geometry.transport(p, p_next, g) - g_next) <= stop.grad_change_tol:
-            trace.reason = "gradient change"
-        elif k >= stop.max_iter:
-            trace.reason = "max iterations"
-        p, f, g, gn = p_next, f_next, g_next, gn_next
-        if trace.reason is not None:
-            break
-    return p, trace
+        step_sizes.append(s_k)
+        return geometry.geodesic(p, q, s_k)
+
+    return _outer_loop(geometry, p0, evaluate, step, stop, trace)
 
 
 def strongly_convexify(problem: DCProblem, sigma: float, anchor) -> DCProblem:

@@ -92,12 +92,19 @@ class TestFrechetRunner:
             run_frechet(ExperimentConfig(out_dir=tmp_path, n=1, m=8, seed=0))
 
     def test_trace_determinism(self, tmp_path):
-        a_dir = tmp_path / "a"
-        b_dir = tmp_path / "b"
-        run_frechet(ExperimentConfig(out_dir=a_dir, n=4, m=8, seed=5))
-        run_frechet(ExperimentConfig(out_dir=b_dir, n=4, m=8, seed=5))
-        for name in ("frechet_dca.csv", "frechet_fw.csv", "instance.json"):
-            assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
+        runs = {
+            "frechet": (lambda out: run_frechet(ExperimentConfig(out_dir=out, n=4, m=8, seed=5)),
+                        ("frechet_dca.csv", "frechet_fw.csv", "instance.json")),
+            "duality": (lambda out: run_duality_checks(ExperimentConfig(out_dir=out)),
+                        ("duality_report.txt", "sandwich.csv")),
+        }
+        for tag, (run, names) in runs.items():
+            a_dir = tmp_path / tag / "a"
+            b_dir = tmp_path / tag / "b"
+            run(a_dir)
+            run(b_dir)
+            for name in names:
+                assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes(), name
 
 
 class TestDualityRunner:

@@ -96,6 +96,16 @@ class TestConjugateGrid:
         conj = conjugate_grid(scalar_f, EUCLID1, grid.points(), np.zeros(1), np.ones(1))
         assert abs(conj.value - 0.5) <= 10.0 * grid.spacing
 
+    def test_other_batch_errors_propagate(self):
+        def broken_f(x):  # fails on a batch for a reason other than its shape
+            if np.ndim(x) > 1:
+                raise RuntimeError("broken cost")
+            return 0.5 * float(x[0]) ** 2
+
+        with pytest.raises(RuntimeError, match="broken cost"):
+            conjugate_grid(broken_f, EUCLID1, Grid1D(-1.0, 1.0, 11).points(),
+                           np.zeros(1), np.zeros(1))
+
 
 class TestFenchelYoung:
     def test_gap_zero_at_maximizer(self):

@@ -412,7 +412,71 @@ class TestIsCritical:
         assert residual > 1e-8
 
 
+class TestFastPathParity:
+    @pytest.mark.parametrize("geometry", ["euclidean", "rb"])
+    def test_one_dca_step_matches_gradient_descent(self, geometry):
+        # a 2-D gradient-descent sub-solve takes the scalar fast path; it must
+        # end where the generic solver ends on the same surrogate
+        problem = rosenbrock_dcproblem(RosenbrockProblem(a=2e5, b=1.0), geometry)
+        inner = StoppingCriterion(max_iter=50, grad_norm_tol=1e-16)
+        sub = SubSolverSpec("gradient_descent", inner)
+        for start in ((0.1, 0.2), (-0.5, 0.7), (1.3, 1.1)):
+            p0 = np.array(start)
+            p_fast, _ = dca_solve(problem, p0, sub, StoppingCriterion(max_iter=1),
+                                  record_points=False)
+            cost, rgrad = problem.subproblem(p0, problem.h_rgrad(p0))
+            p_generic, trace = gradient_descent(problem.geometry, cost, rgrad, p0,
+                                                ArmijoParams(), inner)
+            assert trace.reason == "max iterations"
+            np.testing.assert_allclose(p_fast, p_generic, rtol=0.0, atol=1e-12)
+
+
+TIE = StoppingCriterion(max_iter=10, grad_norm_tol=1e-6, iterate_change_tol=10.0)
+
+
+def half_square_step(solver):
+    """Run ``solver`` on f = x^2/2 from x = 0.5 under TIE.
+
+    Its first step lands on (or within 1e-8 of) the minimizer 0, so the
+    gradient-norm and iterate-change clauses both hold after it.
+    """
+    f = lambda x: 0.5 * float(x[0]) ** 2
+    rgrad = lambda x: np.asarray(x, dtype=float)
+    x0 = np.array([0.5])
+    if solver == "gradient_descent":
+        return gradient_descent(EUCLID1, f, rgrad, x0, ArmijoParams(), TIE)
+    if solver == "trust_region_solve":
+        return trust_region_solve(EUCLID1, f, rgrad, x0, TIE)
+    if solver == "dca_solve":
+        problem = DCProblem(geometry=EUCLID1, g_cost=f, h_cost=lambda x: 0.0,
+                            h_rgrad=lambda x: np.zeros(1), g_rgrad=rgrad)
+        sub = SubSolverSpec("gradient_descent",
+                            StoppingCriterion(max_iter=50, grad_norm_tol=1e-12))
+        return dca_solve(problem, x0, sub, TIE)
+    assert solver == "frank_wolfe_solve"
+    return frank_wolfe_solve(EUCLID1, rgrad, lambda p, g: np.zeros(1), x0, TIE, f)
+
+
 class TestStoppingCriterion:
+    @pytest.mark.parametrize("solver", ["gradient_descent", "trust_region_solve",
+                                        "dca_solve", "frank_wolfe_solve"])
+    def test_gradient_norm_wins_a_tie(self, solver):
+        _, trace = half_square_step(solver)
+        assert trace.iterations == 2
+        assert trace.step[1] <= TIE.iterate_change_tol
+        assert trace.reason == "gradient norm"
+
+    def test_rejected_trust_region_step_is_no_iterate_change(self):
+        # f = x^4 - x^2 is concave at 0.1: the first step runs to the radius
+        # boundary at 1.1, where f is larger, and is rejected
+        f = lambda x: float(x[0]) ** 4 - float(x[0]) ** 2
+        rgrad = lambda x: np.array([4.0 * float(x[0]) ** 3 - 2.0 * float(x[0])])
+        stop = StoppingCriterion(max_iter=100, grad_norm_tol=1e-10, iterate_change_tol=1e-3)
+        _, trace = trust_region_solve(EUCLID1, f, rgrad, np.array([0.1]), stop)
+        assert trace.step[1] == 0.0 and trace.f[1] == trace.f[0]
+        assert trace.iterations > 2
+        assert not (trace.reason == "iterate change" and trace.step[-1] == 0.0)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             StoppingCriterion(max_iter=0)
