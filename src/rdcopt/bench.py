@@ -103,13 +103,21 @@ def _timed(fn, *args, **kwargs):
     return result, time.perf_counter() - t0
 
 
+def _subsolve_stats(trace) -> dict:
+    """Inner work of a smooth DC run: total sub-solver steps and capped sub-solves."""
+    return {"inner_steps": sum(trace.extra["inner_steps"]),
+            "capped_subsolves": len(trace.subsolver_failures)}
+
+
 def run_dca_vs_dcppa(config: ExperimentConfig) -> dict:
     """DCA vs DCPPA on the log-det family for each matrix size n.
 
     Both start from p0 = log(n) I_n, stop when the gradient of f drops
     below 1e-10 (fallback: 100 steps), and solve their subproblems with the
     trust-region sub-solver to gradient 1e-10 (cap: 5000 steps); DCPPA uses
-    the constant proximal parameter lambda = 1/(2n).
+    the constant proximal parameter lambda = 1/(2n). Each result row also
+    gives both runs' ``inner_steps`` (trust-region steps over all
+    sub-solves) and ``capped_subsolves`` (sub-solves that hit their cap).
     """
     if config.n_min < 2 or config.n_max > 80 or config.n_min > config.n_max:
         raise ValueError("n range must lie within [2, 80]")
@@ -145,6 +153,9 @@ def run_dca_vs_dcppa(config: ExperimentConfig) -> dict:
             "dca_final_f": tr_dca.f[-1], "dcppa_final_f": tr_ppa.f[-1],
             "dca_reason": tr_dca.reason, "dcppa_reason": tr_ppa.reason,
         })
+        for tag, trace in (("dca", tr_dca), ("dcppa", tr_ppa)):
+            row.update({f"{tag}_{key}": value
+                        for key, value in _subsolve_stats(trace).items()})
         timing_rows.append([n, row["d"], sec_dca, sec_ppa,
                             tr_dca.iterations, tr_ppa.iterations])
         results.append(row)
@@ -164,7 +175,9 @@ def run_rosenbrock(config: ExperimentConfig) -> dict:
     (or the 10-million-step cap); DC subproblems run gradient descent down
     to gradient norm 1e-16 or 1000 inner iterations. The Euclidean
     gradient-descent run is capped at 200 000 iterations unless
-    ``long_run`` restores the full-length run.
+    ``long_run`` restores the full-length run. The two DC results also give
+    ``inner_steps`` (gradient-descent steps over all sub-solves) and
+    ``capped_subsolves`` (sub-solves that hit the 1000-step cap).
     """
     spec = RosenbrockProblem(config.a, config.b)
     p0 = np.array([0.1, 0.2])
@@ -221,6 +234,8 @@ def run_rosenbrock(config: ExperimentConfig) -> dict:
             "distance_to_solution": float(np.linalg.norm(np.asarray(point) - solution)),
             "reason": trace.reason,
         }
+        if name.endswith("_dca"):
+            results[name].update(_subsolve_stats(trace))
     _write_csv(config.out_dir / "summary.csv",
                ["algorithm", "seconds", "iterations"], summary_rows)
     return {"experiment": "rosenbrock", "initial_cost": rosenbrock_cost(spec, p0),

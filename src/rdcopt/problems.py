@@ -51,9 +51,6 @@ __all__ = [
     "FrechetBoxProblem",
     "frechet_variance",
     "frechet_grad",
-    "frechet_grad_alt",
-    "frechet_subproblem_matrix",
-    "frechet_subproblem_matrix_alt",
     "box_linear_subproblem",
     "box_slack",
     "box_feasible",
@@ -272,7 +269,8 @@ def rosenbrock_dcproblem(spec: RosenbrockProblem, geometry: str = "rb") -> DCPro
 
     g(x) = a(x1^2-x2)^2 + 2(x1-b)^2 and h(x) = (x1-b)^2; on the adapted
     metric both components are geodesically convex (h composed with the
-    chart isometry is (x1-b)^2).
+    chart isometry is (x1-b)^2). The DC surrogate is written once, in plain
+    floats, as the ``subproblem_2d`` hook; ``subproblem`` adapts it to arrays.
     """
     if geometry == "euclidean":
         geom = Euclidean(2)
@@ -300,9 +298,31 @@ def rosenbrock_dcproblem(spec: RosenbrockProblem, geometry: str = "rb") -> DCPro
     def h_egrad(p):
         return np.array([2.0 * (float(p[0]) - b), 0.0])
 
+    plane = geometry == "rb"
+
+    def subproblem_2d(q, x):
+        # the surrogate of rosenbrock_subproblem in plain floats; on the
+        # plane G^-1 is applied as RosenbrockPlane.egrad_to_rgrad applies it
+        c = 2.0 * (float(q[0]) - b)
+
+        def cost(x1, x2):
+            v = x1 * x1 - x2
+            w = x1 - b
+            return a * v * v + 2.0 * w * w - c * x1
+
+        def rgrad(x1, x2):
+            v = a * (x1 * x1 - x2)
+            g1, g2 = 4.0 * v * x1 + 4.0 * (x1 - b) - c, -2.0 * v
+            if plane:
+                return g1 + 2.0 * x1 * g2, 2.0 * x1 * g1 + (1.0 + 4.0 * x1 * x1) * g2
+            return g1, g2
+
+        return cost, rgrad
+
     def subproblem(q, x):
-        cost, egrad = rosenbrock_subproblem(spec, q)
-        return cost, lambda p: geom.egrad_to_rgrad(p, egrad(p))
+        cost, rgrad = subproblem_2d(q, x)
+        return (lambda p: cost(float(p[0]), float(p[1])),
+                lambda p: np.array(rgrad(float(p[0]), float(p[1]))))
 
     return DCProblem(
         geometry=geom,
@@ -311,6 +331,7 @@ def rosenbrock_dcproblem(spec: RosenbrockProblem, geometry: str = "rb") -> DCPro
         g_rgrad=lambda p: geom.egrad_to_rgrad(p, g_egrad(p)),
         h_rgrad=lambda p: geom.egrad_to_rgrad(p, h_egrad(p)),
         subproblem=subproblem,
+        subproblem_2d=subproblem_2d,
     )
 
 
@@ -401,36 +422,6 @@ def frechet_grad(prob: FrechetBoxProblem, p) -> np.ndarray:
         w, v = sym_eig(symmetrize(si @ q @ si))
         acc += mu * symmetrize((v * np.log(w)) @ v.T)
     return -2.0 * symmetrize(s @ acc @ s)
-
-
-def frechet_grad_alt(prob: FrechetBoxProblem, p) -> np.ndarray:
-    """Equivalent form 2 sum_j mu_j p^{1/2} log(p^{1/2} q_j^{-1} p^{1/2}) p^{1/2}."""
-    s, _ = spd_sqrt_inv_sqrt(p)
-    acc = np.zeros_like(np.asarray(p, dtype=float))
-    for mu, q in zip(prob.weights, prob.points):
-        w, v = sym_eig(symmetrize(s @ np.linalg.inv(q) @ s))
-        acc += mu * symmetrize((v * np.log(w)) @ v.T)
-    return 2.0 * symmetrize(s @ acc @ s)
-
-
-def frechet_subproblem_matrix(prob: FrechetBoxProblem, p) -> np.ndarray:
-    """s = 2 sum_j mu_j log(p^{-1/2} q_j p^{-1/2}) = -p^{-1/2} grad h(p) p^{-1/2}."""
-    _, si = spd_sqrt_inv_sqrt(p)
-    acc = np.zeros_like(np.asarray(p, dtype=float))
-    for mu, q in zip(prob.weights, prob.points):
-        w, v = sym_eig(symmetrize(si @ q @ si))
-        acc += mu * symmetrize((v * np.log(w)) @ v.T)
-    return 2.0 * acc
-
-
-def frechet_subproblem_matrix_alt(prob: FrechetBoxProblem, p) -> np.ndarray:
-    """Equivalent form -2 sum_j mu_j log(p^{1/2} q_j^{-1} p^{1/2})."""
-    s, _ = spd_sqrt_inv_sqrt(p)
-    acc = np.zeros_like(np.asarray(p, dtype=float))
-    for mu, q in zip(prob.weights, prob.points):
-        w, v = sym_eig(symmetrize(s @ np.linalg.inv(q) @ s))
-        acc += mu * symmetrize((v * np.log(w)) @ v.T)
-    return -2.0 * acc
 
 
 def box_slack(p, lower, upper) -> float:

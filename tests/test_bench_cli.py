@@ -40,6 +40,10 @@ class TestDcaVsDcppaRunner:
                 fabs = np.array([float(r[2]) for r in rows])
                 assert np.all(np.diff(fs) <= 1e-10)  # monotone descent
                 np.testing.assert_allclose(fabs, np.abs(fs + 0.25), rtol=0, atol=0)
+                # every sub-solve takes at least one trust-region step and
+                # converges well inside its 5000-step cap
+                assert result[f"{tag}_inner_steps"] >= result[f"{tag}_iters"] - 1
+                assert result[f"{tag}_capped_subsolves"] == 0
             assert abs(result["dca_final_f"] + 0.25) <= 1e-8
             assert abs(result["dcppa_final_f"] + 0.25) <= 1e-8
 
@@ -68,6 +72,14 @@ class TestRosenbrockRunner:
             assert fs[0] == pytest.approx(summary["initial_cost"])
             assert np.all(np.diff(fs) <= 1e-10)
         assert summary["results"]["riemannian_dca"]["distance_to_solution"] <= 1e-6
+        for name in ("euclidean_dca", "riemannian_dca"):
+            result = summary["results"][name]
+            # one sub-solve per step, plus the one that returns the current point
+            subsolves = result["iterations"] - 1 + (result["reason"] == "fixed point")
+            assert 0 <= result["capped_subsolves"] <= subsolves
+            assert (1000 * result["capped_subsolves"] <= result["inner_steps"]
+                    <= 1000 * subsolves)
+        assert "inner_steps" not in summary["results"]["riemannian_gd"]
 
 
 class TestFrechetRunner:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rdcopt.manifolds import SPDManifold
-from rdcopt.matfun import spd_logdet, sym_apply, symmetrize
+from rdcopt.matfun import spd_logdet, spd_sqrt_inv_sqrt, sym_apply, sym_eig, symmetrize
 from rdcopt.problems import (
     FrechetBoxProblem,
     LogDetProblem,
@@ -17,10 +17,7 @@ from rdcopt.problems import (
     feasibility_safeguard,
     frechet_dcproblem,
     frechet_grad,
-    frechet_grad_alt,
     frechet_linear_oracle,
-    frechet_subproblem_matrix,
-    frechet_subproblem_matrix_alt,
     frechet_variance,
     load_frechet_instance,
     log_power,
@@ -324,6 +321,34 @@ class TestRosenbrock:
             assert second_diff >= -1e-10
 
 
+def _weighted_log_sum(prob, factor, inverse_points):
+    """sum_j mu_j log(factor q_j factor), or with q_j^{-1} when ``inverse_points``."""
+    acc = np.zeros((prob.n, prob.n))
+    for mu, q in zip(prob.weights, prob.points):
+        data = np.linalg.inv(q) if inverse_points else q
+        w, v = sym_eig(symmetrize(factor @ data @ factor))
+        acc += mu * symmetrize((v * np.log(w)) @ v.T)
+    return acc
+
+
+def frechet_grad_alt(prob, p):
+    """Reference form 2 sum_j mu_j p^{1/2} log(p^{1/2} q_j^{-1} p^{1/2}) p^{1/2} of grad h."""
+    s, _ = spd_sqrt_inv_sqrt(p)
+    return 2.0 * symmetrize(s @ _weighted_log_sum(prob, s, True) @ s)
+
+
+def frechet_subproblem_matrix(prob, p):
+    """s = 2 sum_j mu_j log(p^{-1/2} q_j p^{-1/2}) = -p^{-1/2} grad h(p) p^{-1/2}."""
+    _, si = spd_sqrt_inv_sqrt(p)
+    return 2.0 * _weighted_log_sum(prob, si, False)
+
+
+def frechet_subproblem_matrix_alt(prob, p):
+    """Reference form -2 sum_j mu_j log(p^{1/2} q_j^{-1} p^{1/2}) of the same matrix."""
+    s, _ = spd_sqrt_inv_sqrt(p)
+    return -2.0 * _weighted_log_sum(prob, s, True)
+
+
 @pytest.fixture
 def frechet_instance(rng):
     prob, p0 = random_frechet_instance(4, 8, seed=7)
@@ -367,7 +392,6 @@ class TestFrechetProblem:
         # <-grad h(p), log_p(z)>_p = tr(s log(p^-1/2 z p^-1/2))
         prob, _ = frechet_instance
         geom = SPDManifold(prob.n)
-        from rdcopt.matfun import spd_sqrt_inv_sqrt
         for _ in range(5):
             p = random_spd(rng, prob.n)
             z = random_spd(rng, prob.n)

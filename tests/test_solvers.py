@@ -9,6 +9,7 @@ from rdcopt.problems import (
     RosenbrockProblem,
     logdet_dcproblem,
     rosenbrock_dcproblem,
+    rosenbrock_subproblem,
 )
 from rdcopt.solvers import (
     ArmijoParams,
@@ -285,6 +286,19 @@ class TestDCA:
                       SubSolverSpec("gradient_descent", StoppingCriterion(max_iter=5)),
                       StoppingCriterion(max_iter=5))
 
+    def test_inner_steps_recorded(self):
+        # one outer step whose sub-solve runs into its 50-step cap, on the 2-D
+        # fast path (DCA) and on the generic gradient descent (DCPPA)
+        sub = SubSolverSpec("gradient_descent",
+                            StoppingCriterion(max_iter=50, grad_norm_tol=1e-16))
+        p0 = np.array([0.1, 0.2])
+        for geometry in ("euclidean", "rb"):
+            problem = rosenbrock_dcproblem(RosenbrockProblem(a=2e5, b=1.0), geometry)
+            for _, trace in (dca_solve(problem, p0, sub, StoppingCriterion(max_iter=1)),
+                             dcppa_solve(problem, p0, 1.0, sub, StoppingCriterion(max_iter=1))):
+                assert trace.extra["inner_steps"] == [50]
+                assert trace.subsolver_failures == [0]
+
     def test_subsolver_failure_recorded_and_continues(self):
         spec = RosenbrockProblem(a=2e5, b=1.0)
         problem = rosenbrock_dcproblem(spec, "rb")
@@ -414,21 +428,43 @@ class TestIsCritical:
 
 class TestFastPathParity:
     @pytest.mark.parametrize("geometry", ["euclidean", "rb"])
-    def test_one_dca_step_matches_gradient_descent(self, geometry):
-        # a 2-D gradient-descent sub-solve takes the scalar fast path; it must
-        # end where the generic solver ends on the same surrogate
-        problem = rosenbrock_dcproblem(RosenbrockProblem(a=2e5, b=1.0), geometry)
+    def test_one_dca_step_matches_gradient_descent(self, geometry, rng):
+        # a 2-D gradient-descent sub-solve takes the plain-float fast path; it
+        # must end, bit for bit, where the generic solver ends on the surrogate
+        # built from the unfused public formulas
+        spec = RosenbrockProblem(a=2e5, b=1.0)
+        problem = rosenbrock_dcproblem(spec, geometry)
+        geom = problem.geometry
         inner = StoppingCriterion(max_iter=50, grad_norm_tol=1e-16)
         sub = SubSolverSpec("gradient_descent", inner)
         for start in ((0.1, 0.2), (-0.5, 0.7), (1.3, 1.1)):
             p0 = np.array(start)
             p_fast, _ = dca_solve(problem, p0, sub, StoppingCriterion(max_iter=1),
                                   record_points=False)
-            cost, rgrad = problem.subproblem(p0, problem.h_rgrad(p0))
-            p_generic, trace = gradient_descent(problem.geometry, cost, rgrad, p0,
-                                                ArmijoParams(), inner)
+            cost, egrad = rosenbrock_subproblem(spec, p0)
+            p_generic, trace = gradient_descent(
+                geom, cost, lambda p: geom.egrad_to_rgrad(p, egrad(p)), p0,
+                ArmijoParams(), inner)
             assert trace.reason == "max iterations"
-            np.testing.assert_allclose(p_fast, p_generic, rtol=0.0, atol=1e-12)
+            assert np.array_equal(p_fast, p_generic)
+        # the plain-float kernel, its array adapters and the unfused formulas
+        # give the same values
+        for q in rng.uniform(-1.5, 1.5, size=(3, 2)):
+            x = problem.h_rgrad(q)
+            cost_2d, rgrad_2d = problem.subproblem_2d(q, x)
+            cost, rgrad = problem.subproblem(q, x)
+            ref_cost, ref_egrad = rosenbrock_subproblem(spec, q)
+            for z in rng.uniform(-1.5, 1.5, size=(4, 2)):
+                kernel = (cost_2d(float(z[0]), float(z[1])),
+                          *rgrad_2d(float(z[0]), float(z[1])))
+                assert kernel == (cost(z), *rgrad(z))
+                assert kernel == (ref_cost(z), *geom.egrad_to_rgrad(z, ref_egrad(z)))
+
+    def test_hook_needs_a_2d_geometry(self):
+        problem = rosenbrock_dcproblem(RosenbrockProblem(), "euclidean")
+        with pytest.raises(ValueError, match="subproblem_2d"):
+            DCProblem(geometry=Euclidean(3), g_cost=problem.g_cost, h_cost=problem.h_cost,
+                      h_rgrad=problem.h_rgrad, subproblem_2d=problem.subproblem_2d)
 
 
 TIE = StoppingCriterion(max_iter=10, grad_norm_tol=1e-6, iterate_change_tol=10.0)
