@@ -125,10 +125,6 @@ class SPDManifold(Geometry):
         self.n = int(n)
         self.dim = self.n * (self.n + 1) // 2
 
-    def random_point(self, rng: np.random.Generator, scale: float = 1.0):
-        b = rng.standard_normal((self.n, self.n))
-        return symmetrize(b @ b.T + self.n * 1e-3 * np.eye(self.n)) * scale
-
     def inner(self, p, x, y) -> float:
         px = np.linalg.solve(p, x)
         py = np.linalg.solve(p, y)

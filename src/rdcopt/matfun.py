@@ -38,19 +38,22 @@ class EigDecomp(NamedTuple):
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
-    """Return (M + M^T)/2.
+    """Return (M + M^T)/2, for one matrix or a stack of shape (..., n, n).
 
-    Raises ValueError for non-square input.
+    Raises ValueError for input that is not square in its last two axes.
     """
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    return 0.5 * (m + m.T)
+    # the method, not np.swapaxes: this runs thousands of times per solve
+    return 0.5 * (m + m.swapaxes(-1, -2))
 
 
 def sym_eig(a: np.ndarray) -> EigDecomp:
     """Eigendecomposition of a symmetric matrix, eigenvalues ascending.
 
+    A stack of shape (..., n, n) is decomposed matrix by matrix in one
+    call; each slice gets the bits a call on it alone would give.
     Deterministic for identical input (LAPACK dsyevd via numpy).
     Raises ValueError on non-finite entries.
     """
@@ -76,26 +79,32 @@ def sym_apply(a: np.ndarray, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarr
     return symmetrize((q * fw) @ q.T)
 
 
-def sym_dlog(m: np.ndarray, h: np.ndarray) -> np.ndarray:
+def sym_dlog(m: np.ndarray | EigDecomp, h: np.ndarray) -> np.ndarray:
     """Frechet derivative of the matrix log at SPD ``m`` applied to symmetric ``h``.
 
     Daleckii-Krein: in the eigenbasis of m the derivative acts entrywise by
     the divided differences (log w_i - log w_j)/(w_i - w_j), with 1/w_i on
-    the diagonal. Self-adjoint for the trace inner product.
+    the diagonal. Self-adjoint for the trace inner product. ``m`` and ``h``
+    may be stacks of shape (..., n, n) that broadcast against each other;
+    a non-positive spectrum in any slice of ``m`` raises ValueError. ``m``
+    may also be given as its ``EigDecomp`` (as ``sym_eig`` returns it),
+    which is then used instead of decomposing m again.
     """
-    w, q = sym_eig(m)
-    if w[0] <= 0.0:
+    w, q = m if isinstance(m, EigDecomp) else sym_eig(m)
+    if w.min() <= 0.0:
         raise ValueError("spectrum outside domain")
-    hq = q.T @ symmetrize(h) @ q
+    qt = q.swapaxes(-1, -2)
+    hq = qt @ symmetrize(h) @ q
     lw = np.log(w)
-    diff = w[:, None] - w[None, :]
+    wi, wj = w[..., :, None], w[..., None, :]
+    diff = wi - wj
     with np.errstate(divide="ignore", invalid="ignore"):
         gamma = np.where(
-            np.abs(diff) > 1e-13 * max(1.0, w[-1]),
-            (lw[:, None] - lw[None, :]) / diff,
-            2.0 / (w[:, None] + w[None, :]),
+            np.abs(diff) > 1e-13 * np.maximum(w[..., -1:, None], 1.0),
+            (lw[..., :, None] - lw[..., None, :]) / diff,
+            2.0 / (wi + wj),
         )
-    return symmetrize(q @ (gamma * hq) @ q.T)
+    return symmetrize(q @ (gamma * hq) @ qt)
 
 
 def spd_cholesky(a: np.ndarray) -> np.ndarray:

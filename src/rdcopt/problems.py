@@ -24,6 +24,7 @@ import numpy as np
 from .manifolds import Euclidean, RosenbrockPlane, SPDManifold
 from .matfun import (
     SPD_RTOL,
+    EigDecomp,
     assert_spd,
     spd_cholesky,
     spd_logdet,
@@ -406,10 +407,11 @@ def _assert_box(lower, upper):
 def frechet_variance(prob: FrechetBoxProblem, p) -> float:
     """sum_j mu_j d^2(p, q_j) with the affine-invariant distance."""
     _, si = spd_sqrt_inv_sqrt(p)
+    w, _ = sym_eig(symmetrize(si @ prob.points @ si))
     total = 0.0
-    for mu, q in zip(prob.weights, prob.points):
-        w, _ = sym_eig(symmetrize(si @ q @ si))
-        total += mu * float(np.sum(np.log(w) ** 2))
+    # in point order: a sum over the stack would round differently
+    for mu, sq in zip(prob.weights, np.sum(np.log(w) ** 2, axis=-1)):
+        total += mu * float(sq)
     return total
 
 
@@ -417,10 +419,11 @@ def frechet_grad(prob: FrechetBoxProblem, p) -> np.ndarray:
     """grad h(p) = -2 sum_j mu_j p^{1/2} log(p^{-1/2} q_j p^{-1/2}) p^{1/2},
     i.e. -2 sum_j mu_j log_p(q_j)."""
     s, si = spd_sqrt_inv_sqrt(p)
+    w, v = sym_eig(symmetrize(si @ prob.points @ si))
+    logs = symmetrize((v * np.log(w)[..., None, :]) @ v.swapaxes(-1, -2))
     acc = np.zeros_like(np.asarray(p, dtype=float))
-    for mu, q in zip(prob.weights, prob.points):
-        w, v = sym_eig(symmetrize(si @ q @ si))
-        acc += mu * symmetrize((v * np.log(w)) @ v.T)
+    for mu, log_q in zip(prob.weights, logs):
+        acc += mu * log_q
     return -2.0 * symmetrize(s @ acc @ s)
 
 
@@ -435,17 +438,14 @@ def box_feasible(p, lower, upper) -> bool:
     return box_slack(p, lower, upper) >= 0.0
 
 
-def _spectral_clip01(v: np.ndarray) -> np.ndarray:
+# projected-gradient iterations per start of the box oracle
+_BOX_MAX_ITER = 300
+
+
+def _clip01(v: np.ndarray) -> np.ndarray:
+    """Spectral projection of each matrix of a (k, n, n) stack onto [0, I]."""
     w, q = np.linalg.eigh(symmetrize(v))
-    return symmetrize((q * np.clip(w, 0.0, 1.0)) @ q.T)
-
-
-def _tr_d_log(d: np.ndarray, z: np.ndarray) -> float:
-    # tr(diag(d) log z) for SPD z
-    w, q = np.linalg.eigh(z)
-    if w[0] <= 0.0:
-        return np.inf
-    return float(np.sum(d * ((q * np.log(w)) @ q.T).diagonal()))
+    return symmetrize((q * np.clip(w, 0.0, 1.0)[..., None, :]) @ q.swapaxes(-1, -2))
 
 
 def box_linear_subproblem(s: np.ndarray, x: np.ndarray, lower: np.ndarray,
@@ -458,7 +458,12 @@ def box_linear_subproblem(s: np.ndarray, x: np.ndarray, lower: np.ndarray,
     P^T P = Uh - Lh (exact whenever everything commutes, e.g. diagonal data)
     seeds a deterministic multi-start projected-gradient refinement, which
     is required because the corner alone is not optimal for non-commuting
-    instances. The returned z is feasible up to eigensolver round-off.
+    instances. The six starts run in lockstep as one (6, n, n) stack, and
+    the backtracking trials of all of them are evaluated in batches of 2, 4,
+    8, ... per start (see ``_box_projected_gradient``), with the iterates a
+    run of each start on its own would give. The first start, in start
+    order, with the least objective gives the result. The returned z is
+    feasible up to eigensolver round-off.
 
     Raises ValueError("degenerate box") when upper - lower is not positive
     definite.
@@ -478,53 +483,82 @@ def box_linear_subproblem(s: np.ndarray, x: np.ndarray, lower: np.ndarray,
     b_sqrt = symmetrize((qb * np.sqrt(wb)) @ qb.T)
     b_inv_sqrt = symmetrize((qb / np.sqrt(wb)) @ qb.T)
 
-    # spectral-corner candidates from both standard factors of Uh - Lh
+    # spectral-corner candidates from both standard factors of Uh - Lh, and
+    # the lower anchor's complement, mapped into v-space and clipped to [0, I]
     mask = np.diag((d < 0.0).astype(float))
     p_chol = spd_cholesky(b)
-    corners = [symmetrize(p_chol.T @ mask @ p_chol), symmetrize(b_sqrt @ mask @ b_sqrt)]
+    eye = np.eye(n)
+    mapped = _clip01(b_inv_sqrt @ np.stack([
+        symmetrize(p_chol.T @ mask @ p_chol),
+        symmetrize(b_sqrt @ mask @ b_sqrt),
+        eye - lh,
+    ]) @ b_inv_sqrt)
+    starts = np.stack([mapped[0], mapped[1], np.zeros((n, n)), eye, 0.5 * eye, mapped[2]])
 
-    starts = [_spectral_clip01(b_inv_sqrt @ w @ b_inv_sqrt) for w in corners]
-    starts += [
-        np.zeros((n, n)),
-        np.eye(n),
-        0.5 * np.eye(n),
-        _spectral_clip01(b_inv_sqrt @ (np.eye(n) - lh) @ b_inv_sqrt),
-    ]
-
-    def objective(v):
-        return _tr_d_log(d, symmetrize(lh + b_sqrt @ v @ b_sqrt))
-
-    best_v, best_f = None, np.inf
-    for v0 in starts:
-        v, f = _box_projected_gradient(d, lh, b_sqrt, v0, objective)
-        if f < best_f:
-            best_v, best_f = v, f
-    zh = symmetrize(lh + b_sqrt @ best_v @ b_sqrt)
+    v, f = _box_projected_gradient(d, lh, b_sqrt, starts)
+    zh = symmetrize(lh + b_sqrt @ v[np.argmin(f)] @ b_sqrt)
     x_inv = np.linalg.inv(x)
     return symmetrize(x_inv @ q @ zh @ q.T @ x_inv)
 
 
-def _box_projected_gradient(d, lh, b_sqrt, v0, objective, max_iter: int = 300):
-    """Projected gradient on v in [0, I] for tr(D log(Lh + B^{1/2} v B^{1/2}))."""
-    v = _spectral_clip01(v0)
-    f = objective(v)
-    t = 1.0
+def _box_projected_gradient(d, lh, b_sqrt, starts):
+    """Projected gradient on v in [0, I] for tr(D log(Lh + B^{1/2} v B^{1/2})).
+
+    All starts of the (k, n, n) stack ``starts`` run in lockstep, each with
+    the arithmetic of a run on its own. An iteration takes one stacked
+    gradient at the starts still running, from the eigendecompositions the
+    objective has already made. Each start then backtracks from
+    t = min(4 t, 1e8) through t/4, t/16, ... down to 1e-18 and stops at its
+    first trial with f_new < f - 1e-15 (1 + |f|); a start with no such trial,
+    or after _BOX_MAX_ITER iterations, stops for good. The trials of all
+    searching starts are evaluated together, 2 per start, then 4, 8, ...:
+    most iterations accept at the first or second trial, while a start's
+    last, failing search runs through about 28. Returns each start's final
+    point and objective value.
+    """
+
+    def objective(v):
+        # tr(D log z) at each z = Lh + B^{1/2} v B^{1/2} (inf where z is not
+        # PD), with the eigendecomposition of z, which the gradient reuses
+        w, q = np.linalg.eigh(symmetrize(lh + b_sqrt @ v @ b_sqrt))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logs = (q * np.log(w)[..., None, :]) @ q.swapaxes(-1, -2)
+        f = np.sum(d * np.diagonal(logs, axis1=-2, axis2=-1), axis=-1)
+        f[w[..., 0] <= 0.0] = np.inf
+        return f, w, q
+
+    v = _clip01(starts)
+    f, w, q = objective(v)
+    t = np.ones(len(v))
+    running = np.arange(len(v))
     d_mat = np.diag(d)
-    for _ in range(max_iter):
-        z = symmetrize(lh + b_sqrt @ v @ b_sqrt)
-        g = symmetrize(b_sqrt @ sym_dlog(z, d_mat) @ b_sqrt)
-        t = min(4.0 * t, 1e8)
-        improved = False
-        while t > 1e-18:
-            v_new = _spectral_clip01(v - t * g)
-            f_new = objective(v_new)
-            if f_new < f - 1e-15 * (1.0 + abs(f)):
-                v, f = v_new, f_new
-                improved = True
-                break
-            t *= 0.25
-        if not improved:
+    for _ in range(_BOX_MAX_ITER):
+        if running.size == 0:
             break
+        g = symmetrize(b_sqrt @ sym_dlog(EigDecomp(w[running], q[running]), d_mat) @ b_sqrt)
+        t[running] = np.minimum(4.0 * t[running], 1e8)
+        improved = np.zeros(running.size, dtype=bool)
+        searching = np.arange(running.size)  # positions in ``running``
+        size = 2
+        while searching.size:
+            idx = running[searching]
+            # t/4^j is exact in binary floating point, as is the loop's t *= 0.25
+            steps = t[idx, None] * 0.25 ** np.arange(size)
+            trial = _clip01(v[idx, None] - steps[..., None, None] * g[searching, None])
+            f_trial, w_trial, q_trial = objective(trial)
+            # a chunk may run past the 1e-18 floor; those trials never count
+            ok = (steps > 1e-18) & (f_trial < (f[idx] - 1e-15 * (1.0 + np.abs(f[idx])))[:, None])
+            accepted = ok.any(axis=1)
+            hit = np.nonzero(accepted)[0]
+            first = ok.argmax(axis=1)[hit]
+            won = idx[hit]
+            v[won], w[won], q[won] = trial[hit, first], w_trial[hit, first], q_trial[hit, first]
+            f[won], t[won] = f_trial[hit, first], steps[hit, first]
+            improved[searching[hit]] = True
+            t[idx[~accepted]] *= 0.25 ** size
+            searching = searching[~accepted & (t[idx] > 1e-18)]
+            size *= 2
+        running = running[improved]
     return v, f
 
 

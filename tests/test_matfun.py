@@ -31,8 +31,16 @@ class TestSymmetrize:
         np.testing.assert_allclose(symmetrize(a), np.zeros((3, 3)), atol=1e-16)
 
     def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            symmetrize(np.ones((2, 3)))
+        for bad in (np.ones((2, 3)), np.ones(3), np.ones((4, 2, 3))):
+            with pytest.raises(ValueError):
+                symmetrize(bad)
+
+    def test_stack_matches_slices(self, rng):
+        stack = rng.standard_normal((6, 4, 4))
+        out = symmetrize(stack)
+        assert out.shape == stack.shape
+        for k in range(len(stack)):
+            assert np.array_equal(out[k], symmetrize(stack[k]))
 
 
 class TestSymEig:
@@ -144,6 +152,30 @@ class TestSpdHelpers:
         assert not is_spd(np.diag([1.0, 0.0]))
         with pytest.raises(ValueError):
             assert_spd(np.diag([1.0, -1.0]))
+
+    def test_dlog_stack_matches_slices(self, rng):
+        for n in (2, 5, 10):
+            ms = np.stack([random_spd(rng, n) for _ in range(7)])
+            ms[3] = np.eye(n)  # repeated eigenvalues take the diagonal branch
+            hs = np.stack([random_sym(rng, n) for _ in range(7)])
+            out = sym_dlog(ms, hs)
+            shared = sym_dlog(ms, hs[0])
+            assert np.array_equal(sym_dlog(sym_eig(ms), hs), out)
+            for k in range(len(ms)):
+                assert np.array_equal(out[k], sym_dlog(ms[k], hs[k]))
+                assert np.array_equal(shared[k], sym_dlog(ms[k], hs[0]))
+
+    def test_dlog_outside_domain(self, rng):
+        ms = np.stack([random_spd(rng, 3) for _ in range(4)])
+        ms[2] = np.diag([1.0, 2.0, -1.0])
+        with pytest.raises(ValueError, match="spectrum outside domain"):
+            sym_dlog(ms, np.eye(3))
+        with pytest.raises(ValueError, match="spectrum outside domain"):
+            sym_dlog(ms[2], np.eye(3))
+        with pytest.raises(ValueError, match="spectrum outside domain"):
+            sym_dlog(sym_eig(ms), np.eye(3))
+        with pytest.raises(ValueError):
+            sym_dlog(np.ones((4, 2, 3)), np.eye(3))
 
     def test_dlog_matches_finite_differences(self, rng):
         for _ in range(5):

@@ -3,8 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from rdcopt import problems
 from rdcopt.manifolds import SPDManifold
-from rdcopt.matfun import spd_logdet, spd_sqrt_inv_sqrt, sym_apply, sym_eig, symmetrize
+from rdcopt.matfun import (
+    spd_logdet,
+    spd_sqrt_inv_sqrt,
+    sym_apply,
+    sym_dlog,
+    sym_eig,
+    symmetrize,
+)
 from rdcopt.problems import (
     FrechetBoxProblem,
     LogDetProblem,
@@ -349,6 +357,22 @@ def frechet_subproblem_matrix_alt(prob, p):
     return -2.0 * _weighted_log_sum(prob, s, True)
 
 
+def reference_frechet_variance(prob, p):
+    """frechet_variance one point at a time."""
+    _, si = spd_sqrt_inv_sqrt(p)
+    total = 0.0
+    for mu, q in zip(prob.weights, prob.points):
+        w, _ = sym_eig(symmetrize(si @ q @ si))
+        total += mu * float(np.sum(np.log(w) ** 2))
+    return total
+
+
+def reference_frechet_grad(prob, p):
+    """frechet_grad one point at a time."""
+    s, si = spd_sqrt_inv_sqrt(p)
+    return -2.0 * symmetrize(s @ _weighted_log_sum(prob, si, False) @ s)
+
+
 @pytest.fixture
 def frechet_instance(rng):
     prob, p0 = random_frechet_instance(4, 8, seed=7)
@@ -388,6 +412,13 @@ class TestFrechetProblem:
                            lambda z: frechet_grad(prob, z), p,
                            sample_directions(geom, rng, p, 3))
 
+    def test_stacked_evaluation_matches_point_loop(self, rng):
+        for n, m in ((5, 20), (10, 100)):
+            prob, p0 = random_frechet_instance(n, m, seed=3)
+            for p in (p0, prob.lower, random_spd(rng, n)):
+                assert frechet_variance(prob, p) == reference_frechet_variance(prob, p)
+                assert np.array_equal(frechet_grad(prob, p), reference_frechet_grad(prob, p))
+
     def test_subproblem_matrix_pairing_identity(self, frechet_instance, rng):
         # <-grad h(p), log_p(z)>_p = tr(s log(p^-1/2 z p^-1/2))
         prob, _ = frechet_instance
@@ -400,6 +431,86 @@ class TestFrechetProblem:
             _, si = spd_sqrt_inv_sqrt(p)
             rhs = float(np.trace(s @ logm_sym(symmetrize(si @ z @ si))))
             assert abs(lhs - rhs) <= 1e-9 * (1.0 + abs(lhs))
+
+
+def _reference_clip01(v):
+    w, q = np.linalg.eigh(symmetrize(v))
+    return symmetrize((q * np.clip(w, 0.0, 1.0)) @ q.T)
+
+
+def _reference_tr_d_log(d, z):
+    # tr(diag(d) log z) for SPD z
+    w, q = np.linalg.eigh(z)
+    if w[0] <= 0.0:
+        return np.inf
+    return float(np.sum(d * ((q * np.log(w)) @ q.T).diagonal()))
+
+
+def _reference_projected_gradient(d, lh, b_sqrt, v0, objective, max_iter=300):
+    """One start's projected gradient, one trial step at a time; also returns its iterations."""
+    v = _reference_clip01(v0)
+    f = objective(v)
+    t = 1.0
+    d_mat = np.diag(d)
+    iterations = 0
+    for _ in range(max_iter):
+        iterations += 1
+        z = symmetrize(lh + b_sqrt @ v @ b_sqrt)
+        g = symmetrize(b_sqrt @ sym_dlog(z, d_mat) @ b_sqrt)
+        t = min(4.0 * t, 1e8)
+        improved = False
+        while t > 1e-18:
+            v_new = _reference_clip01(v - t * g)
+            f_new = objective(v_new)
+            if f_new < f - 1e-15 * (1.0 + abs(f)):
+                v, f = v_new, f_new
+                improved = True
+                break
+            t *= 0.25
+        if not improved:
+            break
+    return v, f, iterations
+
+
+def reference_box_linear_subproblem(s, x, lower, upper):
+    """The box oracle with its six starts run one after another, one matrix at a time.
+
+    Returns the oracle's point and the iterations each start ran.
+    """
+    s = symmetrize(s)
+    x = symmetrize(x)
+    n = s.shape[0]
+    d, q = sym_eig(s)
+    xq = x @ q
+    lh = symmetrize(xq.T @ lower @ xq)
+    uh = symmetrize(xq.T @ upper @ xq)
+    b = symmetrize(uh - lh)
+    wb, qb = sym_eig(b)
+    b_sqrt = symmetrize((qb * np.sqrt(wb)) @ qb.T)
+    b_inv_sqrt = symmetrize((qb / np.sqrt(wb)) @ qb.T)
+    mask = np.diag((d < 0.0).astype(float))
+    p_chol = np.linalg.cholesky(b).T
+    corners = [symmetrize(p_chol.T @ mask @ p_chol), symmetrize(b_sqrt @ mask @ b_sqrt)]
+    starts = [_reference_clip01(b_inv_sqrt @ w @ b_inv_sqrt) for w in corners]
+    starts += [
+        np.zeros((n, n)),
+        np.eye(n),
+        0.5 * np.eye(n),
+        _reference_clip01(b_inv_sqrt @ (np.eye(n) - lh) @ b_inv_sqrt),
+    ]
+
+    def objective(v):
+        return _reference_tr_d_log(d, symmetrize(lh + b_sqrt @ v @ b_sqrt))
+
+    best_v, best_f, iterations = None, np.inf, []
+    for v0 in starts:
+        v, f, its = _reference_projected_gradient(d, lh, b_sqrt, v0, objective)
+        iterations.append(its)
+        if f < best_f:
+            best_v, best_f = v, f
+    zh = symmetrize(lh + b_sqrt @ best_v @ b_sqrt)
+    x_inv = np.linalg.inv(x)
+    return symmetrize(x_inv @ q @ zh @ q.T @ x_inv), iterations
 
 
 class TestBoxLinearSubproblem:
@@ -427,6 +538,39 @@ class TestBoxLinearSubproblem:
             obj = box_objective(s, x, z)
             brute = brute_force_box_optimum(s, x, lower, upper)
             assert obj <= brute + 1e-6
+
+    def test_matches_per_start_reference(self, rng):
+        for n in (2, 3, 5, 10):
+            for _ in range(4):
+                s = random_sym(rng, n)
+                x = random_spd(rng, n)
+                lower = random_spd(rng, n, 0.5)
+                upper = symmetrize(lower + random_spd(rng, n))
+                expected, _ = reference_box_linear_subproblem(s, x, lower, upper)
+                assert np.array_equal(box_linear_subproblem(s, x, lower, upper), expected)
+
+    def test_dca_oracle_calls_match_reference(self, monkeypatch):
+        stop = StoppingCriterion(max_iter=1000, iterate_change_tol=1e-14, grad_change_tol=1e-9)
+        for n, m, seed in ((5, 20, 15), (10, 100, 1)):
+            calls = []
+
+            def recording(s, x, lower, upper):
+                z = box_linear_subproblem(s, x, lower, upper)
+                calls.append((s, x, lower, upper, z))
+                return z
+
+            monkeypatch.setattr(problems, "box_linear_subproblem", recording)
+            prob, p0 = random_frechet_instance(n, m, seed)
+            dca_solve(frechet_dcproblem(prob), p0, None, stop)
+            assert len(calls) >= 2
+            longest = []
+            for s, x, lower, upper, z in calls:
+                expected, its = reference_box_linear_subproblem(s, x, lower, upper)
+                assert np.array_equal(z, expected)
+                longest.append(max(its))
+            if seed == 15:
+                # this first call runs its starts to the iteration cap
+                assert longest[0] == 300
 
     def test_deterministic(self, rng):
         s = random_sym(rng, 3)
