@@ -65,6 +65,8 @@ def _as_point_array(points) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
+    if pts.shape[0] == 0:
+        raise ValueError("empty grid")
     return pts
 
 
@@ -87,15 +89,21 @@ def conjugate_grid(f: Callable, geometry: Geometry, points, p, x) -> ConjugateEv
     value). Raises ValueError for an empty grid.
     """
     pts = _as_point_array(points)
-    if pts.shape[0] == 0:
-        raise ValueError("empty grid")
+    if isinstance(geometry, Euclidean):
+        return _flat_conjugate(pts, _sample_cost(f, pts), p, x)
     p_arr = np.atleast_1d(np.asarray(p, dtype=float))
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if isinstance(geometry, Euclidean):
-        values = (pts - p_arr) @ x_arr - _sample_cost(f, pts)
-    else:
-        values = np.asarray(
-            [geometry.inner(p_arr, x_arr, geometry.log(p_arr, q)) - f(q) for q in pts])
+    values = np.asarray(
+        [geometry.inner(p_arr, x_arr, geometry.log(p_arr, q)) - f(q) for q in pts])
+    best = int(np.argmax(values))
+    return ConjugateEvaluation(p_arr, x_arr, float(values[best]), pts[best])
+
+
+def _flat_conjugate(pts: np.ndarray, samples: np.ndarray, p, x) -> ConjugateEvaluation:
+    """:func:`conjugate_grid` on flat space, from the samples f(pts) of the cost."""
+    p_arr = np.atleast_1d(np.asarray(p, dtype=float))
+    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    values = (pts - p_arr) @ x_arr - samples
     best = int(np.argmax(values))
     return ConjugateEvaluation(p_arr, x_arr, float(values[best]), pts[best])
 
@@ -147,8 +155,10 @@ def primal_dual_sandwich_check(trace: SolverTrace, g: Callable, h: Callable,
     subgradients; only low-dimensional Euclidean problems are supported
     (the grid sup is intractable elsewhere).
 
-    ``conj_h``/``conj_g`` override the grid conjugates (used as a negative
-    control in tests).
+    Each of g and h is sampled on the grid once, and every row's grid
+    conjugate is taken from those samples with the arithmetic of
+    :func:`conjugate_grid`. ``conj_h``/``conj_g`` override the grid
+    conjugates (used as a negative control in tests).
     """
     if not isinstance(geometry, Euclidean) or geometry.dim > 2:
         raise ValueError("grid conjugate intractable")
@@ -156,7 +166,9 @@ def primal_dual_sandwich_check(trace: SolverTrace, g: Callable, h: Callable,
         raise ValueError("trace has no recorded points/subgradients")
 
     def default_conj(fun):
-        return lambda p, x: conjugate_grid(fun, geometry, points, p, x).value
+        grid = _as_point_array(points)
+        samples = _sample_cost(fun, grid)
+        return lambda p, x: _flat_conjugate(grid, samples, p, x).value
 
     hstar = conj_h or default_conj(h)
     gstar = conj_g or default_conj(g)

@@ -64,14 +64,16 @@ def sym_eig(a: np.ndarray) -> EigDecomp:
     return EigDecomp(w, q)
 
 
-def sym_apply(a: np.ndarray, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+def sym_apply(a: np.ndarray | EigDecomp,
+              fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Apply a scalar function to a symmetric matrix via its spectrum.
 
     Returns Q diag(fn(w)) Q^T, symmetrized. ``fn`` must be defined on every
     eigenvalue of ``a`` (e.g. log needs a positive spectrum); a non-finite
-    value raises ValueError("spectrum outside domain").
+    value raises ValueError("spectrum outside domain"). ``a`` may also be
+    given as its ``EigDecomp``.
     """
-    w, q = sym_eig(a)
+    w, q = a if isinstance(a, EigDecomp) else sym_eig(a)
     with np.errstate(all="ignore"):
         fw = np.asarray(fn(w), dtype=float)
     if fw.shape != w.shape or not np.all(np.isfinite(fw)):
@@ -140,13 +142,13 @@ def assert_spd(a: np.ndarray, what: str = "matrix") -> np.ndarray:
     return symmetrize(a)
 
 
-def spd_sqrt_inv_sqrt(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def spd_sqrt_inv_sqrt(p: np.ndarray | EigDecomp) -> tuple[np.ndarray, np.ndarray]:
     """(p^{1/2}, p^{-1/2}) from one eigendecomposition.
 
-    Raises ValueError("spectrum outside domain") if p is not positive
-    definite.
+    ``p`` may also be given as its ``EigDecomp``. Raises
+    ValueError("spectrum outside domain") if p is not positive definite.
     """
-    w, q = sym_eig(p)
+    w, q = p if isinstance(p, EigDecomp) else sym_eig(p)
     if w[0] <= 0.0:
         raise ValueError("spectrum outside domain")
     sw = np.sqrt(w)
@@ -155,9 +157,12 @@ def spd_sqrt_inv_sqrt(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return sqrt, inv_sqrt
 
 
-def spd_logdet(p: np.ndarray) -> float:
-    """log det p as the sum of log eigenvalues (no determinant overflow)."""
-    w, _ = sym_eig(p)
+def spd_logdet(p: np.ndarray | EigDecomp) -> float:
+    """log det p as the sum of log eigenvalues (no determinant overflow).
+
+    ``p`` may also be given as its ``EigDecomp``.
+    """
+    w, _ = p if isinstance(p, EigDecomp) else sym_eig(p)
     if w[0] <= 0.0:
         raise ValueError("spectrum outside domain")
     return float(np.sum(np.log(w)))

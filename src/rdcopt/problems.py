@@ -27,7 +27,6 @@ from .matfun import (
     EigDecomp,
     assert_spd,
     spd_cholesky,
-    spd_logdet,
     spd_sqrt_inv_sqrt,
     sym_dlog,
     sym_eig,
@@ -132,28 +131,32 @@ class LogDetProblem:
                 raise ValueError(f"{name} violates the det-convexity condition")
 
 
-def _det(p: np.ndarray) -> float:
-    return math.exp(spd_logdet(p))
+def _det(geom: SPDManifold, p: np.ndarray) -> float:
+    return math.exp(geom.logdet(p))
 
 
 def logdet_dcproblem(spec: LogDetProblem) -> DCProblem:
-    """DCProblem for the log-det family, with its closed-form subproblem."""
+    """DCProblem for the log-det family, with its closed-form subproblem.
+
+    Costs, gradients and surrogates read det p from the factor cache of the
+    problem's geometry, which the sub-solver's geometry operations share.
+    """
     geom = SPDManifold(spec.n)
     phi1, phi2 = spec.phi1, spec.phi2
 
     return DCProblem(
         geometry=geom,
-        g_cost=lambda p: phi1.value(_det(p)),
-        h_cost=lambda p: phi2.value(_det(p)),
-        g_rgrad=lambda p: _det_grad(phi1, p),
-        h_rgrad=lambda p: _det_grad(phi2, p),
-        subproblem=lambda q, x: logdet_subproblem(spec, q),
+        g_cost=lambda p: phi1.value(_det(geom, p)),
+        h_cost=lambda p: phi2.value(_det(geom, p)),
+        g_rgrad=lambda p: _det_grad(geom, phi1, p),
+        h_rgrad=lambda p: _det_grad(geom, phi2, p),
+        subproblem=lambda q, x: _logdet_surrogate(geom, spec, q),
     )
 
 
-def _det_grad(phi: ScalarFunction, p: np.ndarray) -> np.ndarray:
+def _det_grad(geom: SPDManifold, phi: ScalarFunction, p: np.ndarray) -> np.ndarray:
     # grad phi(det p) = (phi'(det p) det p) p
-    t = _det(p)
+    t = _det(geom, p)
     return (phi.d1(t) * t) * p
 
 
@@ -164,16 +167,21 @@ def logdet_subproblem(spec: LogDetProblem, q: np.ndarray):
     c = phi2'(det q) det q; grad psi(p) = (phi1'(det p) det p - c) p. The
     surrogate is geodesically convex because -log det has zero Hessian.
     """
-    tq = _det(q)
+    return _logdet_surrogate(SPDManifold(spec.n), spec, q)
+
+
+def _logdet_surrogate(geom: SPDManifold, spec: LogDetProblem, q: np.ndarray):
+    """:func:`logdet_subproblem` with log det read through ``geom``."""
+    tq = _det(geom, q)
     c = spec.phi2.d1(tq) * tq
-    log_det_q = spd_logdet(q)
+    log_det_q = geom.logdet(q)
     phi1 = spec.phi1
 
     def cost(p):
-        return phi1.value(_det(p)) - c * (spd_logdet(p) - log_det_q)
+        return phi1.value(_det(geom, p)) - c * (geom.logdet(p) - log_det_q)
 
     def rgrad(p):
-        t = _det(p)
+        t = _det(geom, p)
         return (phi1.d1(t) * t - c) * p
 
     return cost, rgrad
@@ -217,12 +225,12 @@ def trdet_dcproblem(spec: TrDetProblem) -> DCProblem:
         return phi1.d1(float(np.trace(p))) * symmetrize(p @ p)
 
     def subproblem(q, x):
-        tq = _det(q)
+        tq = _det(geom, q)
         c = phi2.d1(tq) * tq
-        log_det_q = spd_logdet(q)
+        log_det_q = geom.logdet(q)
 
         def cost(p):
-            return phi1.value(float(np.trace(p))) - c * (spd_logdet(p) - log_det_q)
+            return phi1.value(float(np.trace(p))) - c * (geom.logdet(p) - log_det_q)
 
         def rgrad(p):
             return g_rgrad(p) - c * p
@@ -232,9 +240,9 @@ def trdet_dcproblem(spec: TrDetProblem) -> DCProblem:
     return DCProblem(
         geometry=geom,
         g_cost=lambda p: phi1.value(float(np.trace(p))),
-        h_cost=lambda p: phi2.value(_det(p)),
+        h_cost=lambda p: phi2.value(_det(geom, p)),
         g_rgrad=g_rgrad,
-        h_rgrad=lambda p: _det_grad(phi2, p),
+        h_rgrad=lambda p: _det_grad(geom, phi2, p),
         subproblem=subproblem,
     )
 

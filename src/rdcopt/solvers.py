@@ -193,8 +193,7 @@ class DCProblem:
     without change tolerances then run on it directly.
 
     ``sigma`` is the strong-convexity modulus of both components when known
-    (set by :func:`strongly_convexify`), ``f_lower`` an optional lower bound
-    on f.
+    (set by :func:`strongly_convexify`).
     """
 
     geometry: Geometry
@@ -203,7 +202,6 @@ class DCProblem:
     h_rgrad: Callable
     g_rgrad: Optional[Callable] = None
     sigma: Optional[float] = None
-    f_lower: Optional[float] = None
     subproblem: Optional[Callable] = None
     constrained_subsolver: Optional[Callable] = None
     subproblem_2d: Optional[Callable] = None
@@ -690,7 +688,6 @@ def strongly_convexify(problem: DCProblem, sigma: float, anchor) -> DCProblem:
         g_rgrad=(None if g_rgrad is None
                  else (lambda p: g_rgrad(p) + quad_grad(p))),
         sigma=(problem.sigma or 0.0) + sigma,
-        f_lower=problem.f_lower,
     )
 
 

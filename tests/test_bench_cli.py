@@ -104,7 +104,11 @@ class TestFrechetRunner:
             run_frechet(ExperimentConfig(out_dir=tmp_path, n=1, m=8, seed=0))
 
     def test_trace_determinism(self, tmp_path):
+        logdet_traces = tuple(f"{tag}_n{n}.csv" for tag in ("dca", "dcppa") for n in (2, 3, 4))
         runs = {
+            "dca-vs-dcppa": (
+                lambda out: run_dca_vs_dcppa(ExperimentConfig(out_dir=out, n_min=2, n_max=4)),
+                logdet_traces),
             "frechet": (lambda out: run_frechet(ExperimentConfig(out_dir=out, n=4, m=8, seed=5)),
                         ("frechet_dca.csv", "frechet_fw.csv", "instance.json")),
             "duality": (lambda out: run_duality_checks(ExperimentConfig(out_dir=out)),

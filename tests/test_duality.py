@@ -162,6 +162,31 @@ class TestSandwich:
         assert report.passed
         assert report.final_gap <= 1e-3
 
+    def test_samples_each_cost_once(self):
+        problem, trace = self._trace()
+        pts = Grid1D(-10.0, 10.0, 20001).points()
+        calls = {"g": 0, "h": 0}
+
+        def counted(name, fn):
+            def cost(x):
+                calls[name] += 1
+                return fn(x)
+            return cost
+
+        report = primal_dual_sandwich_check(trace, counted("g", problem.g_cost),
+                                            counted("h", problem.h_cost), EUCLID1, pts,
+                                            tolerance=1e-3)
+        assert len(report.rows) > 1
+        # one call per iterate for the primal values, one for the grid samples
+        assert calls == {"g": len(trace.points) + 1, "h": len(trace.points) + 1}
+        # the rows are those of one grid conjugate per row, bit for bit
+        per_row = primal_dual_sandwich_check(
+            trace, problem.g_cost, problem.h_cost, EUCLID1, pts, tolerance=1e-3,
+            conj_h=lambda p, x: conjugate_grid(problem.h_cost, EUCLID1, pts, p, x).value,
+            conj_g=lambda p, x: conjugate_grid(problem.g_cost, EUCLID1, pts, p, x).value)
+        assert report.rows == per_row.rows
+        assert report.final_gap == per_row.final_gap
+
     def test_tampered_conjugate_fails(self):
         problem, trace = self._trace()
         pts = Grid1D(-10.0, 10.0, 20001).points()

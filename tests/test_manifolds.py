@@ -3,8 +3,23 @@ import math
 import numpy as np
 import pytest
 
-from rdcopt.manifolds import Euclidean, RosenbrockPlane, SPDManifold
-from rdcopt.matfun import spd_logdet, symmetrize
+from rdcopt.manifolds import (
+    _CACHED_EIGS,
+    _CACHED_POINTS,
+    _CACHED_SOLVES,
+    Euclidean,
+    RosenbrockPlane,
+    SPDManifold,
+)
+from rdcopt.matfun import (
+    spd_logdet,
+    spd_sqrt_inv_sqrt,
+    sym_apply,
+    sym_dlog,
+    sym_eig,
+    symmetrize,
+)
+from rdcopt.problems import LogDetProblem, logdet_dcproblem
 
 from conftest import fd_slope, random_spd, random_sym, sample_directions, sample_point
 
@@ -189,6 +204,167 @@ class TestSPD:
             numeric = (along(h) + along(-h) - 2.0 * along(0.0)) / h ** 2
             analytic = m.det_hessian_quadform(p, d1, d2, x)
             assert abs(analytic - numeric) <= 1e-3 * (1.0 + abs(analytic))
+
+
+# The SPD operations composed from matfun with no cache: the reference that
+# SPDManifold, with its factor cache, must match bit for bit.
+def _ref_inner(p, x, y):
+    return float(np.trace(np.linalg.solve(p, x) @ np.linalg.solve(p, y)))
+
+
+def _ref_norm(p, x):
+    return math.sqrt(max(_ref_inner(p, x, x), 0.0))
+
+
+def _ref_exp(p, x):
+    s, si = spd_sqrt_inv_sqrt(p)
+    return symmetrize(s @ sym_apply(symmetrize(si @ x @ si), np.exp) @ s)
+
+
+def _ref_log(p, q):
+    s, si = spd_sqrt_inv_sqrt(p)
+    return symmetrize(s @ sym_apply(symmetrize(si @ q @ si), np.log) @ s)
+
+
+def _ref_dist(p, q):
+    _, si = spd_sqrt_inv_sqrt(p)
+    w, _ = sym_eig(symmetrize(si @ q @ si))
+    return float(np.sqrt(np.sum(np.log(w) ** 2)))
+
+
+def _ref_transport(p, q, x):
+    s, si = spd_sqrt_inv_sqrt(p)
+    e = s @ sym_apply(symmetrize(si @ q @ si), np.sqrt) @ si
+    return symmetrize(e @ x @ e.T)
+
+
+def _ref_adjoint_log_diff(q, p, x):
+    _, qi = spd_sqrt_inv_sqrt(q)
+    egrad = qi @ sym_dlog(symmetrize(qi @ p @ qi), symmetrize(qi @ x @ qi)) @ qi
+    return symmetrize(p @ symmetrize(egrad) @ p)
+
+
+class TestSPDFactorCache:
+    """SPDManifold reuses the factors of recent points and matrices; every
+    result must equal the uncached composition bit for bit."""
+
+    def test_matches_uncached_compositions(self, rng):
+        n = 4
+        spec = LogDetProblem(n)
+        phi1, phi2 = spec.phi1, spec.phi2
+        problem = logdet_dcproblem(spec)
+        m = problem.geometry
+        # more points than the cache holds, so entries are evicted and rebuilt
+        points = [random_spd(rng, n) for _ in range(_CACHED_POINTS + 2)]
+        tangents = [random_sym(rng, n) for _ in range(4)]
+
+        def det(p):
+            return math.exp(spd_logdet(p))
+
+        def surrogate(q, p, which):
+            tq = det(q)
+            c = phi2.d1(tq) * tq
+            t = det(p)
+            if which == "cost":
+                return phi1.value(t) - c * (spd_logdet(p) - spd_logdet(q))
+            return (phi1.d1(t) * t - c) * p
+
+        # (cached call, uncached reference), each taking (p, q, x, y)
+        ops = [
+            (lambda p, q, x, y: m.inner(p, x, y), lambda p, q, x, y: _ref_inner(p, x, y)),
+            (lambda p, q, x, y: m.inner(p, x, x), lambda p, q, x, y: _ref_inner(p, x, x)),
+            (lambda p, q, x, y: m.norm(p, x), lambda p, q, x, y: _ref_norm(p, x)),
+            (lambda p, q, x, y: m.exp(p, x), lambda p, q, x, y: _ref_exp(p, x)),
+            (lambda p, q, x, y: m.log(p, q), lambda p, q, x, y: _ref_log(p, q)),
+            (lambda p, q, x, y: m.dist(p, q), lambda p, q, x, y: _ref_dist(p, q)),
+            (lambda p, q, x, y: m.transport(p, q, x), lambda p, q, x, y: _ref_transport(p, q, x)),
+            (lambda p, q, x, y: m.adjoint_log_diff(q, p, x),
+             lambda p, q, x, y: _ref_adjoint_log_diff(q, p, x)),
+            (lambda p, q, x, y: m.logdet(p), lambda p, q, x, y: spd_logdet(p)),
+            (lambda p, q, x, y: problem.g_cost(p), lambda p, q, x, y: phi1.value(det(p))),
+            (lambda p, q, x, y: problem.h_cost(p), lambda p, q, x, y: phi2.value(det(p))),
+            (lambda p, q, x, y: problem.g_rgrad(p),
+             lambda p, q, x, y: (phi1.d1(det(p)) * det(p)) * p),
+            (lambda p, q, x, y: problem.h_rgrad(p),
+             lambda p, q, x, y: (phi2.d1(det(p)) * det(p)) * p),
+            (lambda p, q, x, y: problem.subproblem(q, None)[0](p),
+             lambda p, q, x, y: surrogate(q, p, "cost")),
+            (lambda p, q, x, y: problem.subproblem(q, None)[1](p),
+             lambda p, q, x, y: surrogate(q, p, "grad")),
+        ]
+        for _ in range(60):
+            i, j = rng.choice(len(points), size=2, replace=False)
+            p, q = points[i], points[j]
+            x, y = (tangents[k] for k in rng.choice(len(tangents), size=2))
+            # the cached calls run in a random order, each checked at once
+            for k in rng.permutation(len(ops)):
+                cached, reference = ops[k]
+                assert np.array_equal(cached(p, q, x, y), reference(p, q, x, y)), k
+            # points reached by exp join the pool, as solver iterates do
+            if rng.random() < 0.3:
+                points[i] = m.exp(p, 0.1 * x)
+
+    def test_in_place_change_gets_fresh_factors(self, rng):
+        m = SPDManifold(3)
+        q = random_spd(rng, 3)
+        ops = [
+            lambda p, x: (m.exp(p, x), _ref_exp(p, x)),
+            lambda p, x: (m.inner(p, x, x), _ref_inner(p, x, x)),
+            lambda p, x: (m.logdet(p), spd_logdet(p)),
+            lambda p, x: (m.dist(q, p), _ref_dist(q, p)),
+            lambda p, x: (m.transport(p, q, x), _ref_transport(p, q, x)),
+        ]
+        for op in ops:
+            p, x = random_spd(rng, 3), random_sym(rng, 3)
+            op(p, x)
+            # the caller reuses its arrays for new values
+            p[...] = random_spd(rng, 3)
+            x[...] = random_sym(rng, 3)
+            got, want = op(p, x)
+            assert np.array_equal(got, want)
+
+    def test_signed_zeros_do_not_share_an_entry(self, monkeypatch):
+        counts = {"eigh": 0, "solve": 0}
+        for name in counts:
+            fn = getattr(np.linalg, name)
+
+            def counted(*args, _fn=fn, _name=name):
+                counts[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        m = SPDManifold(2)
+        plus = np.array([[2.0, 0.0], [0.0, 1.0]])
+        minus = np.array([[2.0, -0.0], [-0.0, 1.0]])
+        assert np.array_equal(plus, minus)
+        m.logdet(plus)
+        m.logdet(plus)
+        assert counts["eigh"] == 1
+        m.logdet(minus)
+        assert counts["eigh"] == 2
+        m.inner(plus, plus, plus)
+        m.inner(plus, plus, plus)
+        assert counts["solve"] == 1
+        m.inner(plus, minus, minus)
+        assert counts["solve"] == 2
+
+    def test_cache_stays_bounded(self, rng):
+        m = SPDManifold(3)
+        q = random_spd(rng, 3)
+        for _ in range(3 * _CACHED_POINTS):
+            p = random_spd(rng, 3)
+            for _ in range(2 * _CACHED_SOLVES):
+                x = random_sym(rng, 3)
+                m.inner(p, x, random_sym(rng, 3))
+                m.exp(p, x)
+                m.transport(q, p, x)
+                assert len(m._points) <= _CACHED_POINTS
+                assert len(m._eigs) <= _CACHED_EIGS
+                assert len(m._solves) <= _CACHED_SOLVES
+        # every bound was reached
+        assert len(m._points) == _CACHED_POINTS
+        assert len(m._eigs) == _CACHED_EIGS
+        assert len(m._solves) == _CACHED_SOLVES
 
 
 class TestRosenbrockPlane:

@@ -206,6 +206,26 @@ class TestDCA:
             assert abs(det - math.exp(sign / math.sqrt(2.0))) <= 1e-6, n
             assert trace.reason == "gradient norm"
 
+    def test_logdet_pair_lapack_calls(self, monkeypatch):
+        # one DCA + DCPPA pair at n = 5 with the settings of `rdcopt bench
+        # dca-vs-dcppa`. Recomputing every factor took 3,093 eigh and 2,792
+        # solve calls; the SPD factor cache brings them to 846 and 870.
+        counts = {"eigh": 0, "solve": 0}
+        for name in counts:
+            fn = getattr(np.linalg, name)
+
+            def counted(*args, _fn=fn, _name=name):
+                counts[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        problem = logdet_dcproblem(LogDetProblem(5))
+        p0 = math.log(5) * np.eye(5)
+        dca_solve(problem, p0, TR_SUB, OUTER, record_points=False)
+        dcppa_solve(problem, p0, 1.0 / 10.0, TR_SUB, OUTER, record_points=False)
+        assert counts["eigh"] <= 846
+        assert counts["solve"] <= 870
+
     def test_fixed_point_trace_length_one(self, rng):
         geom = SPDManifold(2)
         p0 = random_spd(rng, 2)
