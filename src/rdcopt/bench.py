@@ -18,7 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .duality import Grid1D, conjugate_grid, fenchel_young_gap, primal_dual_sandwich_check
+from .duality import (Grid1D, conjugate_grid, fenchel_young_gap, primal_dual_sandwich_check,
+                      sampled_conjugate, toland_dual_value)
 from .manifolds import Euclidean
 from .problems import (
     LogDetProblem,
@@ -354,7 +355,7 @@ def run_duality_checks(config: ExperimentConfig, tamper: bool = False) -> dict:
     check("conjugate reduction at p=1, X=1", abs(val - (-0.5)) <= gap_floor,
           f"value = {val:.6f}, analytic -0.5")
 
-    val = conjugate_grid(lambda x: 0.0, geom, pts, np.zeros(1), np.zeros(1)).value
+    val = conjugate_grid(lambda x: np.zeros(len(x)), geom, pts, np.zeros(1), np.zeros(1)).value
     check("conjugate of 0 at X=0", val == 0.0, f"value = {val!r}")
 
     # Fenchel-Young gaps over sampled (p, X, q)
@@ -376,19 +377,17 @@ def run_duality_checks(config: ExperimentConfig, tamper: bool = False) -> dict:
 
     conj_h = None
     if tamper:
-        conj_h = lambda p, x: -conjugate_grid(problem.h_cost, geom, pts, p, x).value
+        hstar = sampled_conjugate(problem.h_cost, pts)
+        conj_h = lambda p, x: -hstar(p, x)
     report = primal_dual_sandwich_check(trace, problem.g_cost, problem.h_cost,
                                         geom, pts, tolerance=1e-3, conj_h=conj_h)
     check("DCA primal-dual sandwich", report.passed,
           f"{len(report.rows)} iterations, final gap = {report.final_gap:.3e}")
 
-    # primal and dual grid minima agree (both -1/4 for the quartic family);
-    # at p = 0 the grid conjugate of a cost c at x is max_q (q x - c(q)), so
-    # g and h are sampled once and each covector takes its maxima from those
+    # primal and dual grid minima agree (both -1/4 for the quartic family)
     f_primal = np.min(pts ** 4 - pts ** 2)
-    g_vals, h_vals = problem.g_cost(pts[:, None]), problem.h_cost(pts[:, None])
-    f_dual = float(min(np.max(pts * x - h_vals) - np.max(pts * x - g_vals)
-                       for x in np.linspace(-10.0, 10.0, 2001)))
+    f_dual = toland_dual_value(problem.g_cost, problem.h_cost, pts,
+                               np.linspace(-10.0, 10.0, 2001))
     check("primal-dual value equality", abs(f_primal - f_dual) <= 1e-3,
           f"primal {f_primal:.6f} vs dual {f_dual:.6f}")
 

@@ -26,6 +26,8 @@ __all__ = [
     "conjugate_grid",
     "fenchel_young_gap",
     "primal_dual_sandwich_check",
+    "sampled_conjugate",
+    "toland_dual_value",
 ]
 
 
@@ -89,23 +91,87 @@ def conjugate_grid(f: Callable, geometry: Geometry, points, p, x) -> ConjugateEv
     value). Raises ValueError for an empty grid.
     """
     pts = _as_point_array(points)
+    p_arr = np.atleast_1d(np.asarray(p, dtype=float))
+    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     if isinstance(geometry, Euclidean):
-        return _flat_conjugate(pts, _sample_cost(f, pts), p, x)
-    p_arr = np.atleast_1d(np.asarray(p, dtype=float))
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    values = np.asarray(
-        [geometry.inner(p_arr, x_arr, geometry.log(p_arr, q)) - f(q) for q in pts])
+        values = (pts - p_arr) @ x_arr - _sample_cost(f, pts)
+    else:
+        values = np.asarray(
+            [geometry.inner(p_arr, x_arr, geometry.log(p_arr, q)) - f(q) for q in pts])
     best = int(np.argmax(values))
     return ConjugateEvaluation(p_arr, x_arr, float(values[best]), pts[best])
 
 
-def _flat_conjugate(pts: np.ndarray, samples: np.ndarray, p, x) -> ConjugateEvaluation:
-    """:func:`conjugate_grid` on flat space, from the samples f(pts) of the cost."""
-    p_arr = np.atleast_1d(np.asarray(p, dtype=float))
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    values = (pts - p_arr) @ x_arr - samples
-    best = int(np.argmax(values))
-    return ConjugateEvaluation(p_arr, x_arr, float(values[best]), pts[best])
+def _hull_conjugate(pts: np.ndarray, samples: np.ndarray) -> Callable:
+    """Grid conjugate on flat 1-D space from the lower convex hull of the samples.
+
+    Takes points of shape (N, 1) and the samples f(pts). Returns
+    ``conj(p, x)``, which gives for K base points and K covectors, each of
+    shape (K,), the K values max_q (q - p) x - f(q) of :func:`conjugate_grid`.
+    Each covector is answered from the hull vertices around its place among
+    the hull slopes, evaluated with the arithmetic of :func:`conjugate_grid`:
+    bit for bit its value, exact ties included, unless samples collinear
+    only up to round-off meet a covector equal to their slope (then the two
+    can be a few ulps apart).
+
+    The hull drops the strict concave corners of the kept samples, one O(N)
+    pass after another, until none is left. That is exact for any samples:
+    one pass for convex ones, such as the components of a DC split, and
+    about 300 for 20,001 samples of x^4 - x^2. Of samples at one point the
+    smallest is kept.
+    """
+    if pts.shape[1] != 1:
+        raise ValueError("grid conjugate intractable")
+    order = np.lexsort((samples, pts[:, 0]))
+    xs, s = pts[order, 0], samples[order]
+    first = np.r_[True, xs[1:] != xs[:-1]]
+    xs, s = xs[first], s[first]
+    while True:
+        slopes = np.diff(s)
+        slopes /= np.diff(xs)
+        corner = np.zeros(len(xs), dtype=bool)
+        corner[1:-1] = slopes[:-1] > slopes[1:]
+        if not corner.any():
+            break
+        xs, s = xs[~corner], s[~corner]
+
+    def conj(p: np.ndarray, x: np.ndarray) -> np.ndarray:
+        # the vertices from one before the first edge of slope >= x to one
+        # past the last edge of slope <= x (more than 3 only on a run of
+        # edges of slope exactly x), laid end to end, one window per covector
+        lo = np.maximum(np.searchsorted(slopes, x, "left") - 1, 0)
+        hi = np.minimum(np.searchsorted(slopes, x, "right") + 2, len(xs))
+        counts = hi - lo
+        starts = np.cumsum(counts) - counts
+        idx = np.arange(counts.sum()) + np.repeat(lo - starts, counts)
+        q = (xs[idx] - np.repeat(p, counts))[:, None, None]
+        values = (q @ np.repeat(x, counts)[:, None, None])[:, 0, 0] - s[idx]
+        return np.maximum.reduceat(values, starts)
+
+    return conj
+
+
+def sampled_conjugate(f: Callable, points) -> Callable:
+    """Grid conjugate of f as a function (p, X) -> float on flat 1-D space:
+    the value of :func:`conjugate_grid`, with f sampled on the points once
+    (see :func:`_hull_conjugate`)."""
+    pts = _as_point_array(points)
+    conj = _hull_conjugate(pts, _sample_cost(f, pts))
+    return lambda p, x: float(conj(np.ravel(p), np.ravel(x))[0])
+
+
+def toland_dual_value(g: Callable, h: Callable, points, covectors) -> float:
+    """Toland dual value min over the covectors X of h*(0, X) - g*(0, X) on
+    flat 1-D space: by Toland-Singer duality inf (g - h) = inf (h* - g*).
+    Each cost is sampled once; the grid conjugates are those of
+    :func:`_hull_conjugate`, equal to :func:`conjugate_grid`'s.
+    """
+    pts = _as_point_array(points)
+    x = np.asarray(covectors, dtype=float).ravel()
+    p = np.zeros_like(x)
+    hstar = _hull_conjugate(pts, _sample_cost(h, pts))(p, x)
+    gstar = _hull_conjugate(pts, _sample_cost(g, pts))(p, x)
+    return float(np.min(hstar - gstar))
 
 
 def fenchel_young_gap(f: Callable, geometry: Geometry,
@@ -152,26 +218,20 @@ def primal_dual_sandwich_check(trace: SolverTrace, g: Callable, h: Callable,
     h*(p_k, X_k) - g*(p_k, X_k) must sit between the primal values at
     p_{k+1} and p_k (up to the grid tolerance), and both value sequences
     must meet at the end. The trace must have recorded points and
-    subgradients; only low-dimensional Euclidean problems are supported
-    (the grid sup is intractable elsewhere).
+    subgradients; only 1-D Euclidean problems are supported (the grid sup
+    is intractable elsewhere).
 
-    Each of g and h is sampled on the grid once, and every row's grid
-    conjugate is taken from those samples with the arithmetic of
-    :func:`conjugate_grid`. ``conj_h``/``conj_g`` override the grid
-    conjugates (used as a negative control in tests).
+    The grid conjugates are those of :func:`sampled_conjugate`: each of g
+    and h is sampled on the grid once. ``conj_h``/``conj_g`` override them
+    (used as a negative control in tests).
     """
-    if not isinstance(geometry, Euclidean) or geometry.dim > 2:
+    if not isinstance(geometry, Euclidean) or geometry.dim > 1:
         raise ValueError("grid conjugate intractable")
     if trace.points is None or trace.subgradients is None:
         raise ValueError("trace has no recorded points/subgradients")
 
-    def default_conj(fun):
-        grid = _as_point_array(points)
-        samples = _sample_cost(fun, grid)
-        return lambda p, x: _flat_conjugate(grid, samples, p, x).value
-
-    hstar = conj_h or default_conj(h)
-    gstar = conj_g or default_conj(g)
+    hstar = conj_h or sampled_conjugate(h, points)
+    gstar = conj_g or sampled_conjugate(g, points)
 
     pts = trace.points
     subs = trace.subgradients

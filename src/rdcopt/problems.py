@@ -47,7 +47,6 @@ __all__ = [
     "rosenbrock_cost",
     "rosenbrock_grad",
     "rosenbrock_dcproblem",
-    "rosenbrock_subproblem",
     "FrechetBoxProblem",
     "frechet_variance",
     "frechet_grad",
@@ -310,8 +309,9 @@ def rosenbrock_dcproblem(spec: RosenbrockProblem, geometry: str = "rb") -> DCPro
     plane = geometry == "rb"
 
     def subproblem_2d(q, x):
-        # the surrogate of rosenbrock_subproblem in plain floats; on the
-        # plane G^-1 is applied as RosenbrockPlane.egrad_to_rgrad applies it
+        # phi(p) = a(p1^2-p2)^2 + 2(p1-b)^2 - 2(q1-b) p1 up to a constant, on
+        # both geometries; on the plane G^-1 is applied as
+        # RosenbrockPlane.egrad_to_rgrad applies it
         c = 2.0 * (float(q[0]) - b)
 
         def cost(x1, x2):
@@ -342,30 +342,6 @@ def rosenbrock_dcproblem(spec: RosenbrockProblem, geometry: str = "rb") -> DCPro
         subproblem=subproblem,
         subproblem_2d=subproblem_2d,
     )
-
-
-def rosenbrock_subproblem(spec: RosenbrockProblem, q):
-    """DC surrogate at iterate q (cost and Euclidean gradient).
-
-    phi(p) = a(p1^2-p2)^2 + 2(p1-b)^2 - 2(q1-b) p1 up to a constant; the
-    linear term is <grad h(q), log_q(p)> evaluated through the plane metric,
-    and the same expression is the flat-space surrogate.
-    """
-    a, b = spec.a, spec.b
-    c = 2.0 * (float(q[0]) - b)
-
-    def cost(p):
-        x1, x2 = float(p[0]), float(p[1])
-        v = x1 * x1 - x2
-        w = x1 - b
-        return a * v * v + 2.0 * w * w - c * x1
-
-    def egrad(p):
-        x1, x2 = float(p[0]), float(p[1])
-        v = a * (x1 * x1 - x2)
-        return np.array([4.0 * v * x1 + 4.0 * (x1 - b) - c, -2.0 * v])
-
-    return cost, egrad
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ from rdcopt.problems import (
     rosenbrock_cost,
     rosenbrock_dcproblem,
     rosenbrock_grad,
-    rosenbrock_subproblem,
     trdet_dcproblem,
 )
 from rdcopt.solvers import (
@@ -39,7 +38,7 @@ from rdcopt.solvers import (
 )
 
 from conftest import fd_slope, random_spd, random_sym, sample_directions
-from test_problems import box_objective, brute_force_box_optimum
+from test_problems import box_objective, brute_force_box_optimum, rosenbrock_subproblem
 
 TR_SUB = SubSolverSpec("trust_region", StoppingCriterion(max_iter=5000, grad_norm_tol=1e-10))
 OUTER = StoppingCriterion(max_iter=100, grad_norm_tol=1e-10)

@@ -4,9 +4,11 @@ import pytest
 from rdcopt.duality import (
     ConjugateEvaluation,
     Grid1D,
+    _hull_conjugate,
     conjugate_grid,
     fenchel_young_gap,
     primal_dual_sandwich_check,
+    toland_dual_value,
 )
 from rdcopt.manifolds import Euclidean, SPDManifold
 from rdcopt.solvers import DCProblem, StoppingCriterion, SubSolverSpec, dca_solve
@@ -35,6 +37,15 @@ def quartic_problem():
         g_rgrad=lambda x: np.array([4.0 * float(x[0]) ** 3 + 2.0 * float(x[0])]),
         h_rgrad=lambda x: np.array([4.0 * float(x[0])]),
     )
+
+
+def quartic_trace(x0=2.0, max_iter=200):
+    problem = quartic_problem()
+    sub = SubSolverSpec("trust_region",
+                        StoppingCriterion(max_iter=500, grad_norm_tol=1e-11))
+    stop = StoppingCriterion(max_iter=max_iter, grad_norm_tol=1e-10)
+    _, trace = dca_solve(problem, np.array([x0]), sub, stop)
+    return problem, trace
 
 
 class TestGrid1D:
@@ -107,6 +118,70 @@ class TestConjugateGrid:
                            np.zeros(1), np.zeros(1))
 
 
+def assert_hull_matches_grid(points, samples, p, x):
+    """The hull conjugate equals conjugate_grid at every (p, x) pair, bit for bit."""
+    pts = np.asarray(points, dtype=float)
+    samples = np.asarray(samples, dtype=float)
+    p, x = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(x, dtype=float))
+    # a batched cost that returns the samples of the whole grid
+    expected = [conjugate_grid(lambda q: samples, EUCLID1, pts, np.array([pk]),
+                               np.array([xk])).value for pk, xk in zip(p, x)]
+    got = _hull_conjugate(pts[:, None], samples)(p, x)
+    assert np.array_equal(got, expected)
+
+
+class TestHullConjugate:
+    def test_suite_costs_at_value_check_covectors(self):
+        problem = quartic_problem()
+        pts = Grid1D(-10.0, 10.0, 20001).points()
+        xs = np.linspace(-10.0, 10.0, 2001)
+        for cost in (problem.g_cost, problem.h_cost):
+            assert_hull_matches_grid(pts, cost(pts[:, None]), 0.0, xs)
+
+    def test_every_sandwich_row(self):
+        problem, trace = quartic_trace()
+        pts = Grid1D(-10.0, 10.0, 20001).points()
+        p = np.concatenate(trace.points)
+        x = np.concatenate(trace.subgradients)
+        assert len(p) > 10
+        for cost in (problem.g_cost, problem.h_cost):
+            assert_hull_matches_grid(pts, cost(pts[:, None]), p, x)
+
+    def test_nonconvex_samples(self, rng):
+        pts = Grid1D(-3.0, 3.0, 2001).points()
+        p = rng.uniform(-3.0, 3.0, 300)
+        x = rng.uniform(-60.0, 60.0, 300)
+        for samples in (pts ** 4 - pts ** 2, rng.standard_normal(len(pts)),
+                        pts * np.sin(3.0 * pts)):
+            assert_hull_matches_grid(pts, samples, p, x)
+
+    def test_exact_ties(self, rng):
+        pts = Grid1D(-10.0, 10.0, 2001).points()
+        assert pts[1000] == 0.0  # the kink of |x| sits on a grid point
+        p = np.concatenate([np.zeros(3), rng.uniform(-3.0, 3.0, 60)])
+        for x in (0.0, 1.0, -1.0, 0.5, 2.5):
+            assert_hull_matches_grid(pts, np.full(len(pts), 1.7), p, x)
+            assert_hull_matches_grid(pts, np.abs(pts), p, x)
+
+    def test_covectors_beyond_extreme_slopes(self):
+        pts = Grid1D(-2.0, 2.0, 401).points()
+        samples = pts ** 2  # hull slopes within [-4, 4]
+        assert_hull_matches_grid(pts, samples, [-1.0, 0.5, 2.0, 0.0],
+                                 [-1e4, -4.5, 4.5, 1e4])
+
+    def test_unsorted_and_duplicate_points(self, rng):
+        base = Grid1D(-3.0, 3.0, 301).points()
+        pts = np.concatenate([base, base[::7], base[::11]])
+        p, x = rng.uniform(-3.0, 3.0, 200), rng.uniform(-12.0, 12.0, 200)
+        order = rng.permutation(len(pts))
+        for samples in (np.cosh(pts), np.cosh(pts) + rng.uniform(0.0, 0.5, len(pts))):
+            assert_hull_matches_grid(pts[order], samples[order], p, x)
+
+    def test_two_point_grid(self):
+        assert_hull_matches_grid([1.0, -0.5], [3.0, 2.0], [0.0, 0.0, 0.3, 2.0],
+                                 [-5.0, 0.0, 2.0 / 3.0, 5.0])
+
+
 class TestFenchelYoung:
     def test_gap_zero_at_maximizer(self):
         grid = Grid1D(-10.0, 10.0, 20001)
@@ -132,16 +207,8 @@ class TestFenchelYoung:
 
 
 class TestSandwich:
-    def _trace(self, x0=2.0, max_iter=200):
-        problem = quartic_problem()
-        sub = SubSolverSpec("trust_region",
-                            StoppingCriterion(max_iter=500, grad_norm_tol=1e-11))
-        stop = StoppingCriterion(max_iter=max_iter, grad_norm_tol=1e-10)
-        _, trace = dca_solve(problem, np.array([x0]), sub, stop)
-        return problem, trace
-
     def test_holds_along_dca_trace(self):
-        problem, trace = self._trace()
+        problem, trace = quartic_trace()
         pts = Grid1D(-10.0, 10.0, 20001).points()
         report = primal_dual_sandwich_check(trace, problem.g_cost, problem.h_cost,
                                             EUCLID1, pts, tolerance=1e-3)
@@ -154,7 +221,7 @@ class TestSandwich:
 
     def test_stationary_start_equality(self):
         # X0 = g'(x*) = h'(x*) at the critical point: primal and dual coincide
-        problem, trace = self._trace(x0=1.0 / np.sqrt(2.0))
+        problem, trace = quartic_trace(x0=1.0 / np.sqrt(2.0))
         assert trace.reason in ("fixed point", "gradient norm")
         pts = Grid1D(-10.0, 10.0, 20001).points()
         report = primal_dual_sandwich_check(trace, problem.g_cost, problem.h_cost,
@@ -163,7 +230,7 @@ class TestSandwich:
         assert report.final_gap <= 1e-3
 
     def test_samples_each_cost_once(self):
-        problem, trace = self._trace()
+        problem, trace = quartic_trace()
         pts = Grid1D(-10.0, 10.0, 20001).points()
         calls = {"g": 0, "h": 0}
 
@@ -188,7 +255,7 @@ class TestSandwich:
         assert report.final_gap == per_row.final_gap
 
     def test_tampered_conjugate_fails(self):
-        problem, trace = self._trace()
+        problem, trace = quartic_trace()
         pts = Grid1D(-10.0, 10.0, 20001).points()
         bad_conj = lambda p, x: -conjugate_grid(problem.h_cost, EUCLID1, pts, p, x).value
         report = primal_dual_sandwich_check(trace, problem.g_cost, problem.h_cost,
@@ -197,10 +264,16 @@ class TestSandwich:
         assert not report.passed
 
     def test_unsupported_geometry_rejected(self):
-        problem, trace = self._trace(max_iter=2)
+        problem, trace = quartic_trace(max_iter=2)
         with pytest.raises(ValueError, match="grid conjugate intractable"):
             primal_dual_sandwich_check(trace, problem.g_cost, problem.h_cost,
                                        SPDManifold(2), np.zeros((3, 1)))
+
+    def test_two_dimensional_grid_rejected(self):
+        problem, trace = quartic_trace(max_iter=2)
+        with pytest.raises(ValueError, match="grid conjugate intractable"):
+            primal_dual_sandwich_check(trace, problem.g_cost, problem.h_cost,
+                                       Euclidean(2), np.zeros((3, 2)))
 
     def test_primal_dual_value_equality(self):
         # Thm-level check: grid minima of g - h and h* - g* agree
@@ -214,3 +287,5 @@ class TestSandwich:
             for x in xs)
         assert abs(primal - dual) <= 1e-3
         assert abs(primal + 0.25) <= 1e-3
+        # the hull-based dual value is that brute-force min, bit for bit
+        assert toland_dual_value(problem.g_cost, problem.h_cost, pts, xs) == dual

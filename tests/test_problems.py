@@ -36,7 +36,6 @@ from rdcopt.problems import (
     rosenbrock_cost,
     rosenbrock_dcproblem,
     rosenbrock_grad,
-    rosenbrock_subproblem,
     save_frechet_spec,
     trdet_dcproblem,
 )
@@ -56,6 +55,31 @@ TR_SUB = SubSolverSpec("trust_region", StoppingCriterion(max_iter=5000, grad_nor
 
 def logm_sym(a):
     return sym_apply(a, np.log)
+
+
+def rosenbrock_subproblem(spec: RosenbrockProblem, q):
+    """Reference DC surrogate at iterate q (cost and Euclidean gradient): the
+    unfused formula behind ``rosenbrock_dcproblem``'s ``subproblem_2d``.
+
+    phi(p) = a(p1^2-p2)^2 + 2(p1-b)^2 - 2(q1-b) p1 up to a constant; the
+    linear term is <grad h(q), log_q(p)> evaluated through the plane metric,
+    and the same expression is the flat-space surrogate.
+    """
+    a, b = spec.a, spec.b
+    c = 2.0 * (float(q[0]) - b)
+
+    def cost(p):
+        x1, x2 = float(p[0]), float(p[1])
+        v = x1 * x1 - x2
+        w = x1 - b
+        return a * v * v + 2.0 * w * w - c * x1
+
+    def egrad(p):
+        x1, x2 = float(p[0]), float(p[1])
+        v = a * (x1 * x1 - x2)
+        return np.array([4.0 * v * x1 + 4.0 * (x1 - b) - c, -2.0 * v])
+
+    return cost, egrad
 
 
 def box_objective(s, x, z):

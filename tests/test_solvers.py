@@ -9,7 +9,6 @@ from rdcopt.problems import (
     RosenbrockProblem,
     logdet_dcproblem,
     rosenbrock_dcproblem,
-    rosenbrock_subproblem,
 )
 from rdcopt.solvers import (
     ArmijoParams,
@@ -30,6 +29,7 @@ from rdcopt.solvers import (
 )
 
 from conftest import random_spd, random_sym
+from test_problems import rosenbrock_subproblem
 
 
 EUCLID1 = Euclidean(1)
