@@ -117,8 +117,8 @@ def run_dca_vs_dcppa(config: ExperimentConfig) -> dict:
     below 1e-10 (fallback: 100 steps), and solve their subproblems with the
     trust-region sub-solver to gradient 1e-10 (cap: 5000 steps); DCPPA uses
     the constant proximal parameter lambda = 1/(2n). Each result row also
-    gives both runs' ``inner_steps`` (trust-region steps over all
-    sub-solves) and ``capped_subsolves`` (sub-solves that hit their cap).
+    gives both runs' ``inner_steps`` (trust-region steps), ``capped_subsolves``
+    and ``eigendecompositions`` (SPD cache misses; DCPPA reuses DCA's cache).
     """
     if config.n_min < 2 or config.n_max > 80 or config.n_min > config.n_max:
         raise ValueError("n range must lie within [2, 80]")
@@ -137,9 +137,11 @@ def run_dca_vs_dcppa(config: ExperimentConfig) -> dict:
         try:
             (p_dca, tr_dca), sec_dca = _timed(
                 dca_solve, problem, p0, sub, stop, record_points=False)
+            eigs_dca = problem.geometry.eigendecompositions
             (p_ppa, tr_ppa), sec_ppa = _timed(
                 dcppa_solve, problem, p0, 1.0 / (2.0 * n), sub, stop,
                 record_points=False)
+            eigs_ppa = problem.geometry.eigendecompositions - eigs_dca
         except SolverError as exc:
             failures.append({"n": n, "error": str(exc)})
             timing_rows.append([n, row["d"], math.nan, math.nan, 0, 0])
@@ -154,9 +156,10 @@ def run_dca_vs_dcppa(config: ExperimentConfig) -> dict:
             "dca_final_f": tr_dca.f[-1], "dcppa_final_f": tr_ppa.f[-1],
             "dca_reason": tr_dca.reason, "dcppa_reason": tr_ppa.reason,
         })
-        for tag, trace in (("dca", tr_dca), ("dcppa", tr_ppa)):
+        for tag, trace, eigs in (("dca", tr_dca, eigs_dca), ("dcppa", tr_ppa, eigs_ppa)):
             row.update({f"{tag}_{key}": value
                         for key, value in _subsolve_stats(trace).items()})
+            row[f"{tag}_eigendecompositions"] = eigs
         timing_rows.append([n, row["d"], sec_dca, sec_ppa,
                             tr_dca.iterations, tr_ppa.iterations])
         results.append(row)

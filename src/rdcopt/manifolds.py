@@ -115,12 +115,10 @@ class Euclidean(Geometry):
 
 
 # bounds of the SPD caches. A trust-region step works at its iterate, one
-# finite-difference or trial point and the outer DC iterate at a time, and a
-# CG iteration passes at most four distinct tangents to ``inner`` at its
-# iterate. An entry holds up to three n x n matrices; eight eigendecompositions
-# instead of four saved 2% of the log-det eigh calls for 0.7 MB at n = 60.
+# finite-difference or trial point and the outer DC iterate at a time. An
+# entry holds up to three n x n matrices; eight eigendecompositions instead
+# of four saved 2% of the log-det eigh calls for 0.7 MB at n = 60.
 _CACHED_POINTS = 4
-_CACHED_SOLVES = 6
 _CACHED_EIGS = 4
 
 
@@ -148,15 +146,13 @@ def _bytes_key(a: np.ndarray) -> tuple:
 
 
 class _SPDPoint:
-    """Factors of one SPD point: its cache ``key``; ``p``, a private
-    read-only copy of the point; and ``roots`` = (p^{1/2}, p^{-1/2}) and
-    ``logdet``, each None until first used."""
+    """Factors of one SPD point: ``p``, a private read-only copy of the
+    point; and ``roots`` = (p^{1/2}, p^{-1/2}) and ``logdet``, each None
+    until first used."""
 
-    __slots__ = ("key", "p", "roots", "logdet")
+    __slots__ = ("p", "roots", "logdet")
 
-    def __init__(self, key: tuple):
-        shape, data = key
-        self.key = key
+    def __init__(self, shape: tuple, data: bytes):
         self.p = np.frombuffer(data).reshape(shape)
         self.roots = self.logdet = None
 
@@ -170,26 +166,30 @@ class SPDManifold(Geometry):
     n(n+1)/2.
 
     Each instance keeps the factors of the last few points it was asked
-    about (p^{1/2}, p^{-1/2}, log det p), its last few solves against a
-    point and its last few eigendecompositions, keyed by the bytes of their
-    input, so the operations of a solver at one iterate factor it once.
-    Every result is bit for bit that of the uncached computation.
+    about (p^{1/2}, p^{-1/2}, log det p) and its last few
+    eigendecompositions (``eigendecompositions`` counts the misses), keyed
+    by the bytes of their input, so the operations of a solver at one
+    iterate factor it once. Every result is bit for bit that of the
+    uncached computation.
     """
 
     def __init__(self, n: int):
         self.n = int(n)
         self.dim = self.n * (self.n + 1) // 2
+        self.eigendecompositions = 0
         self._points: list = []
         self._eigs: list = []
-        self._solves: list = []
 
     def _point(self, p) -> _SPDPoint:
         key = _bytes_key(np.asarray(p, dtype=float))
-        return _lookup(self._points, key, lambda: _SPDPoint(key), _CACHED_POINTS)
+        return _lookup(self._points, key, lambda: _SPDPoint(*key), _CACHED_POINTS)
 
     def _eig(self, a) -> EigDecomp:
         a = np.asarray(a, dtype=float)
-        return _lookup(self._eigs, _bytes_key(a), lambda: sym_eig(a), _CACHED_EIGS)
+        def decompose():
+            self.eigendecompositions += 1
+            return sym_eig(a)
+        return _lookup(self._eigs, _bytes_key(a), decompose, _CACHED_EIGS)
 
     def _roots(self, p) -> tuple[np.ndarray, np.ndarray]:
         """(p^{1/2}, p^{-1/2})."""
@@ -197,12 +197,6 @@ class SPDManifold(Geometry):
         if point.roots is None:
             point.roots = spd_sqrt_inv_sqrt(self._eig(point.p))
         return point.roots
-
-    def _solve(self, point: _SPDPoint, x) -> np.ndarray:
-        """p^{-1} x."""
-        x = np.asarray(x, dtype=float)
-        return _lookup(self._solves, (point.key, _bytes_key(x)),
-                       lambda: np.linalg.solve(point.p, x), _CACHED_SOLVES)
 
     def logdet(self, p) -> float:
         """log det p, from the cached eigenvalues of p."""
@@ -212,10 +206,11 @@ class SPDManifold(Geometry):
         return point.logdet
 
     def inner(self, p, x, y) -> float:
-        point = self._point(p)
-        px = self._solve(point, x)
-        py = px if y is x else self._solve(point, y)
-        return float(np.trace(px @ py))
+        # <p^-1/2 X p^-1/2, p^-1/2 Y p^-1/2>_F: exactly symmetric, >= 0 for Y = X
+        _, si = self._roots(p)
+        a = si @ x @ si
+        b = a if y is x else si @ y @ si
+        return float(np.sum(a * b))
 
     def exp(self, p, x):
         s, si = self._roots(p)
@@ -263,7 +258,8 @@ class SPDManifold(Geometry):
         """
         t = float(np.exp(self.logdet(p)))
         coeff = phi_d2(t) * t * t + phi_d1(t) * t
-        tr_pinv_x = float(np.trace(self._solve(self._point(p), x)))
+        _, si = self._roots(p)
+        tr_pinv_x = float(np.trace(si @ x @ si))
         return coeff * tr_pinv_x * self.inner(p, p, x)
 
 

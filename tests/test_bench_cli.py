@@ -47,6 +47,19 @@ class TestDcaVsDcppaRunner:
             assert abs(result["dca_final_f"] + 0.25) <= 1e-8
             assert abs(result["dcppa_final_f"] + 0.25) <= 1e-8
 
+    def test_eigendecompositions_per_run(self, tmp_path, monkeypatch):
+        # every eigh of a log-det run goes through the geometry's factor cache
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+        summary = run_dca_vs_dcppa(ExperimentConfig(out_dir=tmp_path, n_min=3, n_max=4))
+        for result in summary["results"]:
+            assert result["dca_eigendecompositions"] > 0
+            assert result["dcppa_eigendecompositions"] > 0
+        assert len(calls) == sum(result[f"{tag}_eigendecompositions"]
+                                 for result in summary["results"]
+                                 for tag in ("dca", "dcppa"))
+
     def test_out_of_range_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             run_dca_vs_dcppa(ExperimentConfig(out_dir=tmp_path, n_min=1, n_max=2))

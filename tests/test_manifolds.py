@@ -6,7 +6,6 @@ import pytest
 from rdcopt.manifolds import (
     _CACHED_EIGS,
     _CACHED_POINTS,
-    _CACHED_SOLVES,
     Euclidean,
     RosenbrockPlane,
     SPDManifold,
@@ -119,6 +118,28 @@ class TestSPD:
             if np.linalg.norm(x) > 0:
                 assert m3.inner(p, x, x) > 0.0
 
+    @pytest.mark.parametrize("n", [2, 5, 20])
+    def test_inner_properties(self, rng, n):
+        m = SPDManifold(n)
+        for _ in range(20):
+            p = random_spd(rng, n)
+            x, y = random_sym(rng, n), random_sym(rng, n)
+            pinv = np.linalg.inv(p)
+            ref = float(np.trace(pinv @ x @ pinv @ y))
+            # relative to ||X||_p ||Y||_p, which bounds |<X, Y>_p|
+            scale = math.sqrt(m.inner(p, x, x) * m.inner(p, y, y))
+            assert abs(m.inner(p, x, y) - ref) <= 1e-12 * scale
+            assert m.inner(p, x, y) == m.inner(p, y, x)
+            assert m.inner(p, x, x) >= 0.0
+            assert m.inner(p, x.copy(), x) >= 0.0
+            # affine invariance: <A X A^T, A Y A^T> at A p A^T equals <X, Y> at p,
+            # for A with singular values in [0.5, 2]
+            u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            a = (u * rng.uniform(0.5, 2.0, n)) @ v.T
+            moved = m.inner(symmetrize(a @ p @ a.T), a @ x @ a.T, a @ y @ a.T)
+            assert abs(moved - m.inner(p, x, y)) <= 1e-9 * scale
+
     def test_exp_examples(self, rng):
         m = SPDManifold(2)
         p = random_spd(rng, 2)
@@ -209,7 +230,8 @@ class TestSPD:
 # The SPD operations composed from matfun with no cache: the reference that
 # SPDManifold, with its factor cache, must match bit for bit.
 def _ref_inner(p, x, y):
-    return float(np.trace(np.linalg.solve(p, x) @ np.linalg.solve(p, y)))
+    _, si = spd_sqrt_inv_sqrt(p)
+    return float(np.sum((si @ x @ si) * (si @ y @ si)))
 
 
 def _ref_norm(p, x):
@@ -324,15 +346,14 @@ class TestSPDFactorCache:
             assert np.array_equal(got, want)
 
     def test_signed_zeros_do_not_share_an_entry(self, monkeypatch):
-        counts = {"eigh": 0, "solve": 0}
-        for name in counts:
-            fn = getattr(np.linalg, name)
+        counts = {"eigh": 0}
+        eigh = np.linalg.eigh
 
-            def counted(*args, _fn=fn, _name=name):
-                counts[_name] += 1
-                return _fn(*args)
+        def counted(*args):
+            counts["eigh"] += 1
+            return eigh(*args)
 
-            monkeypatch.setattr(np.linalg, name, counted)
+        monkeypatch.setattr(np.linalg, "eigh", counted)
         m = SPDManifold(2)
         plus = np.array([[2.0, 0.0], [0.0, 1.0]])
         minus = np.array([[2.0, -0.0], [-0.0, 1.0]])
@@ -342,29 +363,46 @@ class TestSPDFactorCache:
         assert counts["eigh"] == 1
         m.logdet(minus)
         assert counts["eigh"] == 2
+        # inner at a point decomposes it once, for its p^{-1/2}
+        m = SPDManifold(2)
         m.inner(plus, plus, plus)
-        m.inner(plus, plus, plus)
-        assert counts["solve"] == 1
         m.inner(plus, minus, minus)
-        assert counts["solve"] == 2
+        assert counts["eigh"] == 3
+        m.inner(minus, plus, plus)
+        m.inner(minus, minus, minus)
+        assert counts["eigh"] == 4
+        assert m.eigendecompositions == 2
 
     def test_cache_stays_bounded(self, rng):
         m = SPDManifold(3)
         q = random_spd(rng, 3)
         for _ in range(3 * _CACHED_POINTS):
             p = random_spd(rng, 3)
-            for _ in range(2 * _CACHED_SOLVES):
+            for _ in range(2 * _CACHED_EIGS):
                 x = random_sym(rng, 3)
                 m.inner(p, x, random_sym(rng, 3))
                 m.exp(p, x)
                 m.transport(q, p, x)
                 assert len(m._points) <= _CACHED_POINTS
                 assert len(m._eigs) <= _CACHED_EIGS
-                assert len(m._solves) <= _CACHED_SOLVES
         # every bound was reached
         assert len(m._points) == _CACHED_POINTS
         assert len(m._eigs) == _CACHED_EIGS
-        assert len(m._solves) == _CACHED_SOLVES
+
+    def test_counts_each_decomposition_once(self, rng, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+        m = SPDManifold(3)
+        p, q = random_spd(rng, 3), random_spd(rng, 3)
+        x = random_sym(rng, 3)
+        for _ in range(2):
+            m.inner(p, x, x)
+            m.logdet(p)
+            m.dist(p, q)
+            m.exp(p, x)
+        # p, p^-1/2 q p^-1/2 and p^-1/2 x p^-1/2, each decomposed once
+        assert m.eigendecompositions == len(calls) == 3
 
 
 class TestRosenbrockPlane:
