@@ -16,7 +16,6 @@ after :meth:`Geometry.transport`.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
@@ -114,46 +113,28 @@ class Euclidean(Geometry):
         return np.asarray(x, dtype=float)
 
 
-# bounds of the SPD caches. A trust-region step works at its iterate, one
-# finite-difference or trial point and the outer DC iterate at a time. An
-# entry holds up to three n x n matrices; eight eigendecompositions instead
-# of four saved 2% of the log-det eigh calls for 0.7 MB at n = 60.
-_CACHED_POINTS = 4
-_CACHED_EIGS = 4
+# bound of the SPD factor cache. A trust-region step works at its iterate, one
+# finite-difference or trial point and the outer DC iterate at a time, and at
+# the whitened matrices p^-1/2 q p^-1/2 between them. On one n = 5 log-det
+# DCA + DCPPA pair, eight entries make 847 eigendecompositions and ten 826.
+_CACHED = 10
 
 
-def _lookup(entries: list, key, make: Callable, size: int):
-    """The value stored under ``key`` in the LRU list ``entries``, else make().
-
-    ``entries`` holds at most ``size`` (key, value) pairs, most recent
-    first; a new value is stored only when make() returns.
-    """
-    for i, (k, value) in enumerate(entries):
-        if k == key:
-            if i:
-                entries.insert(0, entries.pop(i))
-            return value
-    value = make()
-    entries.insert(0, (key, value))
-    del entries[size:]
-    return value
+def _read_only(arrays: tuple) -> tuple:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
-def _bytes_key(a: np.ndarray) -> tuple:
-    # bytes, not values: -0.0 and 0.0 differ, and a later in-place change
-    # to the caller's array cannot match the copy taken here
-    return a.shape, a.tobytes()
+class _Factored:
+    """One cached symmetric matrix: its eigendecomposition ``eig``, and
+    ``roots`` = (p^{1/2}, p^{-1/2}) and ``logdet``, each None until first
+    used. Every array is read-only."""
 
+    __slots__ = ("eig", "roots", "logdet")
 
-class _SPDPoint:
-    """Factors of one SPD point: ``p``, a private read-only copy of the
-    point; and ``roots`` = (p^{1/2}, p^{-1/2}) and ``logdet``, each None
-    until first used."""
-
-    __slots__ = ("p", "roots", "logdet")
-
-    def __init__(self, shape: tuple, data: bytes):
-        self.p = np.frombuffer(data).reshape(shape)
+    def __init__(self, eig: EigDecomp):
+        self.eig = _read_only(eig)
         self.roots = self.logdet = None
 
 
@@ -165,66 +146,75 @@ class SPDManifold(Geometry):
     diffeomorphisms (Hadamard manifold). The manifold dimension is
     n(n+1)/2.
 
-    Each instance keeps the factors of the last few points it was asked
-    about (p^{1/2}, p^{-1/2}, log det p) and its last few
-    eigendecompositions (``eigendecompositions`` counts the misses), keyed
-    by the bytes of their input, so the operations of a solver at one
-    iterate factor it once. Every result is bit for bit that of the
-    uncached computation.
+    Each instance keeps the last ``_CACHED`` symmetric matrices it
+    factored, points and whitened matrices alike, keyed by the bytes of
+    the input: the eigendecomposition (``eigendecompositions`` counts the
+    misses) and, for points, p^{1/2}, p^{-1/2} and log det p. So the
+    operations of a solver and of a problem's closures at one iterate
+    factor it once. Every result is bit for bit that of the uncached
+    computation.
     """
 
     def __init__(self, n: int):
         self.n = int(n)
         self.dim = self.n * (self.n + 1) // 2
         self.eigendecompositions = 0
-        self._points: list = []
-        self._eigs: list = []
+        self._cache: list = []  # (key, _Factored), most recent first
 
-    def _point(self, p) -> _SPDPoint:
-        key = _bytes_key(np.asarray(p, dtype=float))
-        return _lookup(self._points, key, lambda: _SPDPoint(*key), _CACHED_POINTS)
+    def _factored(self, a) -> _Factored:
+        a = np.asarray(a, dtype=float)
+        # bytes, not values: -0.0 and 0.0 differ, and a later in-place change
+        # to the caller's array cannot match the copy taken here
+        key = a.shape, a.tobytes()
+        cache = self._cache
+        for i, (k, entry) in enumerate(cache):
+            if k == key:
+                if i:
+                    cache.insert(0, cache.pop(i))
+                return entry
+        self.eigendecompositions += 1
+        entry = _Factored(sym_eig(a))
+        cache.insert(0, (key, entry))
+        del cache[_CACHED:]
+        return entry
 
     def _eig(self, a) -> EigDecomp:
-        a = np.asarray(a, dtype=float)
-        def decompose():
-            self.eigendecompositions += 1
-            return sym_eig(a)
-        return _lookup(self._eigs, _bytes_key(a), decompose, _CACHED_EIGS)
+        return self._factored(a).eig
 
-    def _roots(self, p) -> tuple[np.ndarray, np.ndarray]:
-        """(p^{1/2}, p^{-1/2})."""
-        point = self._point(p)
-        if point.roots is None:
-            point.roots = spd_sqrt_inv_sqrt(self._eig(point.p))
-        return point.roots
+    def roots(self, p) -> tuple[np.ndarray, np.ndarray]:
+        """(p^{1/2}, p^{-1/2}), read-only."""
+        entry = self._factored(p)
+        if entry.roots is None:
+            entry.roots = _read_only(spd_sqrt_inv_sqrt(entry.eig))
+        return entry.roots
 
     def logdet(self, p) -> float:
         """log det p, from the cached eigenvalues of p."""
-        point = self._point(p)
-        if point.logdet is None:
-            point.logdet = spd_logdet(self._eig(point.p))
-        return point.logdet
+        entry = self._factored(p)
+        if entry.logdet is None:
+            entry.logdet = spd_logdet(entry.eig)
+        return entry.logdet
 
     def inner(self, p, x, y) -> float:
         # <p^-1/2 X p^-1/2, p^-1/2 Y p^-1/2>_F: exactly symmetric, >= 0 for Y = X
-        _, si = self._roots(p)
+        _, si = self.roots(p)
         a = si @ x @ si
         b = a if y is x else si @ y @ si
         return float(np.sum(a * b))
 
     def exp(self, p, x):
-        s, si = self._roots(p)
+        s, si = self.roots(p)
         inner = symmetrize(si @ x @ si)
         return symmetrize(s @ sym_apply(self._eig(inner), np.exp) @ s)
 
     def log(self, p, q):
-        s, si = self._roots(p)
+        s, si = self.roots(p)
         inner = symmetrize(si @ q @ si)
         return symmetrize(s @ sym_apply(self._eig(inner), np.log) @ s)
 
     def dist(self, p, q) -> float:
         # ||logm(p^-1/2 q p^-1/2)||_F from the eigenvalues directly
-        _, si = self._roots(p)
+        _, si = self.roots(p)
         w, _ = self._eig(symmetrize(si @ q @ si))
         if w[0] <= 0.0:
             raise ValueError("spectrum outside domain")
@@ -232,7 +222,7 @@ class SPDManifold(Geometry):
 
     def transport(self, p, q, x):
         # E X E^T with E = (q p^-1)^{1/2} = p^{1/2}(p^{-1/2} q p^{-1/2})^{1/2} p^{-1/2}
-        s, si = self._roots(p)
+        s, si = self.roots(p)
         mid = sym_apply(self._eig(symmetrize(si @ q @ si)), np.sqrt)
         e = s @ mid @ si
         return symmetrize(e @ x @ e.T)
@@ -244,23 +234,11 @@ class SPDManifold(Geometry):
         # ell(p) = tr(Xhat logm(M)) with Xhat = q^-1/2 X q^-1/2, M = q^-1/2 p q^-1/2;
         # Euclidean gradient q^-1/2 Dlogm(M)[Xhat] q^-1/2 by Daleckii-Krein,
         # then converted with p G p.
-        _, qi = self._roots(q)
+        _, qi = self.roots(q)
         m = symmetrize(qi @ p @ qi)
         xhat = symmetrize(qi @ x @ qi)
         egrad = qi @ sym_dlog(m, xhat) @ qi
         return self.egrad_to_rgrad(p, egrad)
-
-    def det_hessian_quadform(self, p, phi_d1, phi_d2, x) -> float:
-        """<Hess phi(det(.))(p) X, X>_p for a det-composed cost.
-
-        Equals (phi''(t) t^2 + phi'(t) t) tr(p^-1 X) <p, X>_p with t = det p;
-        nonnegative for all X exactly when phi(det(.)) is geodesically convex.
-        """
-        t = float(np.exp(self.logdet(p)))
-        coeff = phi_d2(t) * t * t + phi_d1(t) * t
-        _, si = self._roots(p)
-        tr_pinv_x = float(np.trace(si @ x @ si))
-        return coeff * tr_pinv_x * self.inner(p, p, x)
 
 
 class RosenbrockPlane(Geometry):

@@ -58,7 +58,6 @@ __all__ = [
     "frechet_linear_oracle",
     "random_frechet_instance",
     "save_frechet_spec",
-    "load_frechet_instance",
 ]
 
 
@@ -350,13 +349,16 @@ class FrechetBoxProblem:
 
     ``points`` are SPD data matrices q_j with nonnegative weights summing
     to one; the feasible set is {p : lower <= p <= upper} in the Loewner
-    order, with upper - lower positive definite.
+    order, with upper - lower positive definite. ``geometry`` is derived:
+    the SPD(n) whose factor cache the variance, its gradient, the box
+    oracle and the safeguard share.
     """
 
     points: np.ndarray  # (m, n, n)
     weights: np.ndarray  # (m,)
     lower: np.ndarray
     upper: np.ndarray
+    geometry: SPDManifold = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -370,6 +372,7 @@ class FrechetBoxProblem:
         if abs(float(wts.sum()) - 1.0) > 1e-12:
             raise ValueError("weights must sum to one")
         _assert_box(self.lower, self.upper)
+        object.__setattr__(self, "geometry", SPDManifold(pts.shape[1]))
 
     @property
     def n(self) -> int:
@@ -390,7 +393,7 @@ def _assert_box(lower, upper):
 
 def frechet_variance(prob: FrechetBoxProblem, p) -> float:
     """sum_j mu_j d^2(p, q_j) with the affine-invariant distance."""
-    _, si = spd_sqrt_inv_sqrt(p)
+    _, si = prob.geometry.roots(p)
     w, _ = sym_eig(symmetrize(si @ prob.points @ si))
     total = 0.0
     # in point order: a sum over the stack would round differently
@@ -402,7 +405,7 @@ def frechet_variance(prob: FrechetBoxProblem, p) -> float:
 def frechet_grad(prob: FrechetBoxProblem, p) -> np.ndarray:
     """grad h(p) = -2 sum_j mu_j p^{1/2} log(p^{-1/2} q_j p^{-1/2}) p^{1/2},
     i.e. -2 sum_j mu_j log_p(q_j)."""
-    s, si = spd_sqrt_inv_sqrt(p)
+    s, si = prob.geometry.roots(p)
     w, v = sym_eig(symmetrize(si @ prob.points @ si))
     logs = symmetrize((v * np.log(w)[..., None, :]) @ v.swapaxes(-1, -2))
     acc = np.zeros_like(np.asarray(p, dtype=float))
@@ -464,8 +467,7 @@ def box_linear_subproblem(s: np.ndarray, x: np.ndarray, lower: np.ndarray,
     wb, qb = sym_eig(b)
     if wb[0] <= SPD_RTOL * max(1.0, wb[-1]):
         raise ValueError("degenerate box")
-    b_sqrt = symmetrize((qb * np.sqrt(wb)) @ qb.T)
-    b_inv_sqrt = symmetrize((qb / np.sqrt(wb)) @ qb.T)
+    b_sqrt, b_inv_sqrt = spd_sqrt_inv_sqrt(EigDecomp(wb, qb))
 
     # spectral-corner candidates from both standard factors of Uh - Lh, and
     # the lower anchor's complement, mapped into v-space and clipped to [0, I]
@@ -549,22 +551,22 @@ def _box_projected_gradient(d, lh, b_sqrt, starts):
 _SAFEGUARD_SCHEDULE = (0.0,) + tuple(1e-12 * 10.0 ** j for j in range(13))
 
 
-def feasibility_safeguard(p_prev, q_star, lower, upper):
+def feasibility_safeguard(p_prev, q_star, lower, upper, geometry: SPDManifold):
     """Pull an almost-feasible subproblem solution back into the box.
 
-    Walks the geodesic from q_star toward the (feasible) previous iterate
-    with the schedule {0} u {1e-12 * 10^j}, capped at 1, returning the first
-    point whose Loewner slacks are nonnegative. t = 0 returns q_star
-    untouched; t = 1 is p_prev itself, so the search always succeeds.
+    Walks the geodesic of ``geometry`` from q_star toward the (feasible)
+    previous iterate with the schedule {0} u {1e-12 * 10^j}, capped at 1,
+    returning the first point whose Loewner slacks are nonnegative. t = 0
+    returns q_star untouched; t = 1 is p_prev itself, so the search always
+    succeeds.
     """
     if box_feasible(q_star, lower, upper):
         return q_star
-    geom = SPDManifold(np.asarray(p_prev).shape[0])
-    direction = geom.log(p_prev, q_star)
+    direction = geometry.log(p_prev, q_star)
     for t in _SAFEGUARD_SCHEDULE[1:]:
         if t >= 1.0:
             break
-        cand = geom.exp(p_prev, (1.0 - t) * direction)
+        cand = geometry.exp(p_prev, (1.0 - t) * direction)
         if box_feasible(cand, lower, upper):
             return cand
     return p_prev
@@ -578,7 +580,7 @@ def frechet_linear_oracle(prob: FrechetBoxProblem):
     """
 
     def oracle(p, grad_vec):
-        _, si = spd_sqrt_inv_sqrt(p)
+        _, si = prob.geometry.roots(p)
         s = symmetrize(si @ grad_vec @ si)
         return box_linear_subproblem(s, si, prob.lower, prob.upper)
 
@@ -606,10 +608,10 @@ def frechet_dcproblem(prob: FrechetBoxProblem) -> DCProblem:
         # start (DCA allows one) it anchors at the strictly feasible box
         # midpoint instead
         anchor = p if box_feasible(p, prob.lower, prob.upper) else midpoint
-        return feasibility_safeguard(anchor, z, prob.lower, prob.upper)
+        return feasibility_safeguard(anchor, z, prob.lower, prob.upper, prob.geometry)
 
     return DCProblem(
-        geometry=SPDManifold(prob.n),
+        geometry=prob.geometry,
         g_cost=g_cost,
         h_cost=lambda p: frechet_variance(prob, p),
         h_rgrad=lambda p: frechet_grad(prob, p),
@@ -650,8 +652,3 @@ def save_frechet_spec(path, n: int, m: int, seed: int) -> None:
         json.dump({"n": n, "m": m, "seed": seed}, fh)
         fh.write("\n")
 
-
-def load_frechet_instance(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        spec = json.load(fh)
-    return random_frechet_instance(int(spec["n"]), int(spec["m"]), int(spec["seed"]))

@@ -241,9 +241,8 @@ def _same_point(a, b) -> bool:
 
 
 def armijo_linesearch(geometry: Geometry, f: Callable, p, direction,
-                      params: ArmijoParams = ArmijoParams(), *,
+                      params: ArmijoParams = ArmijoParams(), *, slope: float,
                       f_at_p: Optional[float] = None,
-                      slope: Optional[float] = None,
                       initial_step: Optional[float] = None):
     """Backtracking line search along exp_p(t * direction).
 
@@ -254,8 +253,6 @@ def armijo_linesearch(geometry: Geometry, f: Callable, p, direction,
     overrides t0 from the parameters (used by callers that warm-start the
     search from the previously accepted step).
     """
-    if slope is None:
-        raise ValueError("armijo_linesearch needs the directional slope")
     if not slope < 0:
         raise LineSearchError("not a descent direction")
     f0 = float(f(p)) if f_at_p is None else f_at_p

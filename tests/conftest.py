@@ -38,6 +38,19 @@ def check_gradient(geometry, f, rgrad, p, directions, rel_tol=1e-5):
     return worst
 
 
+def det_hessian_quadform(geometry, p, phi_d1, phi_d2, x) -> float:
+    """<Hess phi(det(.))(p) X, X>_p on SPD for a det-composed cost.
+
+    Equals (phi''(t) t^2 + phi'(t) t) tr(p^-1 X) <p, X>_p with t = det p;
+    nonnegative for all X exactly when phi(det(.)) is geodesically convex.
+    """
+    t = float(np.exp(geometry.logdet(p)))
+    coeff = phi_d2(t) * t * t + phi_d1(t) * t
+    _, si = geometry.roots(p)
+    tr_pinv_x = float(np.trace(si @ x @ si))
+    return coeff * tr_pinv_x * geometry.inner(p, p, x)
+
+
 def sample_directions(geometry, rng, p, count):
     if isinstance(geometry, SPDManifold):
         return [random_sym(rng, geometry.n) for _ in range(count)]

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from rdcopt.manifolds import (
-    _CACHED_EIGS,
-    _CACHED_POINTS,
+    _CACHED,
     Euclidean,
     RosenbrockPlane,
     SPDManifold,
@@ -20,7 +19,14 @@ from rdcopt.matfun import (
 )
 from rdcopt.problems import LogDetProblem, logdet_dcproblem
 
-from conftest import fd_slope, random_spd, random_sym, sample_directions, sample_point
+from conftest import (
+    det_hessian_quadform,
+    fd_slope,
+    random_spd,
+    random_sym,
+    sample_directions,
+    sample_point,
+)
 
 
 GEOMETRIES = [Euclidean(3), SPDManifold(3), RosenbrockPlane()]
@@ -196,16 +202,16 @@ class TestSPD:
             p = random_spd(rng, 3)
             x = random_sym(rng, 3)
             # phi = log makes phi(det(.)) linear along the scalar reduction
-            assert abs(m.det_hessian_quadform(p, *log_fn, x)) <= 1e-10 * (1 + m.inner(p, x, x))
+            assert abs(det_hessian_quadform(m, p, *log_fn, x)) <= 1e-10 * (1 + m.inner(p, x, x))
         p = random_spd(rng, 3, scale=2.0)
-        assert m.det_hessian_quadform(p, lambda t: 1.0, lambda t: 0.0, np.zeros((3, 3))) == 0.0
+        assert det_hessian_quadform(m, p, lambda t: 1.0, lambda t: 0.0, np.zeros((3, 3))) == 0.0
         # phi1 = (log t)^4 satisfies the convexity condition everywhere
         d1 = lambda t: 4.0 * math.log(t) ** 3 / t
         d2 = lambda t: (12.0 * math.log(t) ** 2 - 4.0 * math.log(t) ** 3) / t ** 2
         for _ in range(10):
             p = random_spd(rng, 3)
             x = random_sym(rng, 3)
-            assert m.det_hessian_quadform(p, d1, d2, x) >= -1e-10
+            assert det_hessian_quadform(m, p, d1, d2, x) >= -1e-10
 
     def test_det_hessian_quadform_second_difference(self, rng):
         # independent oracle: second derivative of phi(det gamma(t)) along geodesics
@@ -223,7 +229,7 @@ class TestSPD:
 
             h = 1e-4
             numeric = (along(h) + along(-h) - 2.0 * along(0.0)) / h ** 2
-            analytic = m.det_hessian_quadform(p, d1, d2, x)
+            analytic = det_hessian_quadform(m, p, d1, d2, x)
             assert abs(analytic - numeric) <= 1e-3 * (1.0 + abs(analytic))
 
 
@@ -277,7 +283,7 @@ class TestSPDFactorCache:
         problem = logdet_dcproblem(spec)
         m = problem.geometry
         # more points than the cache holds, so entries are evicted and rebuilt
-        points = [random_spd(rng, n) for _ in range(_CACHED_POINTS + 2)]
+        points = [random_spd(rng, n) for _ in range(_CACHED + 2)]
         tangents = [random_sym(rng, n) for _ in range(4)]
 
         def det(p):
@@ -376,18 +382,26 @@ class TestSPDFactorCache:
     def test_cache_stays_bounded(self, rng):
         m = SPDManifold(3)
         q = random_spd(rng, 3)
-        for _ in range(3 * _CACHED_POINTS):
+        for _ in range(3):
             p = random_spd(rng, 3)
-            for _ in range(2 * _CACHED_EIGS):
+            for _ in range(2 * _CACHED):
                 x = random_sym(rng, 3)
                 m.inner(p, x, random_sym(rng, 3))
                 m.exp(p, x)
                 m.transport(q, p, x)
-                assert len(m._points) <= _CACHED_POINTS
-                assert len(m._eigs) <= _CACHED_EIGS
-        # every bound was reached
-        assert len(m._points) == _CACHED_POINTS
-        assert len(m._eigs) == _CACHED_EIGS
+                assert len(m._cache) <= _CACHED
+        # the bound was reached
+        assert len(m._cache) == _CACHED
+
+    def test_cached_factors_are_read_only(self, rng):
+        m = SPDManifold(3)
+        p = random_spd(rng, 3)
+        for a in (*m.roots(p), *m._eig(p)):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, ...] = 0.0
+        # nothing was written, so later reads still give the uncached factors
+        for got, want in zip(m.roots(p), spd_sqrt_inv_sqrt(p)):
+            assert np.array_equal(got, want)
 
     def test_counts_each_decomposition_once(self, rng, monkeypatch):
         calls = []

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -27,7 +28,6 @@ from rdcopt.problems import (
     frechet_grad,
     frechet_linear_oracle,
     frechet_variance,
-    load_frechet_instance,
     log_power,
     logdet_dcproblem,
     logdet_subproblem,
@@ -47,7 +47,13 @@ from rdcopt.solvers import (
     trust_region_solve,
 )
 
-from conftest import check_gradient, random_spd, random_sym, sample_directions
+from conftest import (
+    check_gradient,
+    det_hessian_quadform,
+    random_spd,
+    random_sym,
+    sample_directions,
+)
 
 
 TR_SUB = SubSolverSpec("trust_region", StoppingCriterion(max_iter=5000, grad_norm_tol=1e-10))
@@ -234,11 +240,11 @@ class TestLogDetProblem:
         for _ in range(10):
             p = random_spd(rng, 3)
             x = random_sym(rng, 3)
-            assert geom.det_hessian_quadform(p, spec.phi1.d1, spec.phi1.d2, x) >= -1e-10
-            assert geom.det_hessian_quadform(p, spec.phi2.d1, spec.phi2.d2, x) >= -1e-10
+            assert det_hessian_quadform(geom, p, spec.phi1.d1, spec.phi1.d2, x) >= -1e-10
+            assert det_hessian_quadform(geom, p, spec.phi2.d1, spec.phi2.d2, x) >= -1e-10
             # -log det has exactly zero Hessian
             neg_log = (lambda t: -1.0 / t, lambda t: 1.0 / t ** 2)
-            q = geom.det_hessian_quadform(p, *neg_log, x)
+            q = det_hessian_quadform(geom, p, *neg_log, x)
             assert abs(q) <= 1e-10 * (1.0 + geom.inner(p, x, x))
 
 
@@ -616,7 +622,7 @@ class TestSafeguard:
         lower = 0.5 * np.eye(2)
         upper = 2.0 * np.eye(2)
         q = np.eye(2)
-        assert feasibility_safeguard(np.eye(2), q, lower, upper) is q
+        assert feasibility_safeguard(np.eye(2), q, lower, upper, SPDManifold(2)) is q
 
     def test_small_violation_restored(self):
         lower = 0.5 * np.eye(2)
@@ -624,7 +630,7 @@ class TestSafeguard:
         p_prev = np.eye(2)
         q_star = upper + 2e-13 * np.eye(2)  # the violation scale seen in practice
         assert not box_feasible(q_star, lower, upper)
-        out = feasibility_safeguard(p_prev, q_star, lower, upper)
+        out = feasibility_safeguard(p_prev, q_star, lower, upper, SPDManifold(2))
         assert box_feasible(out, lower, upper)
         assert SPDManifold(2).dist(out, q_star) <= 1e-9
 
@@ -632,7 +638,7 @@ class TestSafeguard:
         lower = 0.5 * np.eye(2)
         upper = 2.0 * np.eye(2)
         p_prev = np.eye(2)
-        out = feasibility_safeguard(p_prev, p_prev, lower, upper)
+        out = feasibility_safeguard(p_prev, p_prev, lower, upper, SPDManifold(2))
         assert out is p_prev
 
 
@@ -658,13 +664,38 @@ class TestRandomInstance:
     def test_spec_roundtrip(self, tmp_path):
         path = tmp_path / "instance.json"
         save_frechet_spec(path, 4, 6, 3)
-        prob, p0 = load_frechet_instance(path)
+        spec = json.loads(path.read_text(encoding="utf-8"))
+        prob, p0 = random_frechet_instance(spec["n"], spec["m"], spec["seed"])
         ref, ref_p0 = random_frechet_instance(4, 6, 3)
         np.testing.assert_array_equal(prob.points, ref.points)
         np.testing.assert_array_equal(p0, ref_p0)
 
 
 class TestFrechetDCParts:
+    def test_closures_share_the_problem_geometry(self, frechet_instance, rng, monkeypatch):
+        prob, _ = frechet_instance
+        assert frechet_dcproblem(prob).geometry is prob.geometry
+        oracle = frechet_linear_oracle(prob)
+        p, g = random_spd(rng, prob.n), random_sym(rng, prob.n)
+        frechet_variance(prob, p)
+        assert prob.geometry.eigendecompositions == 1
+        calls = {"2-D": 0, "on p": 0}
+        eigh = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            if np.ndim(a) == 2:
+                calls["2-D"] += 1
+                calls["on p"] += np.array_equal(a, p)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        frechet_grad(prob, p)
+        oracle(p, g)
+        # the oracle decomposes its own matrices, but p only through the cache
+        assert calls["2-D"] > 0
+        assert calls["on p"] == 0
+        assert prob.geometry.eigendecompositions == 1
+
     def test_oracle_matches_constrained_hook(self, frechet_instance):
         prob, p0 = frechet_instance
         dc = frechet_dcproblem(prob)

@@ -209,7 +209,7 @@ class TestDCA:
     def test_logdet_pair_lapack_calls(self, monkeypatch):
         # one DCA + DCPPA pair at n = 5 with the settings of `rdcopt bench
         # dca-vs-dcppa`. Recomputing every factor took 3,093 eigh and 2,792
-        # solve calls; the SPD factor cache brings them to 846 and 870.
+        # solve calls; the SPD factor cache makes 826 eigh and no solve calls.
         counts = {"eigh": 0, "solve": 0}
         for name in counts:
             fn = getattr(np.linalg, name)
