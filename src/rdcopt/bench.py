@@ -18,8 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .duality import (Grid1D, conjugate_grid, fenchel_young_gap, primal_dual_sandwich_check,
-                      sampled_conjugate, toland_dual_value)
+from .duality import (Grid1D, fenchel_young_gap, primal_dual_sandwich_check, sampled_conjugate,
+                      toland_dual_value)
 from .manifolds import Euclidean
 from .problems import (
     LogDetProblem,
@@ -333,8 +333,10 @@ def run_duality_checks(config: ExperimentConfig, tamper: bool = False) -> dict:
 
     Verifies the analytic conjugate reductions, Fenchel-Young gaps, the
     primal-dual value equality, and the per-iteration DC sandwich along a
-    DCA trace. ``tamper`` negates the grid conjugate of h as a negative
-    control; the suite must then fail.
+    DCA trace. Each of the four costs (x^2/2, zero, g and h) is sampled
+    once, and every check reads its :func:`sampled_conjugate`. ``tamper``
+    negates the sandwich check's conjugate of h as a negative control; the
+    suite must then fail.
     """
     geom = Euclidean(1)
     grid = Grid1D(-10.0, 10.0, 20001)
@@ -346,51 +348,49 @@ def run_duality_checks(config: ExperimentConfig, tamper: bool = False) -> dict:
         checks.append({"name": name, "passed": bool(passed), "detail": detail})
 
     half_square = lambda x: 0.5 * np.asarray(x, dtype=float)[..., 0] ** 2
+    problem = _quartic_dc_problem()
+    # each cost is sampled on the grid once; every check reads these conjugates
+    half_star = sampled_conjugate(half_square, pts)
+    zero_star = sampled_conjugate(lambda x: np.zeros(len(x)), pts)
+    gstar = sampled_conjugate(problem.g_cost, pts)
+    hstar = sampled_conjugate(problem.h_cost, pts)
 
     # conjugate of x^2/2 at p = 0 is y^2/2; at p = 1, X = 1 it is -1/2
-    worst = 0.0
-    for y in (-3.0, -1.0, 0.5, 2.0):
-        val = conjugate_grid(half_square, geom, pts, np.zeros(1), np.array([y])).value
-        worst = max(worst, abs(val - 0.5 * y * y))
+    ys = np.array([-3.0, -1.0, 0.5, 2.0])
+    worst = float(np.max(np.abs(half_star(np.zeros(4), ys) - 0.5 * ys * ys)))
     check("conjugate of x^2/2 at p=0", worst <= gap_floor, f"max |err| = {worst:.3e}")
 
-    val = conjugate_grid(half_square, geom, pts, np.ones(1), np.ones(1)).value
+    val = float(half_star(np.ones(1), np.ones(1))[0])
     check("conjugate reduction at p=1, X=1", abs(val - (-0.5)) <= gap_floor,
           f"value = {val:.6f}, analytic -0.5")
 
-    val = conjugate_grid(lambda x: np.zeros(len(x)), geom, pts, np.zeros(1), np.zeros(1)).value
+    val = float(zero_star(np.zeros(1), np.zeros(1))[0])
     check("conjugate of 0 at X=0", val == 0.0, f"value = {val!r}")
 
     # Fenchel-Young gaps over sampled (p, X, q)
     worst_gap = np.inf
     for p in (-1.0, 0.0, 2.0):
         for x in (-2.0, 1.0, 3.0):
-            conj = conjugate_grid(half_square, geom, pts, np.array([p]), np.array([x]))
             for q in (-2.5, 0.0, 1.0, 4.0):
                 worst_gap = min(worst_gap, fenchel_young_gap(
-                    half_square, geom, conj, np.array([q])))
+                    half_square, geom, half_star, p, x, q))
     check("Fenchel-Young gaps", worst_gap >= -gap_floor,
           f"min gap = {worst_gap:.3e} >= {-gap_floor:.3e}")
 
-    problem = _quartic_dc_problem()
     sub = SubSolverSpec(kind="trust_region",
                         criterion=StoppingCriterion(max_iter=500, grad_norm_tol=1e-11))
     stop = StoppingCriterion(max_iter=200, grad_norm_tol=1e-10)
     _, trace = dca_solve(problem, np.array([2.0]), sub, stop)
 
-    conj_h = None
-    if tamper:
-        hstar = sampled_conjugate(problem.h_cost, pts)
-        conj_h = lambda p, x: -hstar(p, x)
+    sandwich_hstar = (lambda p, x: -hstar(p, x)) if tamper else hstar
     report = primal_dual_sandwich_check(trace, problem.g_cost, problem.h_cost,
-                                        geom, pts, tolerance=1e-3, conj_h=conj_h)
+                                        geom, sandwich_hstar, gstar, tolerance=1e-3)
     check("DCA primal-dual sandwich", report.passed,
           f"{len(report.rows)} iterations, final gap = {report.final_gap:.3e}")
 
     # primal and dual grid minima agree (both -1/4 for the quartic family)
     f_primal = np.min(pts ** 4 - pts ** 2)
-    f_dual = toland_dual_value(problem.g_cost, problem.h_cost, pts,
-                               np.linspace(-10.0, 10.0, 2001))
+    f_dual = toland_dual_value(hstar, gstar, np.linspace(-10.0, 10.0, 2001))
     check("primal-dual value equality", abs(f_primal - f_dual) <= 1e-3,
           f"primal {f_primal:.6f} vs dual {f_dual:.6f}")
 

@@ -11,7 +11,7 @@ low-dimensional Euclidean instances where a grid sup is trustworthy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -102,17 +102,18 @@ def conjugate_grid(f: Callable, geometry: Geometry, points, p, x) -> ConjugateEv
     return ConjugateEvaluation(p_arr, x_arr, float(values[best]), pts[best])
 
 
-def _hull_conjugate(pts: np.ndarray, samples: np.ndarray) -> Callable:
-    """Grid conjugate on flat 1-D space from the lower convex hull of the samples.
+def sampled_conjugate(f: Callable, points) -> Callable:
+    """Grid conjugate of f on flat 1-D space, with f sampled on the points once.
 
-    Takes points of shape (N, 1) and the samples f(pts). Returns
-    ``conj(p, x)``, which gives for K base points and K covectors, each of
-    shape (K,), the K values max_q (q - p) x - f(q) of :func:`conjugate_grid`.
-    Each covector is answered from the hull vertices around its place among
-    the hull slopes, evaluated with the arithmetic of :func:`conjugate_grid`:
-    bit for bit its value, exact ties included, unless samples collinear
-    only up to round-off meet a covector equal to their slope (then the two
-    can be a few ulps apart).
+    Returns ``conj(p, x)``, which gives for K base points and K covectors,
+    each of shape (K,), the K values max_q (q - p) x - f(q) of
+    :func:`conjugate_grid`. The conjugate of sampled values is that of the
+    lower convex hull of the samples (Lucet, 1997). Each covector is
+    answered from the hull vertices around its place among the hull slopes,
+    evaluated with the arithmetic of :func:`conjugate_grid`: bit for bit its
+    value, exact ties included, unless samples collinear only up to
+    round-off meet a covector equal to their slope (then the two can be a
+    few ulps apart).
 
     The hull drops the strict concave corners of the kept samples, one O(N)
     pass after another, until none is left. That is exact for any samples:
@@ -120,8 +121,10 @@ def _hull_conjugate(pts: np.ndarray, samples: np.ndarray) -> Callable:
     about 300 for 20,001 samples of x^4 - x^2. Of samples at one point the
     smallest is kept.
     """
+    pts = _as_point_array(points)
     if pts.shape[1] != 1:
         raise ValueError("grid conjugate intractable")
+    samples = _sample_cost(f, pts)
     order = np.lexsort((samples, pts[:, 0]))
     xs, s = pts[order, 0], samples[order]
     first = np.r_[True, xs[1:] != xs[:-1]]
@@ -151,37 +154,24 @@ def _hull_conjugate(pts: np.ndarray, samples: np.ndarray) -> Callable:
     return conj
 
 
-def sampled_conjugate(f: Callable, points) -> Callable:
-    """Grid conjugate of f as a function (p, X) -> float on flat 1-D space:
-    the value of :func:`conjugate_grid`, with f sampled on the points once
-    (see :func:`_hull_conjugate`)."""
-    pts = _as_point_array(points)
-    conj = _hull_conjugate(pts, _sample_cost(f, pts))
-    return lambda p, x: float(conj(np.ravel(p), np.ravel(x))[0])
-
-
-def toland_dual_value(g: Callable, h: Callable, points, covectors) -> float:
+def toland_dual_value(hstar: Callable, gstar: Callable, covectors) -> float:
     """Toland dual value min over the covectors X of h*(0, X) - g*(0, X) on
-    flat 1-D space: by Toland-Singer duality inf (g - h) = inf (h* - g*).
-    Each cost is sampled once; the grid conjugates are those of
-    :func:`_hull_conjugate`, equal to :func:`conjugate_grid`'s.
+    flat 1-D space, from the conjugates of h and g (as made by
+    :func:`sampled_conjugate`): by Toland-Singer duality
+    inf (g - h) = inf (h* - g*).
     """
-    pts = _as_point_array(points)
     x = np.asarray(covectors, dtype=float).ravel()
     p = np.zeros_like(x)
-    hstar = _hull_conjugate(pts, _sample_cost(h, pts))(p, x)
-    gstar = _hull_conjugate(pts, _sample_cost(g, pts))(p, x)
-    return float(np.min(hstar - gstar))
+    return float(np.min(hstar(p, x) - gstar(p, x)))
 
 
-def fenchel_young_gap(f: Callable, geometry: Geometry,
-                      conj: ConjugateEvaluation, q) -> float:
+def fenchel_young_gap(f: Callable, geometry: Geometry, fstar: Callable, p, x, q) -> float:
     """f(q) + f*(p, X) - <X, log_p(q)>: nonnegative for the exact conjugate,
-    >= -eps_grid for the sampled one."""
-    q_arr = np.atleast_1d(np.asarray(q, dtype=float))
-    pairing = geometry.inner(conj.base_point, conj.covector,
-                             geometry.log(conj.base_point, q_arr))
-    return float(f(q_arr)) + conj.value - pairing
+    >= -eps_grid for the sampled one. ``fstar`` is a conjugate of f as
+    :func:`sampled_conjugate` makes it."""
+    p, x, q = (np.atleast_1d(np.asarray(a, dtype=float)) for a in (p, x, q))
+    pairing = geometry.inner(p, x, geometry.log(p, q))
+    return float(f(q)) + float(fstar(p, x)[0]) - pairing
 
 
 @dataclass(frozen=True)
@@ -208,10 +198,8 @@ class SandwichReport:
 
 
 def primal_dual_sandwich_check(trace: SolverTrace, g: Callable, h: Callable,
-                               geometry: Geometry, points,
-                               tolerance: float = 1e-3,
-                               conj_h: Optional[Callable] = None,
-                               conj_g: Optional[Callable] = None) -> SandwichReport:
+                               geometry: Geometry, hstar: Callable, gstar: Callable,
+                               tolerance: float = 1e-3) -> SandwichReport:
     """Check the primal-dual sandwich along a DC solver trace.
 
     For every consecutive pair of iterates the dual value
@@ -219,40 +207,28 @@ def primal_dual_sandwich_check(trace: SolverTrace, g: Callable, h: Callable,
     p_{k+1} and p_k (up to the grid tolerance), and both value sequences
     must meet at the end. The trace must have recorded points and
     subgradients; only 1-D Euclidean problems are supported (the grid sup
-    is intractable elsewhere).
-
-    The grid conjugates are those of :func:`sampled_conjugate`: each of g
-    and h is sampled on the grid once. ``conj_h``/``conj_g`` override them
-    (used as a negative control in tests).
+    is intractable elsewhere). ``hstar`` and ``gstar`` are the conjugates
+    of h and g as :func:`sampled_conjugate` makes them, each called once
+    on the K iterates and their subgradients.
     """
     if not isinstance(geometry, Euclidean) or geometry.dim > 1:
         raise ValueError("grid conjugate intractable")
     if trace.points is None or trace.subgradients is None:
         raise ValueError("trace has no recorded points/subgradients")
 
-    hstar = conj_h or sampled_conjugate(h, points)
-    gstar = conj_g or sampled_conjugate(g, points)
-
     pts = trace.points
-    subs = trace.subgradients
     primal = [float(g(np.atleast_1d(p))) - float(h(np.atleast_1d(p))) for p in pts]
-    rows = []
-    for k in range(len(pts) - 1):
-        p_k = np.atleast_1d(np.asarray(pts[k], dtype=float))
-        x_k = np.atleast_1d(np.asarray(subs[k], dtype=float))
-        dual = hstar(p_k, x_k) - gstar(p_k, x_k)
-        rows.append(SandwichRow(
-            k=k,
-            primal=primal[k],
-            dual=dual,
-            primal_next=primal[k + 1],
-            lower_residual=dual - primal[k + 1],
-            upper_residual=primal[k] - dual,
-        ))
-    if rows:
-        final_gap = abs(rows[-1].primal_next - rows[-1].dual)
-    else:
-        p0 = np.atleast_1d(np.asarray(pts[0], dtype=float))
-        x0 = np.atleast_1d(np.asarray(subs[0], dtype=float))
-        final_gap = abs(primal[0] - (hstar(p0, x0) - gstar(p0, x0)))
+    p = np.asarray(pts, dtype=float).ravel()
+    x = np.asarray(trace.subgradients, dtype=float).ravel()
+    dual = (hstar(p, x) - gstar(p, x)).tolist()
+    rows = [SandwichRow(
+        k=k,
+        primal=primal[k],
+        dual=dual[k],
+        primal_next=primal[k + 1],
+        lower_residual=dual[k] - primal[k + 1],
+        upper_residual=primal[k] - dual[k],
+    ) for k in range(len(pts) - 1)]
+    # the last row's gap, or the start's when the trace has one point
+    final_gap = abs(primal[-1] - dual[max(len(pts) - 2, 0)])
     return SandwichReport(rows=rows, tolerance=tolerance, final_gap=final_gap)

@@ -191,9 +191,6 @@ class DCProblem:
     plain floats: ``cost(x1, x2)`` returns a float and ``rgrad(x1, x2)`` the
     Riemannian gradient as a float pair. Gradient-descent DCA sub-solves
     without change tolerances then run on it directly.
-
-    ``sigma`` is the strong-convexity modulus of both components when known
-    (set by :func:`strongly_convexify`).
     """
 
     geometry: Geometry
@@ -201,7 +198,6 @@ class DCProblem:
     h_cost: Callable
     h_rgrad: Callable
     g_rgrad: Optional[Callable] = None
-    sigma: Optional[float] = None
     subproblem: Optional[Callable] = None
     constrained_subsolver: Optional[Callable] = None
     subproblem_2d: Optional[Callable] = None
@@ -214,12 +210,6 @@ class DCProblem:
 
     def cost(self, p) -> float:
         return float(self.g_cost(p)) - float(self.h_cost(p))
-
-    def grad(self, p):
-        """Gradient of f; requires both components to be smooth."""
-        if self.g_rgrad is None:
-            raise ValueError("g is not smooth; gradient of f is unavailable")
-        return self.g_rgrad(p) - self.h_rgrad(p)
 
     def stopping_grad(self, p, h_grad=None):
         """Gradient used by stopping rules: grad f when g is smooth,
@@ -684,7 +674,6 @@ def strongly_convexify(problem: DCProblem, sigma: float, anchor) -> DCProblem:
         h_rgrad=lambda p: h_rgrad(p) + quad_grad(p),
         g_rgrad=(None if g_rgrad is None
                  else (lambda p: g_rgrad(p) + quad_grad(p))),
-        sigma=(problem.sigma or 0.0) + sigma,
     )
 
 

@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 
+import rdcopt.duality
+from rdcopt.bench import ExperimentConfig, run_duality_checks
 from rdcopt.duality import (
-    ConjugateEvaluation,
     Grid1D,
-    _hull_conjugate,
     conjugate_grid,
     fenchel_young_gap,
     primal_dual_sandwich_check,
+    sampled_conjugate,
     toland_dual_value,
 )
-from rdcopt.manifolds import Euclidean, SPDManifold
+from rdcopt.manifolds import Euclidean, RosenbrockPlane, SPDManifold
 from rdcopt.solvers import DCProblem, StoppingCriterion, SubSolverSpec, dca_solve
 
 EUCLID1 = Euclidean(1)
@@ -37,6 +38,12 @@ def quartic_problem():
         g_rgrad=lambda x: np.array([4.0 * float(x[0]) ** 3 + 2.0 * float(x[0])]),
         h_rgrad=lambda x: np.array([4.0 * float(x[0])]),
     )
+
+
+def grid_conjugate_fn(f, pts):
+    """Brute-force conjugate (p, X) -> values: one conjugate_grid call per pair."""
+    return lambda p, x: np.array([conjugate_grid(f, EUCLID1, pts, pk, xk).value
+                                  for pk, xk in zip(p, x)])
 
 
 def quartic_trace(x0=2.0, max_iter=200):
@@ -117,6 +124,34 @@ class TestConjugateGrid:
             conjugate_grid(broken_f, EUCLID1, Grid1D(-1.0, 1.0, 11).points(),
                            np.zeros(1), np.zeros(1))
 
+    def test_rosenbrock_plane_matches_flat_chart(self, rng):
+        # chi(q) = (q1, q2 - q1^2) maps the plane isometrically onto flat R^2,
+        # with d chi_p X = (X1, X2 - 2 p1 X1): the plane conjugate of f at
+        # (p, X) is the flat one of f o chi^-1 at (chi(p), d chi_p X)
+        plane = RosenbrockPlane()
+        axis = np.linspace(-2.0, 2.0, 41)
+        grid = np.array([[a, b] for a in axis for b in axis])
+
+        def chi(q):
+            return np.array([q[0], q[1] - q[0] ** 2])
+
+        def f(q):
+            return np.cosh(q[0]) + (q[1] - 0.5) ** 2 + 0.3 * q[0] * q[1]
+
+        def f_flat(z):  # f o chi^-1, batched over the rows of z
+            z = np.asarray(z, dtype=float)
+            q1, q2 = z[..., 0], z[..., 1] + z[..., 0] ** 2
+            return np.cosh(q1) + (q2 - 0.5) ** 2 + 0.3 * q1 * q2
+
+        flat_grid = np.array([chi(q) for q in grid])
+        for _ in range(20):
+            p = rng.uniform(-1.5, 1.5, 2)
+            x = rng.uniform(-3.0, 3.0, 2)
+            curved = conjugate_grid(f, plane, grid, p, x)
+            flat = conjugate_grid(f_flat, Euclidean(2), flat_grid, chi(p),
+                                  np.array([x[0], x[1] - 2.0 * p[0] * x[0]]))
+            assert abs(curved.value - flat.value) <= 1e-12 * (1.0 + abs(flat.value))
+
 
 def assert_hull_matches_grid(points, samples, p, x):
     """The hull conjugate equals conjugate_grid at every (p, x) pair, bit for bit."""
@@ -124,9 +159,8 @@ def assert_hull_matches_grid(points, samples, p, x):
     samples = np.asarray(samples, dtype=float)
     p, x = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(x, dtype=float))
     # a batched cost that returns the samples of the whole grid
-    expected = [conjugate_grid(lambda q: samples, EUCLID1, pts, np.array([pk]),
-                               np.array([xk])).value for pk, xk in zip(p, x)]
-    got = _hull_conjugate(pts[:, None], samples)(p, x)
+    expected = grid_conjugate_fn(lambda q: samples, pts)(p, x)
+    got = sampled_conjugate(lambda q: samples, pts)(p, x)
     assert np.array_equal(got, expected)
 
 
@@ -135,8 +169,13 @@ class TestHullConjugate:
         problem = quartic_problem()
         pts = Grid1D(-10.0, 10.0, 20001).points()
         xs = np.linspace(-10.0, 10.0, 2001)
-        for cost in (problem.g_cost, problem.h_cost):
-            assert_hull_matches_grid(pts, cost(pts[:, None]), 0.0, xs)
+        # x^2/2 at the 14 analytic and Fenchel-Young pairs of the suite
+        fy_p, fy_x = np.meshgrid([-1.0, 0.0, 2.0], [-2.0, 1.0, 3.0], indexing="ij")
+        half_p = np.concatenate([np.zeros(4), np.ones(1), fy_p.ravel()])
+        half_x = np.concatenate([[-3.0, -1.0, 0.5, 2.0], np.ones(1), fy_x.ravel()])
+        for cost, p, x in ((problem.g_cost, 0.0, xs), (problem.h_cost, 0.0, xs),
+                           (half_square, half_p, half_x)):
+            assert_hull_matches_grid(pts, cost(pts[:, None]), p, x)
 
     def test_every_sandwich_row(self):
         problem, trace = quartic_trace()
@@ -184,34 +223,40 @@ class TestHullConjugate:
 
 class TestFenchelYoung:
     def test_gap_zero_at_maximizer(self):
-        grid = Grid1D(-10.0, 10.0, 20001)
-        conj = conjugate_grid(half_square, EUCLID1, grid.points(), np.zeros(1), np.ones(1))
-        assert fenchel_young_gap(half_square, EUCLID1, conj, conj.maximizer) == 0.0
+        pts = Grid1D(-10.0, 10.0, 20001).points()
+        conj = conjugate_grid(half_square, EUCLID1, pts, np.zeros(1), np.ones(1))
+        for fstar in (sampled_conjugate(half_square, pts), grid_conjugate_fn(half_square, pts)):
+            assert fenchel_young_gap(half_square, EUCLID1, fstar, 0.0, 1.0,
+                                     conj.maximizer) == 0.0
 
     def test_analytic_equality_case(self):
         # X is the derivative of f at q = 1, so the inequality is tight
         grid = Grid1D(-10.0, 10.0, 20001)
-        conj = conjugate_grid(half_square, EUCLID1, grid.points(), np.zeros(1), np.ones(1))
-        gap = fenchel_young_gap(half_square, EUCLID1, conj, np.ones(1))
+        fstar = sampled_conjugate(half_square, grid.points())
+        gap = fenchel_young_gap(half_square, EUCLID1, fstar, 0.0, 1.0, 1.0)
         assert abs(gap) <= 10.0 * grid.spacing
 
     def test_gap_positive_off_maximizer(self, rng):
-        grid = Grid1D(-10.0, 10.0, 20001)
-        conj = conjugate_grid(half_square, EUCLID1, grid.points(),
-                              np.array([0.5]), np.array([2.0]))
+        pts = Grid1D(-10.0, 10.0, 20001).points()
+        conj = conjugate_grid(half_square, EUCLID1, pts, np.array([0.5]), np.array([2.0]))
+        fstar = sampled_conjugate(half_square, pts)
         for _ in range(10):
             q = rng.uniform(-8.0, 8.0, size=1)
             if abs(q[0] - conj.maximizer[0]) < 0.5:
                 continue
-            assert fenchel_young_gap(half_square, EUCLID1, conj, q) > 0.0
+            assert fenchel_young_gap(half_square, EUCLID1, fstar, 0.5, 2.0, q) > 0.0
+
+
+def quartic_conjugates(problem, pts):
+    return sampled_conjugate(problem.h_cost, pts), sampled_conjugate(problem.g_cost, pts)
 
 
 class TestSandwich:
     def test_holds_along_dca_trace(self):
         problem, trace = quartic_trace()
         pts = Grid1D(-10.0, 10.0, 20001).points()
-        report = primal_dual_sandwich_check(trace, problem.g_cost, problem.h_cost,
-                                            EUCLID1, pts, tolerance=1e-3)
+        report = primal_dual_sandwich_check(trace, problem.g_cost, problem.h_cost, EUCLID1,
+                                            *quartic_conjugates(problem, pts), tolerance=1e-3)
         assert report.rows, "expected a non-trivial trace"
         assert report.passed
         for row in report.rows:
@@ -224,8 +269,8 @@ class TestSandwich:
         problem, trace = quartic_trace(x0=1.0 / np.sqrt(2.0))
         assert trace.reason in ("fixed point", "gradient norm")
         pts = Grid1D(-10.0, 10.0, 20001).points()
-        report = primal_dual_sandwich_check(trace, problem.g_cost, problem.h_cost,
-                                            EUCLID1, pts, tolerance=1e-3)
+        report = primal_dual_sandwich_check(trace, problem.g_cost, problem.h_cost, EUCLID1,
+                                            *quartic_conjugates(problem, pts), tolerance=1e-3)
         assert report.passed
         assert report.final_gap <= 1e-3
 
@@ -233,6 +278,7 @@ class TestSandwich:
         problem, trace = quartic_trace()
         pts = Grid1D(-10.0, 10.0, 20001).points()
         calls = {"g": 0, "h": 0}
+        conj_calls = []
 
         def counted(name, fn):
             def cost(x):
@@ -240,40 +286,52 @@ class TestSandwich:
                 return fn(x)
             return cost
 
-        report = primal_dual_sandwich_check(trace, counted("g", problem.g_cost),
-                                            counted("h", problem.h_cost), EUCLID1, pts,
-                                            tolerance=1e-3)
+        def counted_conj(conj):
+            def values(p, x):
+                conj_calls.append(len(p))
+                return conj(p, x)
+            return values
+
+        g, h = counted("g", problem.g_cost), counted("h", problem.h_cost)
+        hstar, gstar = sampled_conjugate(h, pts), sampled_conjugate(g, pts)
+        report = primal_dual_sandwich_check(trace, g, h, EUCLID1, counted_conj(hstar),
+                                            counted_conj(gstar), tolerance=1e-3)
         assert len(report.rows) > 1
         # one call per iterate for the primal values, one for the grid samples
         assert calls == {"g": len(trace.points) + 1, "h": len(trace.points) + 1}
+        # all rows' duals from one call per conjugate
+        assert conj_calls == [len(trace.points)] * 2
         # the rows are those of one grid conjugate per row, bit for bit
         per_row = primal_dual_sandwich_check(
-            trace, problem.g_cost, problem.h_cost, EUCLID1, pts, tolerance=1e-3,
-            conj_h=lambda p, x: conjugate_grid(problem.h_cost, EUCLID1, pts, p, x).value,
-            conj_g=lambda p, x: conjugate_grid(problem.g_cost, EUCLID1, pts, p, x).value)
+            trace, problem.g_cost, problem.h_cost, EUCLID1,
+            grid_conjugate_fn(problem.h_cost, pts), grid_conjugate_fn(problem.g_cost, pts),
+            tolerance=1e-3)
         assert report.rows == per_row.rows
         assert report.final_gap == per_row.final_gap
 
     def test_tampered_conjugate_fails(self):
         problem, trace = quartic_trace()
         pts = Grid1D(-10.0, 10.0, 20001).points()
-        bad_conj = lambda p, x: -conjugate_grid(problem.h_cost, EUCLID1, pts, p, x).value
-        report = primal_dual_sandwich_check(trace, problem.g_cost, problem.h_cost,
-                                            EUCLID1, pts, tolerance=1e-3,
-                                            conj_h=bad_conj)
+        hstar, gstar = quartic_conjugates(problem, pts)
+        report = primal_dual_sandwich_check(trace, problem.g_cost, problem.h_cost, EUCLID1,
+                                            lambda p, x: -hstar(p, x), gstar, tolerance=1e-3)
         assert not report.passed
 
     def test_unsupported_geometry_rejected(self):
         problem, trace = quartic_trace(max_iter=2)
+        hstar, gstar = quartic_conjugates(problem, np.zeros((3, 1)))
         with pytest.raises(ValueError, match="grid conjugate intractable"):
             primal_dual_sandwich_check(trace, problem.g_cost, problem.h_cost,
-                                       SPDManifold(2), np.zeros((3, 1)))
+                                       SPDManifold(2), hstar, gstar)
 
     def test_two_dimensional_grid_rejected(self):
         problem, trace = quartic_trace(max_iter=2)
         with pytest.raises(ValueError, match="grid conjugate intractable"):
+            sampled_conjugate(problem.g_cost, np.zeros((3, 2)))
+        hstar, gstar = quartic_conjugates(problem, np.zeros((3, 1)))
+        with pytest.raises(ValueError, match="grid conjugate intractable"):
             primal_dual_sandwich_check(trace, problem.g_cost, problem.h_cost,
-                                       Euclidean(2), np.zeros((3, 2)))
+                                       Euclidean(2), hstar, gstar)
 
     def test_primal_dual_value_equality(self):
         # Thm-level check: grid minima of g - h and h* - g* agree
@@ -288,4 +346,23 @@ class TestSandwich:
         assert abs(primal - dual) <= 1e-3
         assert abs(primal + 0.25) <= 1e-3
         # the hull-based dual value is that brute-force min, bit for bit
-        assert toland_dual_value(problem.g_cost, problem.h_cost, pts, xs) == dual
+        assert toland_dual_value(*quartic_conjugates(problem, pts), xs) == dual
+
+
+class TestDualitySuite:
+    def test_samples_each_cost_once(self, tmp_path, monkeypatch):
+        sampled = []
+        sample_cost = rdcopt.duality._sample_cost
+
+        def counted(f, pts):
+            sampled.append(f)
+            return sample_cost(f, pts)
+
+        monkeypatch.setattr(rdcopt.duality, "_sample_cost", counted)
+        for tamper in (False, True):
+            sampled.clear()
+            summary = run_duality_checks(ExperimentConfig(out_dir=tmp_path), tamper=tamper)
+            assert summary["passed"] is not tamper
+            # x^2/2, the zero cost, g and h: four costs, each sampled once
+            assert len(sampled) == 4
+            assert len({id(f) for f in sampled}) == 4

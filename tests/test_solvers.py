@@ -416,7 +416,6 @@ class TestStronglyConvexify:
 
     def test_strong_descent_along_dca(self):
         problem = strongly_convexify(logdet_dcproblem(LogDetProblem(3)), 1.0, np.eye(3))
-        assert problem.sigma == 1.0
         geom = problem.geometry
         p0 = math.log(3) * np.eye(3)
         _, trace = dca_solve(problem, p0, TR_SUB,
