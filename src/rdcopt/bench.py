@@ -105,9 +105,15 @@ def _timed(fn, *args, **kwargs):
 
 
 def _subsolve_stats(trace) -> dict:
-    """Inner work of a smooth DC run: total sub-solver steps and capped sub-solves."""
-    return {"inner_steps": sum(trace.extra["inner_steps"]),
-            "capped_subsolves": len(trace.subsolver_failures)}
+    """Inner work of a smooth DC run: total sub-solver steps and capped
+    sub-solves, and for trust-region sub-solves the total Hessian products
+    and rejected steps."""
+    stats = {"inner_steps": sum(trace.extra["inner_steps"]),
+             "capped_subsolves": len(trace.subsolver_failures)}
+    for key in ("hessian_products", "tr_rejected"):
+        if key in trace.extra:
+            stats[key] = sum(trace.extra[key])
+    return stats
 
 
 def run_dca_vs_dcppa(config: ExperimentConfig) -> dict:
@@ -117,8 +123,9 @@ def run_dca_vs_dcppa(config: ExperimentConfig) -> dict:
     below 1e-10 (fallback: 100 steps), and solve their subproblems with the
     trust-region sub-solver to gradient 1e-10 (cap: 5000 steps); DCPPA uses
     the constant proximal parameter lambda = 1/(2n). Each result row also
-    gives both runs' ``inner_steps`` (trust-region steps), ``capped_subsolves``
-    and ``eigendecompositions`` (SPD cache misses; DCPPA reuses DCA's cache).
+    gives both runs' ``inner_steps`` (trust-region steps), ``capped_subsolves``,
+    ``hessian_products``, ``tr_rejected`` (rejected trust-region steps) and
+    ``eigendecompositions`` (SPD cache misses; DCPPA reuses DCA's cache).
     """
     if config.n_min < 2 or config.n_max > 80 or config.n_min > config.n_max:
         raise ValueError("n range must lie within [2, 80]")

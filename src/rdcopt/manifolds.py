@@ -114,9 +114,10 @@ class Euclidean(Geometry):
 
 
 # bound of the SPD factor cache. A trust-region step works at its iterate, one
-# finite-difference or trial point and the outer DC iterate at a time, and at
+# trial (or finite-difference) point and the outer DC iterate at a time, and at
 # the whitened matrices p^-1/2 q p^-1/2 between them. On one n = 5 log-det
-# DCA + DCPPA pair, eight entries make 847 eigendecompositions and ten 826.
+# DCA + DCPPA pair with exact Hessians, six entries make 398
+# eigendecompositions, eight 397 and ten 390.
 _CACHED = 10
 
 
@@ -229,6 +230,32 @@ class SPDManifold(Geometry):
 
     def egrad_to_rgrad(self, p, g):
         return symmetrize(p @ symmetrize(g) @ p)
+
+    def half_sq_dist_hessian(self, p, y):
+        """The Riemannian Hessian of d^2(., y)/2 at p, as a map V -> Hess[V].
+
+        Its gradient is -log_p(y). With p^{-1/2} y p^{-1/2} = Q diag(mu) Q^T
+        and l = log mu, the Hessian scales the whitened direction
+        p^{-1/2} V p^{-1/2}, written in the basis Q, entrywise by
+        g(l_i - l_j) with g(t) = (t/2) coth(t/2) and g(0) = 1: the Jacobi
+        fields along the geodesic from p to y on a symmetric space. The
+        factors come from the cache, where ``dist`` and ``log`` at p leave
+        them. Self-adjoint in <., .>_p; the identity at y = p.
+        """
+        s, si = self.roots(p)
+        mu, q = self._eig(symmetrize(si @ y @ si))
+        if mu[0] <= 0.0:
+            raise ValueError("spectrum outside domain")
+        lw = np.log(mu)
+        half = 0.5 * (lw[:, None] - lw[None, :])
+        gain = np.divide(half, np.tanh(half), out=np.ones_like(half), where=half != 0.0)
+        # V -> Vhat = (si Q)^T V (si Q), and Hess[V] = (s Q)(gain * Vhat)(s Q)^T
+        white, back = si @ q, s @ q
+
+        def apply(v):
+            return symmetrize(back @ (gain * (white.T @ v @ white)) @ back.T)
+
+        return apply
 
     def adjoint_log_diff(self, q, p, x):
         # ell(p) = tr(Xhat logm(M)) with Xhat = q^-1/2 X q^-1/2, M = q^-1/2 p q^-1/2;

@@ -134,13 +134,18 @@ def _det(geom: SPDManifold, p: np.ndarray) -> float:
 
 
 def logdet_dcproblem(spec: LogDetProblem) -> DCProblem:
-    """DCProblem for the log-det family, with its closed-form subproblem.
+    """DCProblem for the log-det family, with its closed-form subproblem
+    and that subproblem's exact Hessian.
 
     Costs, gradients and surrogates read det p from the factor cache of the
     problem's geometry, which the sub-solver's geometry operations share.
     """
     geom = SPDManifold(spec.n)
     phi1, phi2 = spec.phi1, spec.phi2
+
+    def subproblem_hessian(q, x):
+        # the surrogate's Hessian does not depend on the iterate q
+        return lambda p: _logdet_surrogate_hessian(geom, phi1, p)
 
     return DCProblem(
         geometry=geom,
@@ -149,6 +154,7 @@ def logdet_dcproblem(spec: LogDetProblem) -> DCProblem:
         g_rgrad=lambda p: _det_grad(geom, phi1, p),
         h_rgrad=lambda p: _det_grad(geom, phi2, p),
         subproblem=lambda q, x: _logdet_surrogate(geom, spec, q),
+        subproblem_hessian=subproblem_hessian,
     )
 
 
@@ -183,6 +189,27 @@ def _logdet_surrogate(geom: SPDManifold, spec: LogDetProblem, q: np.ndarray):
         return (phi1.d1(t) * t - c) * p
 
     return cost, rgrad
+
+
+def _logdet_surrogate_hessian(geom: SPDManifold, phi1: ScalarFunction, p: np.ndarray):
+    """Hess psi(p) of the log-det surrogate, as a map V -> Hess psi(p)[V].
+
+    With s = log det p and F(s) = phi1(e^s), grad psi(p) = (F'(s) - c) p.
+    The field p -> p is parallel for the affine-invariant connection, so
+    only the scalar varies: Hess psi(p)[V] = F''(s) tr(p^{-1} V) p, with
+    F''(s) = phi1''(t) t^2 + phi1'(t) t at t = det p; the -c log det p term
+    adds nothing.
+    """
+    t = _det(geom, p)
+    curvature = phi1.d2(t) * t * t + phi1.d1(t) * t
+    _, si = geom.roots(p)
+    p_inv = si @ si
+
+    def apply(v):
+        # tr(p^{-1} V) as the Frobenius product, V being symmetric
+        return (curvature * float(np.sum(p_inv * v))) * p
+
+    return apply
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@
 Contains the difference-of-convex algorithm (``dca_solve``), its proximal
 variant (``dcppa_solve``), the Riemannian Frank-Wolfe method, and the two
 smooth sub-solvers used for the DC subproblems (Armijo gradient descent and
-a trust-region method with truncated CG and a finite-difference Hessian).
+a trust-region method with truncated CG, on an exact Hessian where the
+problem gives one and on finite differences otherwise).
 
 The DC iteration linearizes the second component at the current iterate
 p_k using X_k = grad h(p_k) and minimizes the convex surrogate
@@ -25,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .manifolds import Euclidean, Geometry, RosenbrockPlane
+from .manifolds import Euclidean, Geometry, RosenbrockPlane, SPDManifold
 
 __all__ = [
     "ArmijoParams",
@@ -140,8 +141,10 @@ class SolverTrace:
     Points and DC subgradients are kept only when requested.
     ``subsolver_failures`` lists the outer steps whose sub-solve hit its
     cap; ``extra`` holds per-step lists of a method, such as the inner
-    steps of each smooth DC sub-solve (``"inner_steps"``) or the
-    Frank-Wolfe step sizes (``"step_size"``).
+    steps of each smooth DC sub-solve (``"inner_steps"``), the Hessian
+    products and rejected steps of each trust-region sub-solve
+    (``"hessian_products"``, ``"tr_rejected"``) or the Frank-Wolfe step
+    sizes (``"step_size"``).
     """
 
     def __init__(self, record_points: bool = False):
@@ -191,6 +194,12 @@ class DCProblem:
     plain floats: ``cost(x1, x2)`` returns a float and ``rgrad(x1, x2)`` the
     Riemannian gradient as a float pair. Gradient-descent DCA sub-solves
     without change tolerances then run on it directly.
+
+    On the SPD cone a problem with ``subproblem`` may also give
+    ``subproblem_hessian(q, X) -> hess``, where ``hess(p)`` returns the map
+    V -> Hess psi(p)[V] of the surrogate psi that ``subproblem(q, X)``
+    builds. Trust-region sub-solves then use it, and DCPPA adds the exact
+    Hessian of its proximal term; without it they take finite differences.
     """
 
     geometry: Geometry
@@ -201,12 +210,16 @@ class DCProblem:
     subproblem: Optional[Callable] = None
     constrained_subsolver: Optional[Callable] = None
     subproblem_2d: Optional[Callable] = None
+    subproblem_hessian: Optional[Callable] = None
 
     def __post_init__(self):
         if self.subproblem_2d is not None and not (
                 self.geometry.dim == 2
                 and isinstance(self.geometry, (Euclidean, RosenbrockPlane))):
             raise ValueError("subproblem_2d needs Euclidean(2) or RosenbrockPlane")
+        if self.subproblem_hessian is not None and (
+                self.subproblem is None or not isinstance(self.geometry, SPDManifold)):
+            raise ValueError("subproblem_hessian needs subproblem and an SPDManifold")
 
     def cost(self, p) -> float:
         return float(self.g_cost(p)) - float(self.h_cost(p))
@@ -319,37 +332,46 @@ def fd_hessian_apply(geometry: Geometry, rgrad: Callable, p, x,
     return (gq - gp) * (xnorm / h)
 
 
+def _fd_hessian(geometry: Geometry, rgrad: Callable, p, g):
+    """The map V -> :func:`fd_hessian_apply` at p, with the default step."""
+    step = _FD_STEP_SCALE * (1.0 + geometry.point_norm(p))
+    return lambda v: fd_hessian_apply(geometry, rgrad, p, v, step=step, rgrad_p=g)
+
+
 def _truncated_cg(geometry: Geometry, p, g, hvp, radius: float,
                   tol: float, max_iter: int):
-    """Steihaug-Toint CG for the trust-region model; returns (step, hit_boundary)."""
+    """Steihaug-Toint CG for the trust-region model.
+
+    Returns (step, hit_boundary, number of Hessian products made).
+    """
     eta = np.zeros_like(np.asarray(g, dtype=float))
     r = np.asarray(g, dtype=float).copy()
     d = -r
     r2 = geometry.inner(p, r, r)
     if r2 == 0.0:
-        return eta, False
+        return eta, False, 0
     ee = 0.0
-    for _ in range(max_iter):
+    for k in range(1, max_iter + 1):
         hd = hvp(d)
         kappa = geometry.inner(p, d, hd)
         dd = geometry.inner(p, d, d)
         ed = geometry.inner(p, eta, d)
         if kappa <= 0.0:
             tau = _boundary_tau(dd, ed, ee, radius)
-            return eta + tau * d, True
+            return eta + tau * d, True, k
         alpha = r2 / kappa
         if ee + 2.0 * alpha * ed + alpha * alpha * dd >= radius * radius:
             tau = _boundary_tau(dd, ed, ee, radius)
-            return eta + tau * d, True
+            return eta + tau * d, True, k
         eta = eta + alpha * d
         ee = ee + 2.0 * alpha * ed + alpha * alpha * dd
         r = r + alpha * hd
         r2_new = geometry.inner(p, r, r)
         if np.sqrt(r2_new) <= tol:
-            return eta, False
+            return eta, False, k
         d = -r + (r2_new / r2) * d
         r2 = r2_new
-    return eta, False
+    return eta, False, max_iter
 
 
 def _boundary_tau(dd: float, ed: float, ee: float, radius: float) -> float:
@@ -358,17 +380,26 @@ def _boundary_tau(dd: float, ed: float, ee: float, radius: float) -> float:
 
 
 def trust_region_solve(geometry: Geometry, f: Callable, rgrad: Callable, p0,
-                       stop: StoppingCriterion, record_points: bool = False):
-    """Riemannian trust-region method with a finite-difference Hessian.
+                       stop: StoppingCriterion, record_points: bool = False,
+                       hess: Optional[Callable] = None):
+    """Riemannian trust-region method with truncated CG.
 
-    The quadratic model m(X) = f(p) + <grad f, X> + <H X, X>/2 uses
-    :func:`fd_hessian_apply`; the subproblem is solved by truncated CG with
-    the kappa-theta rule min(0.5, sqrt(||g||)) ||g|| and at most
-    max(dim, 10) CG steps, and the radius follows the classic rho-based
-    update. Rejected steps are recorded as rows with zero step distance.
+    The quadratic model m(X) = f(p) + <grad f, X> + <H X, X>/2 takes
+    H = ``hess(p)``, a map V -> Hess f(p)[V] built once per iterate, or,
+    when ``hess`` is None, the forward differences of
+    :func:`fd_hessian_apply` (Absil, Mahony & Sepulchre, *Optimization
+    Algorithms on Matrix Manifolds*, 2008, ch. 7). The model is minimized
+    by truncated CG with the kappa-theta rule min(0.5, sqrt(||g||)) ||g||
+    and at most max(dim, 10) CG steps, and the radius follows the classic
+    rho-based update. Rejected steps are recorded as rows with zero step
+    distance. ``trace.extra`` lists the Hessian products of each step
+    (``"hessian_products"``) and the numbers of the rejected steps
+    (``"rejected"``).
     """
     t0 = time.perf_counter()
     trace = SolverTrace(record_points)
+    products = trace.extra["hessian_products"] = []
+    rejected = trace.extra["rejected"] = []
     p = p0
     fp = _require_finite(float(f(p)), "cost")
     g = rgrad(p)
@@ -376,16 +407,16 @@ def trust_region_solve(geometry: Geometry, f: Callable, rgrad: Callable, p0,
     trace.append(fp, 0.0, gn, time.perf_counter() - t0, point=p)
     trace.reason = _stop_reason(stop, 0, gn)
     radius = _TR_INITIAL_RADIUS
-    fd_step = _FD_STEP_SCALE * (1.0 + geometry.point_norm(p))
     cg_budget = max(geometry.dim, 10)
     steps = 0
+    hvp = None  # the Hessian map at p, built when first needed
     while trace.reason is None:
-
-        def hvp(v, _p=p, _g=g):
-            return fd_hessian_apply(geometry, rgrad, _p, v, step=fd_step, rgrad_p=_g)
-
+        if hvp is None:
+            hvp = hess(p) if hess is not None else _fd_hessian(geometry, rgrad, p, g)
         inner_tol = gn * min(0.5, np.sqrt(gn))
-        eta, boundary = _truncated_cg(geometry, p, g, hvp, radius, inner_tol, cg_budget)
+        eta, boundary, cg_products = _truncated_cg(geometry, p, g, hvp, radius, inner_tol,
+                                                   cg_budget)
+        products.append(cg_products + 1)
         model_decrease = -(geometry.inner(p, g, eta)
                            + 0.5 * geometry.inner(p, hvp(eta), eta))
         cand = geometry.exp(p, eta)
@@ -403,7 +434,9 @@ def trust_region_solve(geometry: Geometry, f: Callable, rgrad: Callable, p0,
             p, fp = cand, f_cand
             g = rgrad(p)
             gn = geometry.norm(p, g)
-            fd_step = _FD_STEP_SCALE * (1.0 + geometry.point_norm(p))
+            hvp = None
+        else:
+            rejected.append(steps)
         trace.append(fp, step_dist or 0.0, gn, time.perf_counter() - t0, point=p)
         trace.reason = _stop_reason(
             stop, steps, gn, step_dist,
@@ -429,10 +462,14 @@ class SubSolverSpec:
 
 
 def _surrogate(problem: DCProblem, p_k, x_k, lam: Optional[float]):
-    """Cost/gradient of the linearized (possibly proximal) DC subproblem."""
+    """Cost, gradient and Hessian builder (or None) of the linearized
+    (possibly proximal) DC subproblem."""
     geom = problem.geometry
+    base_hess = None
     if problem.subproblem is not None:
         base_cost, base_grad = problem.subproblem(p_k, x_k)
+        if problem.subproblem_hessian is not None:
+            base_hess = problem.subproblem_hessian(p_k, x_k)
     else:
         def base_cost(z):
             return float(problem.g_cost(z)) - geom.inner(p_k, x_k, geom.log(p_k, z))
@@ -441,17 +478,25 @@ def _surrogate(problem: DCProblem, p_k, x_k, lam: Optional[float]):
             return problem.g_rgrad(z) - geom.adjoint_log_diff(p_k, z, x_k)
 
     if lam is None:
-        return base_cost, base_grad
+        return base_cost, base_grad, base_hess
 
     half_inv_lam = 0.5 / lam
+    inv_lam = 1.0 / lam
 
     def cost(z):
         return base_cost(z) + half_inv_lam * geom.dist(z, p_k) ** 2
 
     def grad(z):
-        return base_grad(z) - (1.0 / lam) * geom.log(z, p_k)
+        return base_grad(z) - inv_lam * geom.log(z, p_k)
 
-    return cost, grad
+    if base_hess is None:
+        return cost, grad, None
+
+    def hess(z):
+        base, prox = base_hess(z), geom.half_sq_dist_hessian(z, p_k)
+        return lambda v: base(v) + inv_lam * prox(v)
+
+    return cost, grad, hess
 
 
 def _descend_2d(plane: bool, cost, rgrad, start, params: ArmijoParams,
@@ -503,14 +548,11 @@ def _descend_2d(plane: bool, cost, rgrad, start, params: ArmijoParams,
         it += 1
 
 
-def _minimize(geometry, cost, grad, start, sub: SubSolverSpec):
-    """One DC subproblem from ``start``; returns (point, reason, steps taken)."""
+def _minimize(geometry, cost, grad, hess, start, sub: SubSolverSpec):
+    """One DC subproblem from ``start``; returns (point, sub-solver trace)."""
     if sub.kind == "trust_region":
-        point, inner = trust_region_solve(geometry, cost, grad, start, sub.criterion)
-    else:
-        point, inner = gradient_descent(geometry, cost, grad, start, sub.armijo,
-                                        sub.criterion)
-    return point, inner.reason, inner.iterations - 1
+        return trust_region_solve(geometry, cost, grad, start, sub.criterion, hess=hess)
+    return gradient_descent(geometry, cost, grad, start, sub.armijo, sub.criterion)
 
 
 def _outer_loop(geometry: Geometry, p, evaluate: Callable, step: Callable,
@@ -563,6 +605,9 @@ def _dc_solve(problem: DCProblem, p0, sub: Optional[SubSolverSpec],
     trace = SolverTrace(record_points)
     if hook is None:
         inner_steps = trace.extra["inner_steps"] = []
+        if sub.kind == "trust_region":
+            hessian_products = trace.extra["hessian_products"] = []
+            tr_rejected = trace.extra["tr_rejected"] = []
         crit = sub.criterion
         fast = (problem.subproblem_2d is not None and lam is None
                 and sub.kind == "gradient_descent"
@@ -585,8 +630,12 @@ def _dc_solve(problem: DCProblem, p0, sub: Optional[SubSolverSpec],
             cost, grad = problem.subproblem_2d(p, x)
             p_next, reason, steps = _descend_2d(plane, cost, grad, p, sub.armijo, crit)
         else:
-            cost, grad = _surrogate(problem, p, x, lam)
-            p_next, reason, steps = _minimize(geom, cost, grad, p, sub)
+            cost, grad, hess = _surrogate(problem, p, x, lam)
+            p_next, inner = _minimize(geom, cost, grad, hess, p, sub)
+            reason, steps = inner.reason, inner.iterations - 1
+            if sub.kind == "trust_region":
+                hessian_products.append(sum(inner.extra["hessian_products"]))
+                tr_rejected.append(len(inner.extra["rejected"]))
         inner_steps.append(steps)
         if reason == "max iterations":
             trace.subsolver_failures.append(k)
@@ -624,8 +673,11 @@ def frank_wolfe_solve(geometry: Geometry, rgrad_f: Callable, linear_oracle: Call
 
     ``linear_oracle(p, G) -> point`` must return a minimizer of
     <G, log_p(q)> over the constraint set; iterates move along the geodesic
-    toward the oracle point, so with a geodesically convex set they stay
-    feasible. The start must be feasible.
+    toward the oracle point, so on a geodesically convex set they stay
+    feasible up to the oracle's round-off, and no further: an oracle point
+    slightly outside the set carries the next iterate with it (rows 1 and 2
+    of ``frechet_fw.csv`` of ``rdcopt bench frechet --seed 42`` have slack
+    -4.4e-14 and -1.0e-14; ROADMAP open item 2). The start must be feasible.
     """
     if feasible is not None and not feasible(p0):
         raise ValueError("Frank-Wolfe requires feasible start")

@@ -38,6 +38,33 @@ def check_gradient(geometry, f, rgrad, p, directions, rel_tol=1e-5):
     return worst
 
 
+def check_hessian(geometry, rgrad, hess, p, directions, rel_tol=1e-6, step=1e-4):
+    """Assert that the map ``hess`` (V -> Hess f(p)[V]) matches the central
+    difference of the transported gradient, (T grad f(exp_p(hV)) -
+    T grad f(exp_p(-hV)))/(2h), for unit directions, relative to ||Hess[V]||_p."""
+    worst = 0.0
+    for v in directions:
+        v = v / geometry.norm(p, v)
+        plus, minus = geometry.exp(p, step * v), geometry.exp(p, -step * v)
+        numeric = (geometry.transport(plus, p, rgrad(plus))
+                   - geometry.transport(minus, p, rgrad(minus))) / (2.0 * step)
+        exact = hess(v)
+        worst = max(worst, geometry.norm(p, exact - numeric) / geometry.norm(p, exact))
+    assert worst <= rel_tol, f"Hessian mismatch: relative error {worst:.3e}"
+    return worst
+
+
+def check_self_adjoint(geometry, hess, p, directions, rel_tol=1e-12):
+    """Assert <Hess[U], V>_p = <U, Hess[V]>_p over pairs of directions,
+    relative to ||Hess[U]||_p ||V||_p + ||U||_p ||Hess[V]||_p."""
+    for u, v in zip(directions, directions[1:]):
+        hu, hv = hess(u), hess(v)
+        scale = (geometry.norm(p, hu) * geometry.norm(p, v)
+                 + geometry.norm(p, u) * geometry.norm(p, hv))
+        gap = abs(geometry.inner(p, hu, v) - geometry.inner(p, u, hv))
+        assert gap <= rel_tol * scale, f"not self-adjoint: {gap:.3e} against {scale:.3e}"
+
+
 def det_hessian_quadform(geometry, p, phi_d1, phi_d2, x) -> float:
     """<Hess phi(det(.))(p) X, X>_p on SPD for a det-composed cost.
 

@@ -44,6 +44,10 @@ class TestDcaVsDcppaRunner:
                 # converges well inside its 5000-step cap
                 assert result[f"{tag}_inner_steps"] >= result[f"{tag}_iters"] - 1
                 assert result[f"{tag}_capped_subsolves"] == 0
+                # each trust-region step makes at least one CG product and
+                # one for the model decrease
+                assert result[f"{tag}_hessian_products"] >= 2 * result[f"{tag}_inner_steps"]
+                assert 0 <= result[f"{tag}_tr_rejected"] <= result[f"{tag}_inner_steps"]
             assert abs(result["dca_final_f"] + 0.25) <= 1e-8
             assert abs(result["dcppa_final_f"] + 0.25) <= 1e-8
 

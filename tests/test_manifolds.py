@@ -20,6 +20,8 @@ from rdcopt.matfun import (
 from rdcopt.problems import LogDetProblem, logdet_dcproblem
 
 from conftest import (
+    check_hessian,
+    check_self_adjoint,
     det_hessian_quadform,
     fd_slope,
     random_spd,
@@ -231,6 +233,52 @@ class TestSPD:
             numeric = (along(h) + along(-h) - 2.0 * along(0.0)) / h ** 2
             analytic = det_hessian_quadform(m, p, d1, d2, x)
             assert abs(analytic - numeric) <= 1e-3 * (1.0 + abs(analytic))
+
+    @pytest.mark.parametrize("n", [2, 5, 20])
+    def test_half_sq_dist_hessian_matches_gradient_differences(self, rng, n):
+        # grad d^2(., y)/2 = -log_.(y)
+        m = SPDManifold(n)
+        for _ in range(2):
+            p, y = random_spd(rng, n), random_spd(rng, n)
+            directions = [random_sym(rng, n) for _ in range(3)]
+            check_hessian(m, lambda z: -m.log(z, y), m.half_sq_dist_hessian(p, y), p,
+                          directions)
+
+    @pytest.mark.parametrize("n", [2, 5, 20])
+    def test_half_sq_dist_hessian_self_adjoint(self, rng, n):
+        m = SPDManifold(n)
+        p, y = random_spd(rng, n), random_spd(rng, n, scale=3.0)
+        check_self_adjoint(m, m.half_sq_dist_hessian(p, y), p,
+                           [random_sym(rng, n) for _ in range(6)])
+
+    @pytest.mark.parametrize("n", [2, 5, 20])
+    def test_half_sq_dist_hessian_at_its_anchor_is_identity(self, rng, n):
+        m = SPDManifold(n)
+        p = random_spd(rng, n)
+        hess = m.half_sq_dist_hessian(p, p)
+        for _ in range(3):
+            v = random_sym(rng, n)
+            assert m.norm(p, hess(v) - v) <= 1e-12 * m.norm(p, v)
+
+    def test_half_sq_dist_hessian_exceeds_the_flat_one(self, rng):
+        # nonpositive curvature: g(t) = (t/2) coth(t/2) >= 1, with equality only
+        # along the directions that commute with log_p(y)
+        m = SPDManifold(4)
+        p, y = random_spd(rng, 4), random_spd(rng, 4)
+        hess = m.half_sq_dist_hessian(p, y)
+        for _ in range(5):
+            v = random_sym(rng, 4)
+            assert m.inner(p, hess(v), v) > m.inner(p, v, v)
+        lg = m.log(p, y)
+        assert m.norm(p, hess(lg) - lg) <= 1e-12 * m.norm(p, lg)
+
+    def test_half_sq_dist_hessian_reads_cached_factors(self, rng):
+        m = SPDManifold(5)
+        p, y = random_spd(rng, 5), random_spd(rng, 5)
+        m.dist(p, y)
+        before = m.eigendecompositions
+        m.half_sq_dist_hessian(p, y)(random_sym(rng, 5))
+        assert m.eigendecompositions == before
 
 
 # The SPD operations composed from matfun with no cache: the reference that

@@ -49,6 +49,8 @@ from rdcopt.solvers import (
 
 from conftest import (
     check_gradient,
+    check_hessian,
+    check_self_adjoint,
     det_hessian_quadform,
     random_spd,
     random_sym,
@@ -220,6 +222,39 @@ class TestLogDetProblem:
         for _ in range(3):
             p = random_spd(rng, 3)
             check_gradient(geom, cost, rgrad, p, sample_directions(geom, rng, p, 3))
+
+    @staticmethod
+    def _surrogate_at(rng, n):
+        """The log-det problem's surrogate at a random iterate q, and a random
+        point p with log det p = 1/2."""
+        problem = logdet_dcproblem(LogDetProblem(n))
+        geom = problem.geometry
+        q = random_spd(rng, n)
+        p = random_spd(rng, n)
+        p = p * math.exp((0.5 - geom.logdet(p)) / n)
+        x = problem.h_rgrad(q)
+        _, rgrad = problem.subproblem(q, x)
+        return problem, p, rgrad, problem.subproblem_hessian(q, x)(p)
+
+    @pytest.mark.parametrize("n", [2, 5, 20])
+    def test_subproblem_hessian_matches_gradient_differences(self, rng, n):
+        problem, p, rgrad, hess = self._surrogate_at(rng, n)
+        directions = [random_sym(rng, n) for _ in range(3)] + [p]
+        check_hessian(problem.geometry, rgrad, hess, p, directions)
+
+    @pytest.mark.parametrize("n", [2, 5, 20])
+    def test_subproblem_hessian_self_adjoint(self, rng, n):
+        problem, p, _, hess = self._surrogate_at(rng, n)
+        check_self_adjoint(problem.geometry, hess, p, [random_sym(rng, n) for _ in range(6)])
+
+    def test_subproblem_hessian_quadratic_form(self, rng):
+        # the independent scalar formula for <Hess phi1(det .) X, X>_p
+        problem, p, _, hess = self._surrogate_at(rng, 3)
+        geom, phi1 = problem.geometry, LogDetProblem(3).phi1
+        for _ in range(5):
+            x = random_sym(rng, 3)
+            ref = det_hessian_quadform(geom, p, phi1.d1, phi1.d2, x)
+            assert abs(geom.inner(p, hess(x), x) - ref) <= 1e-12 * (abs(ref) + geom.inner(p, x, x))
 
     def test_subproblem_minimizer_stationarity(self, rng):
         # for the defaults the minimizer satisfies 4 (log det p)^3 = 2 log det q

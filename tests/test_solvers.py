@@ -1,14 +1,18 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from rdcopt import problems, solvers
 from rdcopt.manifolds import Euclidean, RosenbrockPlane, SPDManifold
 from rdcopt.problems import (
     LogDetProblem,
     RosenbrockProblem,
+    TrDetProblem,
     logdet_dcproblem,
     rosenbrock_dcproblem,
+    trdet_dcproblem,
 )
 from rdcopt.solvers import (
     ArmijoParams,
@@ -28,7 +32,7 @@ from rdcopt.solvers import (
     trust_region_solve,
 )
 
-from conftest import random_spd, random_sym
+from conftest import check_hessian, random_spd, random_sym
 from test_problems import rosenbrock_subproblem
 
 
@@ -36,6 +40,16 @@ EUCLID1 = Euclidean(1)
 
 TR_SUB = SubSolverSpec("trust_region", StoppingCriterion(max_iter=5000, grad_norm_tol=1e-10))
 OUTER = StoppingCriterion(max_iter=100, grad_norm_tol=1e-10)
+
+
+def logdet_start(rng, n, logdet):
+    """A random SPD(n) matrix scaled to the given log det."""
+    p = random_spd(rng, n)
+    return p * math.exp((logdet - np.linalg.slogdet(p)[1]) / n)
+
+
+def no_finite_differences(*args, **kwargs):
+    raise AssertionError("finite-difference Hessian product on the exact path")
 
 
 def quartic_problem():
@@ -183,6 +197,35 @@ class TestTrustRegion:
         assert trace.reason == "gradient norm"
         assert geom.norm(p, rgrad(p)) < 1e-10
 
+    @pytest.mark.parametrize("lam", [None, 0.1], ids=["dca", "dcppa"])
+    def test_exact_hessian_reaches_inner_tolerance(self, rng, monkeypatch, lam):
+        # the DCA and DCPPA surrogates of the log-det family at a random
+        # iterate, from a start that does not commute with it, solved to
+        # gradient 1e-10 with exact Hessian products only
+        monkeypatch.setattr(solvers, "fd_hessian_apply", no_finite_differences)
+        problem = logdet_dcproblem(LogDetProblem(5))
+        geom = problem.geometry
+        q = logdet_start(rng, 5, 0.9)
+        cost, rgrad, hess = solvers._surrogate(problem, q, problem.h_rgrad(q), lam)
+        p, trace = trust_region_solve(geom, cost, rgrad, logdet_start(rng, 5, 0.3),
+                                      StoppingCriterion(max_iter=5000, grad_norm_tol=1e-10),
+                                      hess=hess)
+        assert trace.reason == "gradient norm"
+        assert geom.norm(p, rgrad(p)) < 1e-10
+        assert sum(trace.extra["hessian_products"]) >= 2 * (trace.iterations - 1)
+
+    def test_rejected_steps_recorded(self):
+        # sqrt(1 + x^2) from x = 10: the model's Newton steps overshoot
+        geom = Euclidean(1)
+        f = lambda x: math.sqrt(1.0 + float(x[0]) ** 2)
+        rgrad = lambda x: np.array([float(x[0]) / f(x)])
+        _, trace = trust_region_solve(geom, f, rgrad, np.array([10.0]),
+                                      StoppingCriterion(max_iter=60, grad_norm_tol=1e-6))
+        rejected = [k for k in range(1, trace.iterations) if trace.step[k] == 0.0]
+        assert rejected
+        assert trace.extra["rejected"] == rejected
+        assert len(trace.extra["hessian_products"]) == trace.iterations - 1
+
     def test_non_finite_cost_raises(self):
         geom = Euclidean(1)
         f = lambda x: float("nan")
@@ -209,7 +252,8 @@ class TestDCA:
     def test_logdet_pair_lapack_calls(self, monkeypatch):
         # one DCA + DCPPA pair at n = 5 with the settings of `rdcopt bench
         # dca-vs-dcppa`. Recomputing every factor took 3,093 eigh and 2,792
-        # solve calls; the SPD factor cache makes 826 eigh and no solve calls.
+        # solve calls; the SPD factor cache made 826 eigh and no solve calls
+        # with finite-difference Hessians, and 390 eigh with exact ones.
         counts = {"eigh": 0, "solve": 0}
         for name in counts:
             fn = getattr(np.linalg, name)
@@ -223,8 +267,8 @@ class TestDCA:
         p0 = math.log(5) * np.eye(5)
         dca_solve(problem, p0, TR_SUB, OUTER, record_points=False)
         dcppa_solve(problem, p0, 1.0 / 10.0, TR_SUB, OUTER, record_points=False)
-        assert counts["eigh"] <= 846
-        assert counts["solve"] <= 870
+        assert counts["eigh"] <= 400
+        assert counts["solve"] == 0
 
     def test_fixed_point_trace_length_one(self, rng):
         geom = SPDManifold(2)
@@ -319,6 +363,53 @@ class TestDCA:
                 assert trace.extra["inner_steps"] == [50]
                 assert trace.subsolver_failures == [0]
 
+    def test_trust_region_counts_recorded(self, monkeypatch):
+        # every Hessian product and rejected step of every trust-region
+        # sub-solve, on the exact path (log-det) and on finite differences
+        # (trace/det)
+        products = [0]
+
+        def counted(fn):
+            def call(*args, **kwargs):
+                products[0] += 1
+                return fn(*args, **kwargs)
+
+            return call
+
+        inner = []
+        tr = solvers.trust_region_solve
+
+        def recorded_tr(*args, **kwargs):
+            point, trace = tr(*args, **kwargs)
+            inner.append(trace)
+            return point, trace
+
+        monkeypatch.setattr(solvers, "trust_region_solve", recorded_tr)
+        monkeypatch.setattr(solvers, "fd_hessian_apply", counted(solvers.fd_hessian_apply))
+        build = problems._logdet_surrogate_hessian
+        monkeypatch.setattr(problems, "_logdet_surrogate_hessian",
+                            lambda *args: counted(build(*args)))
+        logdet = logdet_dcproblem(LogDetProblem(3))
+        trdet = trdet_dcproblem(TrDetProblem(3))
+        for problem, p0, stop in ((logdet, math.log(3) * np.eye(3), OUTER),
+                                  (trdet, 2.0 * np.eye(3), StoppingCriterion(max_iter=4))):
+            for solve in (lambda: dca_solve(problem, p0, TR_SUB, stop),
+                          lambda: dcppa_solve(problem, p0, 1.0 / 6.0, TR_SUB, stop)):
+                products[0] = 0
+                inner.clear()
+                _, trace = solve()
+                assert inner and len(inner) == len(trace.extra["inner_steps"])
+                assert trace.extra["inner_steps"] == [t.iterations - 1 for t in inner]
+                assert trace.extra["tr_rejected"] == [
+                    sum(1 for s in t.step[1:] if s == 0.0) for t in inner]
+                assert len(trace.extra["hessian_products"]) == len(inner)
+                assert sum(trace.extra["hessian_products"]) == products[0]
+                assert all(h >= 2 * k for h, k in zip(trace.extra["hessian_products"],
+                                                      trace.extra["inner_steps"]))
+        # the full n = 3 log-det DCA rejects two trust-region steps
+        _, trace = dca_solve(logdet, math.log(3) * np.eye(3), TR_SUB, OUTER)
+        assert sum(trace.extra["tr_rejected"]) == 2
+
     def test_subsolver_failure_recorded_and_continues(self):
         spec = RosenbrockProblem(a=2e5, b=1.0)
         problem = rosenbrock_dcproblem(spec, "rb")
@@ -363,6 +454,16 @@ class TestDCPPA:
     def test_rejects_nonpositive_lambda(self):
         with pytest.raises(ValueError):
             dcppa_solve(quartic_problem(), np.zeros(1), 0.0, TR_SUB, OUTER)
+
+    @pytest.mark.parametrize("n", [2, 5, 20])
+    def test_proximal_surrogate_hessian_matches_gradient_differences(self, rng, n):
+        # the log-det surrogate plus d^2(., p_k)/(2 lambda), at a point off p_k
+        problem = logdet_dcproblem(LogDetProblem(n))
+        p_k = logdet_start(rng, n, 0.8)
+        _, grad, hess = solvers._surrogate(problem, p_k, problem.h_rgrad(p_k), 1.0 / (2 * n))
+        p = logdet_start(rng, n, 0.4)
+        check_hessian(problem.geometry, grad, hess(p), p,
+                      [random_sym(rng, n) for _ in range(3)] + [p])
 
 
 class TestFrankWolfe:
@@ -478,6 +579,15 @@ class TestFastPathParity:
                           *rgrad_2d(float(z[0]), float(z[1])))
                 assert kernel == (cost(z), *rgrad(z))
                 assert kernel == (ref_cost(z), *geom.egrad_to_rgrad(z, ref_egrad(z)))
+
+    def test_subproblem_hessian_needs_a_subproblem_on_spd(self):
+        logdet = logdet_dcproblem(LogDetProblem(2))
+        with pytest.raises(ValueError, match="subproblem_hessian"):
+            dataclasses.replace(logdet, subproblem=None)
+        quartic = quartic_problem()
+        with pytest.raises(ValueError, match="subproblem_hessian"):
+            dataclasses.replace(quartic, subproblem=lambda q, x: (None, None),
+                                subproblem_hessian=lambda q, x: None)
 
     def test_hook_needs_a_2d_geometry(self):
         problem = rosenbrock_dcproblem(RosenbrockProblem(), "euclidean")
