@@ -35,9 +35,9 @@ __all__ = ["Geometry", "Euclidean", "SPDManifold", "RosenbrockPlane"]
 class Geometry:
     """Interface shared by the concrete geometries.
 
-    Subclasses implement ``inner``, ``exp``, ``log``, ``transport`` and
-    ``egrad_to_rgrad``; distance and geodesic points are derived from
-    those (exact on Hadamard manifolds, where exp/log are global).
+    Subclasses implement ``inner``, ``exp``, ``log``, ``transport``,
+    ``egrad_to_rgrad``, ``to_frame`` and ``from_frame``; distance and geodesic
+    points are derived from those (exact on Hadamard manifolds, where exp/log are global).
     """
 
     dim: int
@@ -50,6 +50,18 @@ class Geometry:
 
     def exp(self, p, x):
         raise NotImplementedError
+
+    def to_frame(self, p, x):
+        """Orthonormal frame coordinates of the tangent x: <x, y>_p is their dot product."""
+        raise NotImplementedError
+
+    def from_frame(self, p, y):
+        """The tangent at p with frame coordinates y."""
+        raise NotImplementedError
+
+    def exp_frame(self, p, y):
+        """exp_p of the tangent with frame coordinates y."""
+        return self.exp(p, self.from_frame(p, y))
 
     def log(self, p, q):
         raise NotImplementedError
@@ -97,6 +109,11 @@ class Euclidean(Geometry):
     def exp(self, p, x):
         return np.asarray(p, dtype=float) + x
 
+    def to_frame(self, p, x):
+        return np.asarray(x, dtype=float)
+
+    from_frame = to_frame
+
     def log(self, p, q):
         return np.asarray(q, dtype=float) - p
 
@@ -116,8 +133,8 @@ class Euclidean(Geometry):
 # bound of the SPD factor cache. A trust-region step works at its iterate, one
 # trial (or finite-difference) point and the outer DC iterate at a time, and at
 # the whitened matrices p^-1/2 q p^-1/2 between them. On one n = 5 log-det
-# DCA + DCPPA pair with exact Hessians, six entries make 398
-# eigendecompositions, eight 397 and ten 390.
+# DCA + DCPPA pair with exact Hessians in frame coordinates, six entries make
+# 398 eigendecompositions, eight 397 and ten 390, as before the frame.
 _CACHED = 10
 
 
@@ -203,20 +220,27 @@ class SPDManifold(Geometry):
         b = a if y is x else si @ y @ si
         return float(np.sum(a * b))
 
+    def to_frame(self, p, x):
+        # the whitened tangent p^-1/2 X p^-1/2, where the metric is Frobenius
+        _, si = self.roots(p)
+        return symmetrize(si @ x @ si)
+
+    def from_frame(self, p, y):
+        s, _ = self.roots(p)
+        return symmetrize(s @ y @ s)
+
     def exp(self, p, x):
-        s, si = self.roots(p)
-        inner = symmetrize(si @ x @ si)
-        return symmetrize(s @ sym_apply(self._eig(inner), np.exp) @ s)
+        return self.exp_frame(p, self.to_frame(p, x))
+
+    def exp_frame(self, p, y):
+        return self.from_frame(p, sym_apply(self._eig(y), np.exp))
 
     def log(self, p, q):
-        s, si = self.roots(p)
-        inner = symmetrize(si @ q @ si)
-        return symmetrize(s @ sym_apply(self._eig(inner), np.log) @ s)
+        return self.from_frame(p, sym_apply(self._eig(self.to_frame(p, q)), np.log))
 
     def dist(self, p, q) -> float:
         # ||logm(p^-1/2 q p^-1/2)||_F from the eigenvalues directly
-        _, si = self.roots(p)
-        w, _ = self._eig(symmetrize(si @ q @ si))
+        w, _ = self._eig(self.to_frame(p, q))
         if w[0] <= 0.0:
             raise ValueError("spectrum outside domain")
         return float(np.sqrt(np.sum(np.log(w) ** 2)))
@@ -224,7 +248,7 @@ class SPDManifold(Geometry):
     def transport(self, p, q, x):
         # E X E^T with E = (q p^-1)^{1/2} = p^{1/2}(p^{-1/2} q p^{-1/2})^{1/2} p^{-1/2}
         s, si = self.roots(p)
-        mid = sym_apply(self._eig(symmetrize(si @ q @ si)), np.sqrt)
+        mid = sym_apply(self._eig(self.to_frame(p, q)), np.sqrt)
         e = s @ mid @ si
         return symmetrize(e @ x @ e.T)
 
@@ -232,28 +256,25 @@ class SPDManifold(Geometry):
         return symmetrize(p @ symmetrize(g) @ p)
 
     def half_sq_dist_hessian(self, p, y):
-        """The Riemannian Hessian of d^2(., y)/2 at p, as a map V -> Hess[V].
+        """The Riemannian Hessian of d^2(., y)/2 at p, as a map Y -> Hess[Y] of
+        frame coordinates (``to_frame``).
 
         Its gradient is -log_p(y). With p^{-1/2} y p^{-1/2} = Q diag(mu) Q^T
-        and l = log mu, the Hessian scales the whitened direction
-        p^{-1/2} V p^{-1/2}, written in the basis Q, entrywise by
-        g(l_i - l_j) with g(t) = (t/2) coth(t/2) and g(0) = 1: the Jacobi
-        fields along the geodesic from p to y on a symmetric space. The
-        factors come from the cache, where ``dist`` and ``log`` at p leave
-        them. Self-adjoint in <., .>_p; the identity at y = p.
+        and l = log mu, the Hessian scales Y, written in the basis Q,
+        entrywise by g(l_i - l_j) with g(t) = (t/2) coth(t/2) and g(0) = 1:
+        the Jacobi fields along the geodesic from p to y on a symmetric
+        space. The factors come from the cache, where ``dist`` and ``log``
+        at p leave them. Self-adjoint; the identity at y = p.
         """
-        s, si = self.roots(p)
-        mu, q = self._eig(symmetrize(si @ y @ si))
+        mu, q = self._eig(self.to_frame(p, y))
         if mu[0] <= 0.0:
             raise ValueError("spectrum outside domain")
         lw = np.log(mu)
         half = 0.5 * (lw[:, None] - lw[None, :])
         gain = np.divide(half, np.tanh(half), out=np.ones_like(half), where=half != 0.0)
-        # V -> Vhat = (si Q)^T V (si Q), and Hess[V] = (s Q)(gain * Vhat)(s Q)^T
-        white, back = si @ q, s @ q
 
         def apply(v):
-            return symmetrize(back @ (gain * (white.T @ v @ white)) @ back.T)
+            return symmetrize(q @ (gain * (q.T @ v @ q)) @ q.T)
 
         return apply
 
@@ -262,9 +283,7 @@ class SPDManifold(Geometry):
         # Euclidean gradient q^-1/2 Dlogm(M)[Xhat] q^-1/2 by Daleckii-Krein,
         # then converted with p G p.
         _, qi = self.roots(q)
-        m = symmetrize(qi @ p @ qi)
-        xhat = symmetrize(qi @ x @ qi)
-        egrad = qi @ sym_dlog(m, xhat) @ qi
+        egrad = qi @ sym_dlog(self.to_frame(q, p), self.to_frame(q, x)) @ qi
         return self.egrad_to_rgrad(p, egrad)
 
 
@@ -300,6 +319,15 @@ class RosenbrockPlane(Geometry):
     def exp(self, p, x):
         x1 = float(x[0])
         return np.array([p[0] + x1, p[1] + x[1] + x1 * x1])
+
+    def to_frame(self, p, x):
+        # G_p = C^T C with C = [[1, 0], [-2p1, 1]]; the frame coordinates are C x
+        x1 = float(x[0])
+        return np.array([x1, x[1] - 2.0 * float(p[0]) * x1])
+
+    def from_frame(self, p, y):
+        y1 = float(y[0])
+        return np.array([y1, y[1] + 2.0 * float(p[0]) * y1])
 
     def log(self, p, q):
         u = float(q[0]) - float(p[0])

@@ -192,22 +192,21 @@ def _logdet_surrogate(geom: SPDManifold, spec: LogDetProblem, q: np.ndarray):
 
 
 def _logdet_surrogate_hessian(geom: SPDManifold, phi1: ScalarFunction, p: np.ndarray):
-    """Hess psi(p) of the log-det surrogate, as a map V -> Hess psi(p)[V].
+    """Hess psi(p) of the log-det surrogate, as a map Y -> Hess psi(p)[Y] of
+    frame coordinates Y = p^{-1/2} V p^{-1/2} (``SPDManifold.to_frame``).
 
     With s = log det p and F(s) = phi1(e^s), grad psi(p) = (F'(s) - c) p.
     The field p -> p is parallel for the affine-invariant connection, so
     only the scalar varies: Hess psi(p)[V] = F''(s) tr(p^{-1} V) p, with
     F''(s) = phi1''(t) t^2 + phi1'(t) t at t = det p; the -c log det p term
-    adds nothing.
+    adds nothing. In the frame tr(p^{-1} V) = tr Y, and p becomes I.
     """
     t = _det(geom, p)
     curvature = phi1.d2(t) * t * t + phi1.d1(t) * t
-    _, si = geom.roots(p)
-    p_inv = si @ si
+    eye = np.eye(geom.n)
 
-    def apply(v):
-        # tr(p^{-1} V) as the Frobenius product, V being symmetric
-        return (curvature * float(np.sum(p_inv * v))) * p
+    def apply(y):
+        return (curvature * float(np.trace(y))) * eye
 
     return apply
 

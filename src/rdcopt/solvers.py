@@ -196,10 +196,11 @@ class DCProblem:
     without change tolerances then run on it directly.
 
     On the SPD cone a problem with ``subproblem`` may also give
-    ``subproblem_hessian(q, X) -> hess``, where ``hess(p)`` returns the map
-    V -> Hess psi(p)[V] of the surrogate psi that ``subproblem(q, X)``
-    builds. Trust-region sub-solves then use it, and DCPPA adds the exact
-    Hessian of its proximal term; without it they take finite differences.
+    ``subproblem_hessian(q, X) -> hess``: ``hess(p)`` maps frame coordinates
+    Y to to_frame(p, Hess psi(p)[from_frame(p, Y)]) for the surrogate psi of
+    ``subproblem(q, X)``. Trust-region sub-solves then use it, and DCPPA adds
+    the exact Hessian of its proximal term; without it they take finite
+    differences.
     """
 
     geometry: Geometry
@@ -333,29 +334,34 @@ def fd_hessian_apply(geometry: Geometry, rgrad: Callable, p, x,
 
 
 def _fd_hessian(geometry: Geometry, rgrad: Callable, p, g):
-    """The map V -> :func:`fd_hessian_apply` at p, with the default step."""
+    """:func:`fd_hessian_apply` at p, with the default step, in frame coordinates."""
     step = _FD_STEP_SCALE * (1.0 + geometry.point_norm(p))
-    return lambda v: fd_hessian_apply(geometry, rgrad, p, v, step=step, rgrad_p=g)
+    return lambda y: geometry.to_frame(p, fd_hessian_apply(
+        geometry, rgrad, p, geometry.from_frame(p, y), step=step, rgrad_p=g))
 
 
-def _truncated_cg(geometry: Geometry, p, g, hvp, radius: float,
-                  tol: float, max_iter: int):
-    """Steihaug-Toint CG for the trust-region model.
+def _dot(a, b) -> float:
+    """The metric in frame coordinates."""
+    return float(np.vdot(a, b))
+
+
+def _truncated_cg(g, hvp, radius: float, tol: float, max_iter: int):
+    """Steihaug-Toint CG for the trust-region model in frame coordinates.
 
     Returns (step, hit_boundary, number of Hessian products made).
     """
-    eta = np.zeros_like(np.asarray(g, dtype=float))
-    r = np.asarray(g, dtype=float).copy()
+    eta = np.zeros_like(g)
+    r = g.copy()
     d = -r
-    r2 = geometry.inner(p, r, r)
+    r2 = _dot(r, r)
     if r2 == 0.0:
         return eta, False, 0
     ee = 0.0
     for k in range(1, max_iter + 1):
         hd = hvp(d)
-        kappa = geometry.inner(p, d, hd)
-        dd = geometry.inner(p, d, d)
-        ed = geometry.inner(p, eta, d)
+        kappa = _dot(d, hd)
+        dd = _dot(d, d)
+        ed = _dot(eta, d)
         if kappa <= 0.0:
             tau = _boundary_tau(dd, ed, ee, radius)
             return eta + tau * d, True, k
@@ -366,7 +372,7 @@ def _truncated_cg(geometry: Geometry, p, g, hvp, radius: float,
         eta = eta + alpha * d
         ee = ee + 2.0 * alpha * ed + alpha * alpha * dd
         r = r + alpha * hd
-        r2_new = geometry.inner(p, r, r)
+        r2_new = _dot(r, r)
         if np.sqrt(r2_new) <= tol:
             return eta, False, k
         d = -r + (r2_new / r2) * d
@@ -384,17 +390,18 @@ def trust_region_solve(geometry: Geometry, f: Callable, rgrad: Callable, p0,
                        hess: Optional[Callable] = None):
     """Riemannian trust-region method with truncated CG.
 
-    The quadratic model m(X) = f(p) + <grad f, X> + <H X, X>/2 takes
-    H = ``hess(p)``, a map V -> Hess f(p)[V] built once per iterate, or,
-    when ``hess`` is None, the forward differences of
-    :func:`fd_hessian_apply` (Absil, Mahony & Sepulchre, *Optimization
-    Algorithms on Matrix Manifolds*, 2008, ch. 7). The model is minimized
-    by truncated CG with the kappa-theta rule min(0.5, sqrt(||g||)) ||g||
-    and at most max(dim, 10) CG steps, and the radius follows the classic
-    rho-based update. Rejected steps are recorded as rows with zero step
+    The model m(Y) = f(p) + <g, Y> + <H Y, Y>/2 is written in orthonormal
+    frame coordinates of T_pM (``Geometry.to_frame``), where the metric is
+    the dot product and the candidate is ``exp_frame(p, Y)`` (Absil, Mahony
+    & Sepulchre, *Optimization Algorithms on Matrix Manifolds*, 2008, ch.
+    7). H = ``hess(p)``, built once per iterate, maps frame coordinates to
+    frame coordinates, Y -> to_frame(Hess f(p)[from_frame(Y)]); when
+    ``hess`` is None, :func:`fd_hessian_apply` is composed the same way.
+    Truncated CG with the kappa-theta rule min(0.5, sqrt(||g||)) ||g|| and
+    at most max(dim, 10) steps minimizes the model; the radius follows the
+    classic rho-based update. Rejected steps are rows with zero step
     distance. ``trace.extra`` lists the Hessian products of each step
-    (``"hessian_products"``) and the numbers of the rejected steps
-    (``"rejected"``).
+    (``"hessian_products"``) and the rejected steps (``"rejected"``).
     """
     t0 = time.perf_counter()
     trace = SolverTrace(record_points)
@@ -403,7 +410,8 @@ def trust_region_solve(geometry: Geometry, f: Callable, rgrad: Callable, p0,
     p = p0
     fp = _require_finite(float(f(p)), "cost")
     g = rgrad(p)
-    gn = geometry.norm(p, g)
+    gy = geometry.to_frame(p, g)
+    gn = math.sqrt(_dot(gy, gy))
     trace.append(fp, 0.0, gn, time.perf_counter() - t0, point=p)
     trace.reason = _stop_reason(stop, 0, gn)
     radius = _TR_INITIAL_RADIUS
@@ -414,12 +422,10 @@ def trust_region_solve(geometry: Geometry, f: Callable, rgrad: Callable, p0,
         if hvp is None:
             hvp = hess(p) if hess is not None else _fd_hessian(geometry, rgrad, p, g)
         inner_tol = gn * min(0.5, np.sqrt(gn))
-        eta, boundary, cg_products = _truncated_cg(geometry, p, g, hvp, radius, inner_tol,
-                                                   cg_budget)
+        eta, boundary, cg_products = _truncated_cg(gy, hvp, radius, inner_tol, cg_budget)
         products.append(cg_products + 1)
-        model_decrease = -(geometry.inner(p, g, eta)
-                           + 0.5 * geometry.inner(p, hvp(eta), eta))
-        cand = geometry.exp(p, eta)
+        model_decrease = -(_dot(gy, eta) + 0.5 * _dot(hvp(eta), eta))
+        cand = geometry.exp_frame(p, eta)
         f_cand = _require_finite(float(f(cand)), "cost")
         reg = _TR_RHO_REGULARIZATION * np.finfo(float).eps * max(1.0, abs(fp))
         if model_decrease + reg > 0.0:
@@ -429,11 +435,12 @@ def trust_region_solve(geometry: Geometry, f: Callable, rgrad: Callable, p0,
         steps += 1
         step_dist = None  # a rejected step keeps p
         if rho >= _TR_ACCEPT_RATIO:
-            step_dist = geometry.norm(p, eta)
+            step_dist = math.sqrt(_dot(eta, eta))
             g_prev, p_prev = g, p
             p, fp = cand, f_cand
             g = rgrad(p)
-            gn = geometry.norm(p, g)
+            gy = geometry.to_frame(p, g)
+            gn = math.sqrt(_dot(gy, gy))
             hvp = None
         else:
             rejected.append(steps)
@@ -562,7 +569,8 @@ def _outer_loop(geometry: Geometry, p, evaluate: Callable, step: Callable,
     ``evaluate(p) -> (f, x, g)`` gives the cost at p, the covector the step
     map reads (grad h for the DC methods, grad f for Frank-Wolfe) and the
     gradient the stopping rule reads; ``step(k, p_k, x_k)`` returns p_{k+1}.
-    A step that returns p_k itself ends the run as a fixed point.
+    A step that returns p_k itself ends the run as a fixed point, unless
+    the step set another reason.
     """
     t0 = time.perf_counter()
     f, x, g = evaluate(p)
@@ -572,7 +580,7 @@ def _outer_loop(geometry: Geometry, p, evaluate: Callable, step: Callable,
     while trace.reason is None:
         p_next = step(k, p, x)
         if _same_point(p_next, p):
-            trace.reason = "fixed point"
+            trace.reason = trace.reason or "fixed point"
             break
         f, x_next, g_next = evaluate(p_next)
         gn = geometry.norm(p_next, g_next)
@@ -639,6 +647,9 @@ def _dc_solve(problem: DCProblem, p0, sub: Optional[SubSolverSpec],
         inner_steps.append(steps)
         if reason == "max iterations":
             trace.subsolver_failures.append(k)
+            # a trust region that rejected steps and kept p_k failed there
+            if sub.kind == "trust_region" and inner.extra["rejected"] and _same_point(p_next, p):
+                trace.reason = "sub-solver failed"
         return p_next
 
     return _outer_loop(geom, p0, evaluate, step, stop, trace)
@@ -652,7 +663,8 @@ def dca_solve(problem: DCProblem, p0, sub: Optional[SubSolverSpec],
     convex surrogate g(p) - <X_k, log_{p_k}(p)>, solved by the configured
     sub-solver (warm-started at p_k) or by the problem's constrained
     closed-form hook. The cost sequence is nonincreasing; a subproblem
-    returning p_k exactly ends the run as a fixed point.
+    returning p_k exactly ends the run as a fixed point, or as "sub-solver
+    failed" when it is a capped trust-region sub-solve that rejected steps.
     """
     return _dc_solve(problem, p0, sub, stop, lam=None, record_points=record_points)
 

@@ -54,6 +54,12 @@ def check_hessian(geometry, rgrad, hess, p, directions, rel_tol=1e-6, step=1e-4)
     return worst
 
 
+def tangent_map(geometry, p, hess):
+    """The frame-coordinate map ``hess`` at p (Y -> Hess[Y], as the trust
+    region reads it) as a map of tangents: V -> from_frame(hess(to_frame(V)))."""
+    return lambda v: geometry.from_frame(p, hess(geometry.to_frame(p, v)))
+
+
 def check_self_adjoint(geometry, hess, p, directions, rel_tol=1e-12):
     """Assert <Hess[U], V>_p = <U, Hess[V]>_p over pairs of directions,
     relative to ||Hess[U]||_p ||V||_p + ||U||_p ||Hess[V]||_p."""

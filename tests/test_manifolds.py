@@ -28,6 +28,7 @@ from conftest import (
     random_sym,
     sample_directions,
     sample_point,
+    tangent_map,
 )
 
 
@@ -97,6 +98,25 @@ class TestSharedContracts:
         np.testing.assert_allclose(geometry.transport(p, sample_point(geometry, rng), zero),
                                    zero, atol=1e-12)
 
+    def test_frame_dot_product_is_the_metric(self, geometry, rng):
+        for _ in range(10):
+            p = sample_point(geometry, rng)
+            x, y = sample_directions(geometry, rng, p, 2)
+            dot = float(np.sum(geometry.to_frame(p, x) * geometry.to_frame(p, y)))
+            scale = geometry.norm(p, x) * geometry.norm(p, y)
+            assert abs(dot - geometry.inner(p, x, y)) <= 1e-12 * scale
+
+    def test_from_frame_inverts_to_frame(self, geometry, rng):
+        for _ in range(10):
+            p = sample_point(geometry, rng)
+            x = sample_directions(geometry, rng, p, 1)[0]
+            y = geometry.to_frame(p, x)
+            assert geometry.norm(p, geometry.from_frame(p, y) - x) <= 1e-12 * geometry.norm(p, x)
+            # exp_frame is exp of the tangent with those coordinates
+            q = geometry.exp(p, 0.5 * x)
+            assert geometry.dist(geometry.exp_frame(p, 0.5 * y), q) <= 1e-12 * (
+                1.0 + geometry.point_norm(q))
+
     def test_adjoint_log_diff_matches_fd(self, geometry, rng):
         for _ in range(5):
             q, p = _pair(geometry, rng)
@@ -114,6 +134,13 @@ class TestSharedContracts:
 
 
 class TestSPD:
+    def test_exp_is_exp_frame_of_the_whitened_tangent(self, rng):
+        # bit for bit: the trust region steps through exp_frame
+        m = SPDManifold(3)
+        for _ in range(5):
+            p, x = random_spd(rng, 3), random_sym(rng, 3)
+            assert np.array_equal(m.exp(p, x), SPDManifold(3).exp_frame(p, m.to_frame(p, x)))
+
     def test_inner_examples(self, rng):
         m = SPDManifold(2)
         eye = np.eye(2)
@@ -241,21 +268,21 @@ class TestSPD:
         for _ in range(2):
             p, y = random_spd(rng, n), random_spd(rng, n)
             directions = [random_sym(rng, n) for _ in range(3)]
-            check_hessian(m, lambda z: -m.log(z, y), m.half_sq_dist_hessian(p, y), p,
-                          directions)
+            check_hessian(m, lambda z: -m.log(z, y),
+                          tangent_map(m, p, m.half_sq_dist_hessian(p, y)), p, directions)
 
     @pytest.mark.parametrize("n", [2, 5, 20])
     def test_half_sq_dist_hessian_self_adjoint(self, rng, n):
         m = SPDManifold(n)
         p, y = random_spd(rng, n), random_spd(rng, n, scale=3.0)
-        check_self_adjoint(m, m.half_sq_dist_hessian(p, y), p,
+        check_self_adjoint(m, tangent_map(m, p, m.half_sq_dist_hessian(p, y)), p,
                            [random_sym(rng, n) for _ in range(6)])
 
     @pytest.mark.parametrize("n", [2, 5, 20])
     def test_half_sq_dist_hessian_at_its_anchor_is_identity(self, rng, n):
         m = SPDManifold(n)
         p = random_spd(rng, n)
-        hess = m.half_sq_dist_hessian(p, p)
+        hess = tangent_map(m, p, m.half_sq_dist_hessian(p, p))
         for _ in range(3):
             v = random_sym(rng, n)
             assert m.norm(p, hess(v) - v) <= 1e-12 * m.norm(p, v)
@@ -265,7 +292,7 @@ class TestSPD:
         # along the directions that commute with log_p(y)
         m = SPDManifold(4)
         p, y = random_spd(rng, 4), random_spd(rng, 4)
-        hess = m.half_sq_dist_hessian(p, y)
+        hess = tangent_map(m, p, m.half_sq_dist_hessian(p, y))
         for _ in range(5):
             v = random_sym(rng, 4)
             assert m.inner(p, hess(v), v) > m.inner(p, v, v)

@@ -55,6 +55,7 @@ from conftest import (
     random_spd,
     random_sym,
     sample_directions,
+    tangent_map,
 )
 
 
@@ -234,7 +235,7 @@ class TestLogDetProblem:
         p = p * math.exp((0.5 - geom.logdet(p)) / n)
         x = problem.h_rgrad(q)
         _, rgrad = problem.subproblem(q, x)
-        return problem, p, rgrad, problem.subproblem_hessian(q, x)(p)
+        return problem, p, rgrad, tangent_map(geom, p, problem.subproblem_hessian(q, x)(p))
 
     @pytest.mark.parametrize("n", [2, 5, 20])
     def test_subproblem_hessian_matches_gradient_differences(self, rng, n):

@@ -32,7 +32,7 @@ from rdcopt.solvers import (
     trust_region_solve,
 )
 
-from conftest import check_hessian, random_spd, random_sym
+from conftest import check_hessian, random_spd, random_sym, tangent_map
 from test_problems import rosenbrock_subproblem
 
 
@@ -214,6 +214,33 @@ class TestTrustRegion:
         assert geom.norm(p, rgrad(p)) < 1e-10
         assert sum(trace.extra["hessian_products"]) >= 2 * (trace.iterations - 1)
 
+    def test_logdet_subsolves_make_no_metric_calls(self, monkeypatch):
+        # CG, the model decrease and the norms run in frame coordinates: inside
+        # the trust region of one log-det DCA and one DCPPA step at n = 5,
+        # SPDManifold.inner runs at most once per trust-region step
+        calls, runs = [0], []
+        metric, tr = SPDManifold.inner, solvers.trust_region_solve
+
+        def counted_inner(self, p, x, y):
+            calls[0] += 1
+            return metric(self, p, x, y)
+
+        def recorded_tr(*args, **kwargs):
+            before = calls[0]
+            point, trace = tr(*args, **kwargs)
+            runs.append((calls[0] - before, trace.iterations - 1))
+            return point, trace
+
+        monkeypatch.setattr(SPDManifold, "inner", counted_inner)
+        monkeypatch.setattr(solvers, "trust_region_solve", recorded_tr)
+        problem = logdet_dcproblem(LogDetProblem(5))
+        p0, one = math.log(5) * np.eye(5), StoppingCriterion(max_iter=1)
+        dca_solve(problem, p0, TR_SUB, one)
+        dcppa_solve(problem, p0, 1.0 / 10.0, TR_SUB, one)
+        assert len(runs) == 2
+        for inner_calls, steps in runs:
+            assert steps > 1 and inner_calls <= steps
+
     def test_rejected_steps_recorded(self):
         # sqrt(1 + x^2) from x = 10: the model's Newton steps overshoot
         geom = Euclidean(1)
@@ -253,7 +280,8 @@ class TestDCA:
         # one DCA + DCPPA pair at n = 5 with the settings of `rdcopt bench
         # dca-vs-dcppa`. Recomputing every factor took 3,093 eigh and 2,792
         # solve calls; the SPD factor cache made 826 eigh and no solve calls
-        # with finite-difference Hessians, and 390 eigh with exact ones.
+        # with finite-difference Hessians, and 390 eigh with exact ones, in
+        # tangent and in frame coordinates alike.
         counts = {"eigh": 0, "solve": 0}
         for name in counts:
             fn = getattr(np.linalg, name)
@@ -410,6 +438,16 @@ class TestDCA:
         _, trace = dca_solve(logdet, math.log(3) * np.eye(3), TR_SUB, OUTER)
         assert sum(trace.extra["tr_rejected"]) == 2
 
+    def test_capped_subsolve_that_keeps_the_iterate_is_no_fixed_point(self):
+        # f = (tr p)^2 - 6 det p is unbounded below on SPD(3): DCA from 2I
+        # diverges, its sub-solves hit the cap, and the last returns p_k
+        capped = SubSolverSpec("trust_region",
+                               StoppingCriterion(max_iter=50, grad_norm_tol=1e-10))
+        _, trace = dca_solve(trdet_dcproblem(TrDetProblem(3)), 2.0 * np.eye(3), capped, OUTER)
+        assert trace.reason == "sub-solver failed"
+        assert trace.subsolver_failures[-1] == trace.iterations - 1
+        assert trace.f[-1] < -1e20
+
     def test_subsolver_failure_recorded_and_continues(self):
         spec = RosenbrockProblem(a=2e5, b=1.0)
         problem = rosenbrock_dcproblem(spec, "rb")
@@ -462,7 +500,7 @@ class TestDCPPA:
         p_k = logdet_start(rng, n, 0.8)
         _, grad, hess = solvers._surrogate(problem, p_k, problem.h_rgrad(p_k), 1.0 / (2 * n))
         p = logdet_start(rng, n, 0.4)
-        check_hessian(problem.geometry, grad, hess(p), p,
+        check_hessian(problem.geometry, grad, tangent_map(problem.geometry, p, hess(p)), p,
                       [random_sym(rng, n) for _ in range(3)] + [p])
 
 
