@@ -417,10 +417,17 @@ def _assert_box(lower, upper):
         raise ValueError("degenerate box")
 
 
+def _whitened_points(prob: FrechetBoxProblem, p) -> EigDecomp:
+    """The stacked eigendecomposition of p^{-1/2} q_j p^{-1/2}, j = 1..m, from
+    the factor cache of ``prob.geometry``: the variance and its gradient at
+    one iterate share it."""
+    _, si = prob.geometry.roots(p)
+    return prob.geometry._eig(symmetrize(si @ prob.points @ si))
+
+
 def frechet_variance(prob: FrechetBoxProblem, p) -> float:
     """sum_j mu_j d^2(p, q_j) with the affine-invariant distance."""
-    _, si = prob.geometry.roots(p)
-    w, _ = sym_eig(symmetrize(si @ prob.points @ si))
+    w, _ = _whitened_points(prob, p)
     total = 0.0
     # in point order: a sum over the stack would round differently
     for mu, sq in zip(prob.weights, np.sum(np.log(w) ** 2, axis=-1)):
@@ -431,12 +438,12 @@ def frechet_variance(prob: FrechetBoxProblem, p) -> float:
 def frechet_grad(prob: FrechetBoxProblem, p) -> np.ndarray:
     """grad h(p) = -2 sum_j mu_j p^{1/2} log(p^{-1/2} q_j p^{-1/2}) p^{1/2},
     i.e. -2 sum_j mu_j log_p(q_j)."""
-    s, si = prob.geometry.roots(p)
-    w, v = sym_eig(symmetrize(si @ prob.points @ si))
+    w, v = _whitened_points(prob, p)
     logs = symmetrize((v * np.log(w)[..., None, :]) @ v.swapaxes(-1, -2))
     acc = np.zeros_like(np.asarray(p, dtype=float))
     for mu, log_q in zip(prob.weights, logs):
         acc += mu * log_q
+    s, _ = prob.geometry.roots(p)
     return -2.0 * symmetrize(s @ acc @ s)
 
 
@@ -453,11 +460,16 @@ def box_feasible(p, lower, upper) -> bool:
 
 # projected-gradient iterations per start of the box oracle
 _BOX_MAX_ITER = 300
+# 0.25**j, the backtracking factors of one search: a search from the largest
+# step, 1e8, reaches the 1e-18 floor after 44 trials. Each is exact in binary
+# floating point, as is the t *= 0.25 of a run one trial at a time.
+_QUARTERS = 0.25 ** np.arange(64)
 
 
 def _clip01(v: np.ndarray) -> np.ndarray:
-    """Spectral projection of each matrix of a (k, n, n) stack onto [0, I]."""
-    w, q = np.linalg.eigh(symmetrize(v))
+    """Spectral projection of each matrix of an exactly symmetric (k, n, n)
+    stack onto [0, I]."""
+    w, q = np.linalg.eigh(v)
     return symmetrize((q * np.clip(w, 0.0, 1.0)[..., None, :]) @ q.swapaxes(-1, -2))
 
 
@@ -500,11 +512,11 @@ def box_linear_subproblem(s: np.ndarray, x: np.ndarray, lower: np.ndarray,
     mask = np.diag((d < 0.0).astype(float))
     p_chol = spd_cholesky(b)
     eye = np.eye(n)
-    mapped = _clip01(b_inv_sqrt @ np.stack([
+    mapped = _clip01(symmetrize(b_inv_sqrt @ np.stack([
         symmetrize(p_chol.T @ mask @ p_chol),
         symmetrize(b_sqrt @ mask @ b_sqrt),
         eye - lh,
-    ]) @ b_inv_sqrt)
+    ]) @ b_inv_sqrt))
     starts = np.stack([mapped[0], mapped[1], np.zeros((n, n)), eye, 0.5 * eye, mapped[2]])
 
     v, f = _box_projected_gradient(d, lh, b_sqrt, starts)
@@ -516,61 +528,70 @@ def box_linear_subproblem(s: np.ndarray, x: np.ndarray, lower: np.ndarray,
 def _box_projected_gradient(d, lh, b_sqrt, starts):
     """Projected gradient on v in [0, I] for tr(D log(Lh + B^{1/2} v B^{1/2})).
 
-    All starts of the (k, n, n) stack ``starts`` run in lockstep, each with
-    the arithmetic of a run on its own. An iteration takes one stacked
-    gradient at the starts still running, from the eigendecompositions the
-    objective has already made. Each start then backtracks from
-    t = min(4 t, 1e8) through t/4, t/16, ... down to 1e-18 and stops at its
-    first trial with f_new < f - 1e-15 (1 + |f|); a start with no such trial,
-    or after _BOX_MAX_ITER iterations, stops for good. The trials of all
-    searching starts are evaluated together, 2 per start, then 4, 8, ...:
-    most iterations accept at the first or second trial, while a start's
-    last, failing search runs through about 28. Returns each start's final
-    point and objective value.
+    All starts of the exactly symmetric (k, n, n) stack ``starts`` run in
+    lockstep, each with the arithmetic of a run on its own. An iteration
+    takes one stacked gradient at the starts still running, from the
+    eigendecompositions the objective has already made. Each start then
+    backtracks from t = min(4 t, 1e8) through t/4, t/16, ... while t > 1e-18
+    and stops at its first trial with f_new < f - 1e-15 (1 + |f|); a start
+    with no such trial, or after _BOX_MAX_ITER iterations, stops for good.
+    The trials of all searching starts are evaluated together, 2 per start,
+    then 4, 8, ..., each chunk cut to the most trials any of its starts has
+    left above the floor: most iterations accept at the first or second
+    trial, while a start's last, failing search runs through all of its
+    trials, about 28. Returns each start's final point and objective value.
     """
 
     def objective(v):
         # tr(D log z) at each z = Lh + B^{1/2} v B^{1/2} (inf where z is not
         # PD), with the eigendecomposition of z, which the gradient reuses
         w, q = np.linalg.eigh(symmetrize(lh + b_sqrt @ v @ b_sqrt))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logs = (q * np.log(w)[..., None, :]) @ q.swapaxes(-1, -2)
+        logs = (q * np.log(w)[..., None, :]) @ q.swapaxes(-1, -2)
         f = np.sum(d * np.diagonal(logs, axis1=-2, axis2=-1), axis=-1)
         f[w[..., 0] <= 0.0] = np.inf
         return f, w, q
 
     v = _clip01(starts)
-    f, w, q = objective(v)
-    t = np.ones(len(v))
-    running = np.arange(len(v))
     d_mat = np.diag(d)
-    for _ in range(_BOX_MAX_ITER):
-        if running.size == 0:
-            break
-        g = symmetrize(b_sqrt @ sym_dlog(EigDecomp(w[running], q[running]), d_mat) @ b_sqrt)
-        t[running] = np.minimum(4.0 * t[running], 1e8)
-        improved = np.zeros(running.size, dtype=bool)
-        searching = np.arange(running.size)  # positions in ``running``
-        size = 2
-        while searching.size:
-            idx = running[searching]
-            # t/4^j is exact in binary floating point, as is the loop's t *= 0.25
-            steps = t[idx, None] * 0.25 ** np.arange(size)
-            trial = _clip01(v[idx, None] - steps[..., None, None] * g[searching, None])
-            f_trial, w_trial, q_trial = objective(trial)
-            # a chunk may run past the 1e-18 floor; those trials never count
-            ok = (steps > 1e-18) & (f_trial < (f[idx] - 1e-15 * (1.0 + np.abs(f[idx])))[:, None])
-            accepted = ok.any(axis=1)
-            hit = np.nonzero(accepted)[0]
-            first = ok.argmax(axis=1)[hit]
-            won = idx[hit]
-            v[won], w[won], q[won] = trial[hit, first], w_trial[hit, first], q_trial[hit, first]
-            f[won], t[won] = f_trial[hit, first], steps[hit, first]
-            improved[searching[hit]] = True
-            t[idx[~accepted]] *= 0.25 ** size
-            searching = searching[~accepted & (t[idx] > 1e-18)]
-            size *= 2
-        running = running[improved]
+    # log of a spectrum that is not positive: that trial's f is inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f, w, q = objective(v)
+        t = np.ones(len(v))
+        running = np.arange(len(v))
+        for _ in range(_BOX_MAX_ITER):
+            if running.size == 0:
+                break
+            g = symmetrize(b_sqrt @ sym_dlog(EigDecomp(w[running], q[running]), d_mat) @ b_sqrt)
+            t[running] = np.minimum(4.0 * t[running], 1e8)
+            improved = np.zeros(running.size, dtype=bool)
+            searching = np.arange(running.size)  # positions in ``running``
+            size = 2
+            while searching.size:
+                idx = running[searching]
+                steps = t[idx, None] * _QUARTERS[:size]
+                live = steps > 1e-18
+                # cut the chunk to the most trials a start has left above the floor
+                size = int(np.count_nonzero(live.any(axis=0)))
+                steps, live = steps[:, :size], live[:, :size]
+                # v - t g is exactly symmetric: v and g come out of symmetrize
+                trial = _clip01(v[idx, None] - steps[..., None, None] * g[searching, None])
+                f_trial, w_trial, q_trial = objective(trial)
+                ok = live & (f_trial < (f[idx] - 1e-15 * (1.0 + np.abs(f[idx])))[:, None])
+                accepted = ok.any(axis=1)
+                if accepted.any():
+                    hit = np.nonzero(accepted)[0]
+                    first = ok.argmax(axis=1)[hit]
+                    won = idx[hit]
+                    v[won], w[won], q[won] = (trial[hit, first], w_trial[hit, first],
+                                              q_trial[hit, first])
+                    f[won], t[won] = f_trial[hit, first], steps[hit, first]
+                    improved[searching[hit]] = True
+                    searching = searching[~accepted]
+                    idx = idx[~accepted]
+                t[idx] *= _QUARTERS[size]
+                searching = searching[t[idx] > 1e-18]
+                size *= 2
+            running = running[improved]
     return v, f
 
 

@@ -1,7 +1,9 @@
 """Acceptance suite: one test per criterion, printing one PASS/FAIL line each.
 
 Criterion 3 runs the full-scale Rosenbrock comparison (a = 2e5), including a
-multi-million-iteration gradient-descent baseline; expect a few minutes.
+multi-million-iteration gradient-descent baseline; expect a few minutes. It
+also checks the sha256 of the comparison's four trace CSVs against
+``tests/golden.json``.
 """
 
 import math
@@ -37,6 +39,7 @@ from rdcopt.solvers import (
     strongly_convexify,
 )
 
+import golden
 from conftest import fd_slope, random_spd, random_sym, sample_directions
 from test_problems import box_objective, brute_force_box_optimum, rosenbrock_subproblem
 
@@ -111,9 +114,13 @@ def test_criterion_2_iteration_bands():
 
 
 def test_criterion_3_rosenbrock(tmp_path):
-    config = ExperimentConfig(out_dir=tmp_path, a=2e5, b=1.0, long_run=False)
+    config = ExperimentConfig(out_dir=tmp_path / "rosenbrock", a=2e5, b=1.0, long_run=False)
     summary = run_rosenbrock(config)
     failures = []
+    # the trace CSVs, bit for bit, on the host's own BLAS kernel (see golden.py)
+    moved = golden.mismatches(golden.load_manifest(), golden.digests(tmp_path, ["rosenbrock"]))
+    if moved:
+        failures.append(f"trace CSVs differ from tests/golden.json: {moved}")
     if abs(summary["initial_cost"] - 7220.81) > 0.01:
         failures.append(f"initial cost {summary['initial_cost']}")
     results = summary["results"]

@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -47,6 +49,7 @@ from rdcopt.solvers import (
     trust_region_solve,
 )
 
+import golden
 from conftest import (
     check_gradient,
     check_hessian,
@@ -579,6 +582,34 @@ def reference_box_linear_subproblem(s, x, lower, upper):
     return symmetrize(x_inv @ q @ zh @ q.T @ x_inv), iterations
 
 
+def oracle_eigh_matrices(n, m, seed):
+    """The matrices box_linear_subproblem hands to np.linalg.eigh during DCA
+    on ``random_frechet_instance(n, m, seed)``; a (k, n, n) stack counts k."""
+    eigh, oracle = np.linalg.eigh, problems.box_linear_subproblem
+    matrices, inside = [0], [False]
+
+    def counted(a, *args, **kwargs):
+        if inside[0]:
+            matrices[0] += math.prod(np.shape(a)[:-2])
+        return eigh(a, *args, **kwargs)
+
+    def entered(*args):
+        inside[0] = True
+        try:
+            return oracle(*args)
+        finally:
+            inside[0] = False
+
+    np.linalg.eigh, problems.box_linear_subproblem = counted, entered
+    try:
+        prob, p0 = random_frechet_instance(n, m, seed)
+        stop = StoppingCriterion(max_iter=1000, iterate_change_tol=1e-14, grad_change_tol=1e-9)
+        dca_solve(frechet_dcproblem(prob), p0, None, stop)
+    finally:
+        np.linalg.eigh, problems.box_linear_subproblem = eigh, oracle
+    return matrices[0]
+
+
 class TestBoxLinearSubproblem:
     def test_diagonal_worked_instance(self):
         z = box_linear_subproblem(np.diag([-1.0, 1.0]), np.eye(2),
@@ -637,6 +668,19 @@ class TestBoxLinearSubproblem:
             if seed == 15:
                 # this first call runs its starts to the iteration cap
                 assert longest[0] == 300
+
+    def test_dca_oracle_decomposes_only_trials_that_can_count(self):
+        # the counts depend on the iterates, so on the BLAS kernel: pin it
+        reason = golden.skip_reason()
+        if reason is not None:
+            pytest.skip(reason)
+        run = subprocess.run(
+            [sys.executable, "-c", "import test_problems as t; "
+             "print(t.oracle_eigh_matrices(5, 20, 15), t.oracle_eigh_matrices(5, 20, 0))"],
+            env=golden.pinned_env(), capture_output=True, text=True, check=True)
+        # 8342 and 1394 when the last, failing search of a start evaluated
+        # whole chunks of 2, 4, 8, ... trials, past the 1e-18 floor
+        assert run.stdout.split() == ["8200", "1056"]
 
     def test_deterministic(self, rng):
         s = random_sym(rng, 3)
@@ -714,11 +758,13 @@ class TestFrechetDCParts:
         oracle = frechet_linear_oracle(prob)
         p, g = random_spd(rng, prob.n), random_sym(rng, prob.n)
         frechet_variance(prob, p)
-        assert prob.geometry.eigendecompositions == 1
-        calls = {"2-D": 0, "on p": 0}
+        # p, and the stack of the whitened points p^-1/2 q_j p^-1/2
+        assert prob.geometry.eigendecompositions == 2
+        calls = {"any": 0, "2-D": 0, "on p": 0}
         eigh = np.linalg.eigh
 
         def counted(a, *args, **kwargs):
+            calls["any"] += 1
             if np.ndim(a) == 2:
                 calls["2-D"] += 1
                 calls["on p"] += np.array_equal(a, p)
@@ -726,11 +772,13 @@ class TestFrechetDCParts:
 
         monkeypatch.setattr(np.linalg, "eigh", counted)
         frechet_grad(prob, p)
+        # the gradient at the variance's point reads both from the cache
+        assert calls["any"] == 0
         oracle(p, g)
         # the oracle decomposes its own matrices, but p only through the cache
         assert calls["2-D"] > 0
         assert calls["on p"] == 0
-        assert prob.geometry.eigendecompositions == 1
+        assert prob.geometry.eigendecompositions == 2
 
     def test_oracle_matches_constrained_hook(self, frechet_instance):
         prob, p0 = frechet_instance
