@@ -12,9 +12,8 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -30,6 +29,7 @@ from .problems import (
     frechet_linear_oracle,
     frechet_variance,
     logdet_dcproblem,
+    quartic_dcproblem,
     random_frechet_instance,
     rosenbrock_cost,
     rosenbrock_dcproblem,
@@ -38,7 +38,6 @@ from .problems import (
 )
 from .solvers import (
     ArmijoParams,
-    DCProblem,
     SolverError,
     StoppingCriterion,
     SubSolverSpec,
@@ -49,18 +48,19 @@ from .solvers import (
 )
 
 __all__ = [
-    "ExperimentConfig",
-    "run_dca_vs_dcppa",
-    "run_rosenbrock",
-    "run_frechet",
-    "run_duality_checks",
+    "ExperimentConfig", "DEFAULT_SEED", "default_seed",
+    "LOGDET_SUB", "LOGDET_STOP", "logdet_start", "logdet_lambda", "run_dca_vs_dcppa",
+    "ROSENBROCK_START", "ROSENBROCK_SUB", "ROSENBROCK_STOP", "rosenbrock_gd_stop",
+    "run_rosenbrock", "FRECHET_STOP", "run_frechet",
+    "DUALITY_START", "DUALITY_SUB", "DUALITY_STOP", "run_duality_checks",
 ]
 
 DEFAULT_SEED_ENV = "RDCOPT_SEED"
+DEFAULT_SEED = 42
 
 
 def default_seed() -> int:
-    return int(os.environ.get(DEFAULT_SEED_ENV, "42"))
+    return int(os.environ.get(DEFAULT_SEED_ENV, DEFAULT_SEED))
 
 
 @dataclass
@@ -68,7 +68,7 @@ class ExperimentConfig:
     """Knobs shared by the experiment runners."""
 
     out_dir: Path
-    seed: int = 42
+    seed: int = DEFAULT_SEED
     # log-det comparison
     n_min: int = 2
     n_max: int = 20
@@ -116,47 +116,54 @@ def _subsolve_stats(trace) -> dict:
     return stats
 
 
+LOGDET_SUB = SubSolverSpec(
+    kind="trust_region", criterion=StoppingCriterion(max_iter=5000, grad_norm_tol=1e-10))
+LOGDET_STOP = StoppingCriterion(max_iter=100, grad_norm_tol=1e-10)
+
+
+def logdet_start(n: int) -> np.ndarray:
+    """The log-det experiment's start log(n) I_n."""
+    return math.log(n) * np.eye(n)
+
+
+def logdet_lambda(n: int) -> float:
+    """DCPPA's constant proximal parameter 1/(2n) in the log-det experiment."""
+    return 1.0 / (2.0 * n)
+
+
 def run_dca_vs_dcppa(config: ExperimentConfig) -> dict:
     """DCA vs DCPPA on the log-det family for each matrix size n.
 
-    Both start from p0 = log(n) I_n, stop when the gradient of f drops
-    below 1e-10 (fallback: 100 steps), and solve their subproblems with the
-    trust-region sub-solver to gradient 1e-10 (cap: 5000 steps); DCPPA uses
-    the constant proximal parameter lambda = 1/(2n). Each result row also
+    Both start from ``logdet_start(n)`` = log(n) I_n, stop on ``LOGDET_STOP``
+    (gradient of f below 1e-10, fallback 100 steps), and solve their
+    subproblems with ``LOGDET_SUB`` (trust region to gradient 1e-10, cap
+    5000 steps); DCPPA uses ``logdet_lambda(n)`` = 1/(2n). Each result row also
     gives both runs' ``inner_steps`` (trust-region steps), ``capped_subsolves``,
     ``hessian_products``, ``tr_rejected`` (rejected trust-region steps) and
     ``eigendecompositions`` (SPD cache misses; DCPPA reuses DCA's cache).
     """
     if config.n_min < 2 or config.n_max > 80 or config.n_min > config.n_max:
         raise ValueError("n range must lie within [2, 80]")
-    sub = SubSolverSpec(
-        kind="trust_region",
-        criterion=StoppingCriterion(max_iter=5000, grad_norm_tol=1e-10))
-    stop = StoppingCriterion(max_iter=100, grad_norm_tol=1e-10)
     target = -0.25
     timing_rows = []
     results = []
     failures = []
     for n in range(config.n_min, config.n_max + 1):
         problem = logdet_dcproblem(LogDetProblem(n))
-        p0 = math.log(n) * np.eye(n)
+        p0 = logdet_start(n)
         row = {"n": n, "d": n * (n + 1) // 2}
         try:
             (p_dca, tr_dca), sec_dca = _timed(
-                dca_solve, problem, p0, sub, stop, record_points=False)
+                dca_solve, problem, p0, LOGDET_SUB, LOGDET_STOP, record_points=False)
             eigs_dca = problem.geometry.eigendecompositions
             (p_ppa, tr_ppa), sec_ppa = _timed(
-                dcppa_solve, problem, p0, 1.0 / (2.0 * n), sub, stop,
+                dcppa_solve, problem, p0, logdet_lambda(n), LOGDET_SUB, LOGDET_STOP,
                 record_points=False)
             eigs_ppa = problem.geometry.eigendecompositions - eigs_dca
         except SolverError as exc:
             failures.append({"n": n, "error": str(exc)})
             timing_rows.append([n, row["d"], math.nan, math.nan, 0, 0])
             continue
-        for tag, trace in (("dca", tr_dca), ("dcppa", tr_ppa)):
-            _write_csv(config.out_dir / f"{tag}_n{n}.csv", ["i", "f", "fabs"],
-                       ((i, f, abs(f - target))
-                        for i, f in enumerate(trace.f)))
         row.update({
             "dca_seconds": sec_dca, "dcppa_seconds": sec_ppa,
             "dca_iters": tr_dca.iterations, "dcppa_iters": tr_ppa.iterations,
@@ -164,8 +171,9 @@ def run_dca_vs_dcppa(config: ExperimentConfig) -> dict:
             "dca_reason": tr_dca.reason, "dcppa_reason": tr_ppa.reason,
         })
         for tag, trace, eigs in (("dca", tr_dca, eigs_dca), ("dcppa", tr_ppa, eigs_ppa)):
-            row.update({f"{tag}_{key}": value
-                        for key, value in _subsolve_stats(trace).items()})
+            _write_csv(config.out_dir / f"{tag}_n{n}.csv", ["i", "f", "fabs"],
+                       ((i, f, abs(f - target)) for i, f in enumerate(trace.f)))
+            row.update({f"{tag}_{key}": value for key, value in _subsolve_stats(trace).items()})
             row[f"{tag}_eigendecompositions"] = eigs
         timing_rows.append([n, row["d"], sec_dca, sec_ppa,
                             tr_dca.iterations, tr_ppa.iterations])
@@ -177,68 +185,66 @@ def run_dca_vs_dcppa(config: ExperimentConfig) -> dict:
 
 
 _ROSENBROCK_ALGORITHMS = ("euclidean_gd", "euclidean_dca", "riemannian_gd", "riemannian_dca")
+ROSENBROCK_START = (0.1, 0.2)
+ROSENBROCK_SUB = SubSolverSpec(
+    kind="gradient_descent", criterion=StoppingCriterion(max_iter=1000, grad_norm_tol=1e-16),
+    armijo=ArmijoParams())
+ROSENBROCK_STOP = StoppingCriterion(max_iter=10_000_000, iterate_change_tol=1e-16)
+
+
+def rosenbrock_gd_stop(long_run: bool) -> StoppingCriterion:
+    """The Euclidean gradient-descent run's stop: ``ROSENBROCK_STOP``, capped
+    at 200,000 steps unless ``long_run``."""
+    return ROSENBROCK_STOP if long_run else replace(ROSENBROCK_STOP, max_iter=200_000)
 
 
 def run_rosenbrock(config: ExperimentConfig) -> dict:
-    """Four first-order methods on the Rosenbrock problem from p0 = (0.1, 0.2).
+    """Four first-order methods on the Rosenbrock problem from ``ROSENBROCK_START``.
 
-    All use Armijo line searches and stop on an iterate change below 1e-16
-    (or the 10-million-step cap); DC subproblems run gradient descent down
-    to gradient norm 1e-16 or 1000 inner iterations. The Euclidean
-    gradient-descent run is capped at 200 000 iterations unless
-    ``long_run`` restores the full-length run. The two DC results also give
-    ``inner_steps`` (gradient-descent steps over all sub-solves) and
-    ``capped_subsolves`` (sub-solves that hit the 1000-step cap).
+    All use Armijo line searches (``ROSENBROCK_SUB.armijo``) and stop on
+    ``ROSENBROCK_STOP`` (iterate change below 1e-16, cap 10 million steps);
+    DC subproblems run ``ROSENBROCK_SUB``, gradient descent down to gradient
+    norm 1e-16 or 1000 inner iterations. The Euclidean gradient-descent run
+    stops on ``rosenbrock_gd_stop(config.long_run)``: capped at 200,000
+    iterations unless ``long_run`` restores the full-length run. The two DC
+    results also give ``inner_steps`` (gradient-descent steps over all
+    sub-solves) and ``capped_subsolves`` (sub-solves that hit the 1000-step cap).
     """
     spec = RosenbrockProblem(config.a, config.b)
-    p0 = np.array([0.1, 0.2])
-    cap = 10_000_000
-    gd_cap = cap if config.long_run else 200_000
-    change_tol = 1e-16
-    armijo = ArmijoParams()
-    sub = SubSolverSpec(
-        kind="gradient_descent",
-        criterion=StoppingCriterion(max_iter=1000, grad_norm_tol=1e-16),
-        armijo=armijo)
+    p0 = np.array(ROSENBROCK_START)
+    armijo = ROSENBROCK_SUB.armijo
 
     runs = {}
-    euclid = Euclidean(2)
-    runs["euclidean_gd"], sec_egd = _timed(
-        gradient_descent, euclid,
+    runs["euclidean_gd"] = _timed(
+        gradient_descent, Euclidean(2),
         lambda p: rosenbrock_cost(spec, p), lambda p: rosenbrock_grad(spec, p),
-        p0, armijo, StoppingCriterion(max_iter=gd_cap, iterate_change_tol=change_tol))
+        p0, armijo, rosenbrock_gd_stop(config.long_run))
 
     dc_euclid = rosenbrock_dcproblem(spec, "euclidean")
-    runs["euclidean_dca"], sec_edca = _timed(
-        dca_solve, dc_euclid, p0, sub,
-        StoppingCriterion(max_iter=cap, iterate_change_tol=change_tol),
-        record_points=False)
+    runs["euclidean_dca"] = _timed(
+        dca_solve, dc_euclid, p0, ROSENBROCK_SUB, ROSENBROCK_STOP, record_points=False)
 
     dc_plane = rosenbrock_dcproblem(spec, "rb")
     plane = dc_plane.geometry
-    runs["riemannian_gd"], sec_rgd = _timed(
+    runs["riemannian_gd"] = _timed(
         gradient_descent, plane,
         lambda p: rosenbrock_cost(spec, p),
         lambda p: plane.egrad_to_rgrad(p, rosenbrock_grad(spec, p)),
-        p0, armijo, StoppingCriterion(max_iter=cap, iterate_change_tol=change_tol))
+        p0, armijo, ROSENBROCK_STOP)
 
-    runs["riemannian_dca"], sec_rdca = _timed(
-        dca_solve, dc_plane, p0, sub,
-        StoppingCriterion(max_iter=cap, iterate_change_tol=change_tol),
-        record_points=False)
+    runs["riemannian_dca"] = _timed(
+        dca_solve, dc_plane, p0, ROSENBROCK_SUB, ROSENBROCK_STOP, record_points=False)
 
-    seconds = {"euclidean_gd": sec_egd, "euclidean_dca": sec_edca,
-               "riemannian_gd": sec_rgd, "riemannian_dca": sec_rdca}
     solution = np.array([spec.b, spec.b * spec.b])
     summary_rows = []
     results = {}
     for name in _ROSENBROCK_ALGORITHMS:
-        point, trace = runs[name]
+        (point, trace), seconds = runs[name]
         _write_csv(config.out_dir / f"{name}.csv", ["i", "f"],
                    ((i, f) for i, f in enumerate(trace.f)))
-        summary_rows.append([name, seconds[name], trace.iterations])
+        summary_rows.append([name, seconds, trace.iterations])
         results[name] = {
-            "seconds": seconds[name],
+            "seconds": seconds,
             "iterations": trace.iterations,
             "final_point": [float(point[0]), float(point[1])],
             "final_cost": trace.f[-1],
@@ -253,23 +259,24 @@ def run_rosenbrock(config: ExperimentConfig) -> dict:
             "results": results}
 
 
+FRECHET_STOP = StoppingCriterion(max_iter=1000, iterate_change_tol=1e-14, grad_change_tol=1e-9)
+
+
 def run_frechet(config: ExperimentConfig) -> dict:
     """Box-constrained Frechet-variance maximization: DCA vs Frank-Wolfe.
 
     Both start from the box midpoint of a seeded random instance. DCA uses
     the closed-form box oracle plus the feasibility safeguard and stops on
-    iterate change < 1e-14 or transported-gradient change < 1e-9;
-    Frank-Wolfe then runs for exactly as many iterations for a row-aligned
-    comparison.
+    ``FRECHET_STOP`` (iterate change < 1e-14 or transported-gradient change
+    < 1e-9, cap 1000 steps); Frank-Wolfe then runs ``FRECHET_STOP`` capped at
+    exactly as many iterations, for a row-aligned comparison.
     """
     if config.n < 2 or config.m < 2:
         raise ValueError("frechet experiment needs n >= 2 and m >= 2")
     prob, p0 = random_frechet_instance(config.n, config.m, config.seed)
     save_frechet_spec(config.out_dir / "instance.json", config.n, config.m, config.seed)
     dc = frechet_dcproblem(prob)
-    stop = StoppingCriterion(max_iter=1000, iterate_change_tol=1e-14,
-                             grad_change_tol=1e-9)
-    (p_dca, tr_dca), sec_dca = _timed(dca_solve, dc, p0, None, stop,
+    (p_dca, tr_dca), sec_dca = _timed(dca_solve, dc, p0, None, FRECHET_STOP,
                                       record_points=True)
 
     fw_steps = max(tr_dca.iterations - 1, 1)
@@ -277,8 +284,7 @@ def run_frechet(config: ExperimentConfig) -> dict:
     (p_fw, tr_fw), sec_fw = _timed(
         frank_wolfe_solve, dc.geometry,
         lambda p: -frechet_grad(prob, p), oracle, p0,
-        StoppingCriterion(max_iter=fw_steps, iterate_change_tol=1e-14,
-                          grad_change_tol=1e-9),
+        replace(FRECHET_STOP, max_iter=fw_steps),
         lambda p: -frechet_variance(prob, p),
         lambda p: box_slack(p, prob.lower, prob.upper) >= 0.0,
         True)
@@ -290,60 +296,34 @@ def run_frechet(config: ExperimentConfig) -> dict:
     _write_csv(config.out_dir / "frechet_dca.csv", ["i", "h", "feas_slack"], rows(tr_dca))
     _write_csv(config.out_dir / "frechet_fw.csv", ["i", "h", "feas_slack"], rows(tr_fw))
 
-    summary = {
-        "experiment": "frechet",
-        "n": config.n, "m": config.m, "seed": config.seed,
-        "dca": {
-            "iterations": tr_dca.iterations,
-            "seconds": sec_dca,
-            "seconds_per_iteration": sec_dca / max(tr_dca.iterations - 1, 1),
-            "reason": tr_dca.reason,
-            "final_h": -tr_dca.f[-1],
-        },
-        "frank_wolfe": {
-            "iterations": tr_fw.iterations,
-            "seconds": sec_fw,
-            "seconds_per_iteration": sec_fw / max(tr_fw.iterations - 1, 1),
-            "reason": tr_fw.reason,
-            "final_h": -tr_fw.f[-1],
-            "first_step_sizes": tr_fw.extra["step_size"][:2],
-        },
-    }
-    return summary
+    def outcome(trace, seconds):
+        return {"iterations": trace.iterations, "seconds": seconds,
+                "seconds_per_iteration": seconds / max(trace.iterations - 1, 1),
+                "reason": trace.reason, "final_h": -trace.f[-1]}
+
+    return {"experiment": "frechet", "n": config.n, "m": config.m, "seed": config.seed,
+            "dca": outcome(tr_dca, sec_dca),
+            "frank_wolfe": {**outcome(tr_fw, sec_fw),
+                            "first_step_sizes": tr_fw.extra["step_size"][:2]}}
 
 
-def _quartic_dc_problem() -> DCProblem:
-    """1-D family g(x) = x^4 + x^2, h(x) = 2x^2: f = x^4 - x^2, f* = -1/4.
-
-    The costs accept batched sample arrays so the grid conjugates vectorize.
-    """
-
-    def g_cost(x):
-        u = np.asarray(x, dtype=float)[..., 0]
-        return u ** 4 + u ** 2
-
-    def h_cost(x):
-        u = np.asarray(x, dtype=float)[..., 0]
-        return 2.0 * u ** 2
-
-    return DCProblem(
-        geometry=Euclidean(1),
-        g_cost=g_cost,
-        h_cost=h_cost,
-        g_rgrad=lambda x: np.array([4.0 * float(x[0]) ** 3 + 2.0 * float(x[0])]),
-        h_rgrad=lambda x: np.array([4.0 * float(x[0])]),
-    )
+DUALITY_START = 2.0
+DUALITY_SUB = SubSolverSpec(
+    kind="trust_region", criterion=StoppingCriterion(max_iter=500, grad_norm_tol=1e-11))
+DUALITY_STOP = StoppingCriterion(max_iter=200, grad_norm_tol=1e-10)
 
 
 def run_duality_checks(config: ExperimentConfig, tamper: bool = False) -> dict:
-    """Numerical duality suite on the 1-D quartic family.
+    """Numerical duality suite on the 1-D quartic family (:func:`quartic_dcproblem`).
 
     Verifies the analytic conjugate reductions, Fenchel-Young gaps, the
     primal-dual value equality, and the per-iteration DC sandwich along a
-    DCA trace. Each of the four costs (x^2/2, zero, g and h) is sampled
-    once, and every check reads its :func:`sampled_conjugate`. ``tamper``
-    negates the sandwich check's conjugate of h as a negative control; the
-    suite must then fail.
+    DCA trace from ``DUALITY_START`` = 2 with ``DUALITY_SUB`` (trust region to
+    gradient 1e-11, cap 500) and ``DUALITY_STOP`` (gradient 1e-10, cap 200).
+    Each of the four costs (x^2/2, zero, g and h) is sampled once, and every
+    check reads its :func:`sampled_conjugate`. ``tamper`` negates the
+    sandwich check's conjugate of h as a negative control; the suite must
+    then fail.
     """
     geom = Euclidean(1)
     grid = Grid1D(-10.0, 10.0, 20001)
@@ -355,7 +335,7 @@ def run_duality_checks(config: ExperimentConfig, tamper: bool = False) -> dict:
         checks.append({"name": name, "passed": bool(passed), "detail": detail})
 
     half_square = lambda x: 0.5 * np.asarray(x, dtype=float)[..., 0] ** 2
-    problem = _quartic_dc_problem()
+    problem = quartic_dcproblem()
     # each cost is sampled on the grid once; every check reads these conjugates
     half_star = sampled_conjugate(half_square, pts)
     zero_star = sampled_conjugate(lambda x: np.zeros(len(x)), pts)
@@ -384,10 +364,7 @@ def run_duality_checks(config: ExperimentConfig, tamper: bool = False) -> dict:
     check("Fenchel-Young gaps", worst_gap >= -gap_floor,
           f"min gap = {worst_gap:.3e} >= {-gap_floor:.3e}")
 
-    sub = SubSolverSpec(kind="trust_region",
-                        criterion=StoppingCriterion(max_iter=500, grad_norm_tol=1e-11))
-    stop = StoppingCriterion(max_iter=200, grad_norm_tol=1e-10)
-    _, trace = dca_solve(problem, np.array([2.0]), sub, stop)
+    _, trace = dca_solve(problem, np.array([DUALITY_START]), DUALITY_SUB, DUALITY_STOP)
 
     sandwich_hstar = (lambda p, x: -hstar(p, x)) if tamper else hstar
     report = primal_dual_sandwich_check(trace, problem.g_cost, problem.h_cost,

@@ -47,6 +47,7 @@ __all__ = [
     "rosenbrock_cost",
     "rosenbrock_grad",
     "rosenbrock_dcproblem",
+    "quartic_dcproblem",
     "FrechetBoxProblem",
     "frechet_variance",
     "frechet_grad",
@@ -366,6 +367,27 @@ def rosenbrock_dcproblem(spec: RosenbrockProblem, geometry: str = "rb") -> DCPro
         h_rgrad=lambda p: geom.egrad_to_rgrad(p, h_egrad(p)),
         subproblem=subproblem,
         subproblem_2d=subproblem_2d,
+    )
+
+
+def quartic_dcproblem() -> DCProblem:
+    """The 1-D family g(x) = x^4 + x^2, h(x) = 2x^2: f = x^4 - x^2, critical at 0
+    and +-1/sqrt(2), f* = -1/4. The costs take batched samples (..., 1) too."""
+
+    def g_cost(x):
+        u = np.asarray(x, dtype=float)[..., 0]
+        return u ** 4 + u ** 2
+
+    def h_cost(x):
+        u = np.asarray(x, dtype=float)[..., 0]
+        return 2.0 * u ** 2
+
+    return DCProblem(
+        geometry=Euclidean(1),
+        g_cost=g_cost,
+        h_cost=h_cost,
+        g_rgrad=lambda x: np.array([4.0 * float(x[0]) ** 3 + 2.0 * float(x[0])]),
+        h_rgrad=lambda x: np.array([4.0 * float(x[0])]),
     )
 
 

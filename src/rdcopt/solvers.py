@@ -459,8 +459,8 @@ def trust_region_solve(geometry: Geometry, f: Callable, rgrad: Callable, p0,
 class SubSolverSpec:
     """How DC subproblems are minimized: solver kind plus its parameters."""
 
-    kind: str = "trust_region"  # "trust_region" | "gradient_descent"
-    criterion: StoppingCriterion = StoppingCriterion(max_iter=5000, grad_norm_tol=1e-10)
+    kind: str  # "trust_region" | "gradient_descent"
+    criterion: StoppingCriterion
     armijo: ArmijoParams = field(default_factory=ArmijoParams)
 
     def __post_init__(self):

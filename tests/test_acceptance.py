@@ -10,9 +10,17 @@ import math
 import time
 
 import numpy as np
-import pytest
 
-from rdcopt.bench import ExperimentConfig, run_duality_checks, run_frechet, run_rosenbrock
+from rdcopt.bench import (
+    LOGDET_STOP,
+    LOGDET_SUB,
+    ExperimentConfig,
+    logdet_lambda,
+    logdet_start,
+    run_duality_checks,
+    run_frechet,
+    run_rosenbrock,
+)
 from rdcopt.manifolds import Euclidean, RosenbrockPlane, SPDManifold
 from rdcopt.matfun import spd_logdet, symmetrize
 from rdcopt.problems import (
@@ -26,25 +34,14 @@ from rdcopt.problems import (
     logdet_dcproblem,
     logdet_subproblem,
     random_frechet_instance,
-    rosenbrock_cost,
     rosenbrock_dcproblem,
-    rosenbrock_grad,
     trdet_dcproblem,
 )
-from rdcopt.solvers import (
-    StoppingCriterion,
-    SubSolverSpec,
-    dca_solve,
-    dcppa_solve,
-    strongly_convexify,
-)
+from rdcopt.solvers import StoppingCriterion, dca_solve, dcppa_solve, strongly_convexify
 
 import golden
 from conftest import fd_slope, random_spd, random_sym, sample_directions
 from test_problems import box_objective, brute_force_box_optimum, rosenbrock_subproblem
-
-TR_SUB = SubSolverSpec("trust_region", StoppingCriterion(max_iter=5000, grad_norm_tol=1e-10))
-OUTER = StoppingCriterion(max_iter=100, grad_norm_tol=1e-10)
 
 
 def logdet_branch_target(p0: np.ndarray) -> float:
@@ -69,10 +66,10 @@ def test_criterion_1_logdet_targets():
     elapsed = 0.0
     for n in (2, 3, 5, 8):
         problem = logdet_dcproblem(LogDetProblem(n))
-        p0 = math.log(n) * np.eye(n)
+        p0 = logdet_start(n)
         t0 = time.perf_counter()
-        p_dca, tr_dca = dca_solve(problem, p0, TR_SUB, OUTER, record_points=False)
-        p_ppa, tr_ppa = dcppa_solve(problem, p0, 1.0 / (2.0 * n), TR_SUB, OUTER,
+        p_dca, tr_dca = dca_solve(problem, p0, LOGDET_SUB, LOGDET_STOP, record_points=False)
+        p_ppa, tr_ppa = dcppa_solve(problem, p0, logdet_lambda(n), LOGDET_SUB, LOGDET_STOP,
                                     record_points=False)
         elapsed += time.perf_counter() - t0
         target = logdet_branch_target(p0)
@@ -98,9 +95,9 @@ def test_criterion_2_iteration_bands():
     counts = []
     for n in (6, 7, 8):
         problem = logdet_dcproblem(LogDetProblem(n))
-        p0 = math.log(n) * np.eye(n)
-        _, tr_dca = dca_solve(problem, p0, TR_SUB, OUTER, record_points=False)
-        _, tr_ppa = dcppa_solve(problem, p0, 1.0 / (2.0 * n), TR_SUB, OUTER,
+        p0 = logdet_start(n)
+        _, tr_dca = dca_solve(problem, p0, LOGDET_SUB, LOGDET_STOP, record_points=False)
+        _, tr_ppa = dcppa_solve(problem, p0, logdet_lambda(n), LOGDET_SUB, LOGDET_STOP,
                                 record_points=False)
         dca_steps = tr_dca.iterations - 1
         ppa_steps = tr_ppa.iterations - 1
@@ -171,8 +168,8 @@ def test_criterion_4_frechet(tmp_path):
 def test_criterion_5_descent_and_rate():
     sigma = 1.0
     problem = strongly_convexify(logdet_dcproblem(LogDetProblem(3)), sigma, np.eye(3))
-    p0 = math.log(3) * np.eye(3)
-    _, trace = dca_solve(problem, p0, TR_SUB, StoppingCriterion(max_iter=60, grad_norm_tol=1e-10))
+    _, trace = dca_solve(problem, logdet_start(3), LOGDET_SUB,
+                         StoppingCriterion(max_iter=60, grad_norm_tol=1e-10))
     fs = np.asarray(trace.f)
     steps = np.asarray(trace.step)
     failures = []

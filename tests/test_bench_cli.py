@@ -1,16 +1,21 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from rdcopt import cli
 from rdcopt.bench import (
+    ROSENBROCK_STOP,
+    ROSENBROCK_SUB,
     ExperimentConfig,
+    rosenbrock_gd_stop,
     run_dca_vs_dcppa,
     run_duality_checks,
     run_frechet,
     run_rosenbrock,
 )
-from rdcopt.cli import main
+from rdcopt.cli import build_parser, main
 
 
 def read_csv(path):
@@ -89,14 +94,21 @@ class TestRosenbrockRunner:
             assert fs[0] == pytest.approx(summary["initial_cost"])
             assert np.all(np.diff(fs) <= 1e-10)
         assert summary["results"]["riemannian_dca"]["distance_to_solution"] <= 1e-6
+        cap = ROSENBROCK_SUB.criterion.max_iter
         for name in ("euclidean_dca", "riemannian_dca"):
             result = summary["results"][name]
             # one sub-solve per step, plus the one that returns the current point
             subsolves = result["iterations"] - 1 + (result["reason"] == "fixed point")
             assert 0 <= result["capped_subsolves"] <= subsolves
-            assert (1000 * result["capped_subsolves"] <= result["inner_steps"]
-                    <= 1000 * subsolves)
+            assert cap * result["capped_subsolves"] <= result["inner_steps"] <= cap * subsolves
         assert "inner_steps" not in summary["results"]["riemannian_gd"]
+
+    def test_gradient_descent_cap(self):
+        # the Euclidean gradient descent stops as the other runs do, but after
+        # 200,000 steps unless long_run lifts the cap to the outer stop's
+        assert rosenbrock_gd_stop(False) == dataclasses.replace(ROSENBROCK_STOP, max_iter=200_000)
+        assert rosenbrock_gd_stop(True) == ROSENBROCK_STOP
+        assert ROSENBROCK_STOP.max_iter == 10_000_000
 
 
 class TestFrechetRunner:
@@ -184,6 +196,16 @@ class TestCli:
                      "--out", str(tmp_path)])
         assert code == 0
         assert (tmp_path / "timing.csv").exists()
+
+    def test_bench_rosenbrock_long_run(self, tmp_path, capsys, monkeypatch):
+        out = ["--out", str(tmp_path)]
+        assert build_parser().parse_args(["bench", "rosenbrock", "--long-run", *out]).long_run
+        assert not build_parser().parse_args(["bench", "rosenbrock", *out]).long_run
+        # main hands the flag to the runner, here one that solves nothing
+        configs = []
+        monkeypatch.setattr(cli, "run_rosenbrock", lambda config: configs.append(config) or {})
+        assert main(["bench", "rosenbrock", "--long-run", *out]) == 0
+        assert [config.long_run for config in configs] == [True]
 
     def test_bench_frechet_seed_env(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("RDCOPT_SEED", "11")

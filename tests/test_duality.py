@@ -1,8 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import rdcopt.duality
-from rdcopt.bench import ExperimentConfig, run_duality_checks
+from rdcopt.bench import (
+    DUALITY_START,
+    DUALITY_STOP,
+    DUALITY_SUB,
+    ExperimentConfig,
+    run_duality_checks,
+)
 from rdcopt.duality import (
     Grid1D,
     conjugate_grid,
@@ -12,7 +20,8 @@ from rdcopt.duality import (
     toland_dual_value,
 )
 from rdcopt.manifolds import Euclidean, RosenbrockPlane, SPDManifold
-from rdcopt.solvers import DCProblem, StoppingCriterion, SubSolverSpec, dca_solve
+from rdcopt.problems import quartic_dcproblem
+from rdcopt.solvers import dca_solve
 
 EUCLID1 = Euclidean(1)
 
@@ -22,36 +31,17 @@ def half_square(x):
     return 0.5 * u ** 2
 
 
-def quartic_problem():
-    def g_cost(x):
-        u = np.asarray(x, dtype=float)[..., 0]
-        return u ** 4 + u ** 2
-
-    def h_cost(x):
-        u = np.asarray(x, dtype=float)[..., 0]
-        return 2.0 * u ** 2
-
-    return DCProblem(
-        geometry=EUCLID1,
-        g_cost=g_cost,
-        h_cost=h_cost,
-        g_rgrad=lambda x: np.array([4.0 * float(x[0]) ** 3 + 2.0 * float(x[0])]),
-        h_rgrad=lambda x: np.array([4.0 * float(x[0])]),
-    )
-
-
 def grid_conjugate_fn(f, pts):
     """Brute-force conjugate (p, X) -> values: one conjugate_grid call per pair."""
     return lambda p, x: np.array([conjugate_grid(f, EUCLID1, pts, pk, xk).value
                                   for pk, xk in zip(p, x)])
 
 
-def quartic_trace(x0=2.0, max_iter=200):
-    problem = quartic_problem()
-    sub = SubSolverSpec("trust_region",
-                        StoppingCriterion(max_iter=500, grad_norm_tol=1e-11))
-    stop = StoppingCriterion(max_iter=max_iter, grad_norm_tol=1e-10)
-    _, trace = dca_solve(problem, np.array([x0]), sub, stop)
+def quartic_trace(x0=DUALITY_START, max_iter=DUALITY_STOP.max_iter):
+    """The quartic DCA run of ``rdcopt check duality``, from ``x0`` and capped at ``max_iter``."""
+    problem = quartic_dcproblem()
+    stop = dataclasses.replace(DUALITY_STOP, max_iter=max_iter)
+    _, trace = dca_solve(problem, np.array([x0]), DUALITY_SUB, stop)
     return problem, trace
 
 
@@ -166,7 +156,7 @@ def assert_hull_matches_grid(points, samples, p, x):
 
 class TestHullConjugate:
     def test_suite_costs_at_value_check_covectors(self):
-        problem = quartic_problem()
+        problem = quartic_dcproblem()
         pts = Grid1D(-10.0, 10.0, 20001).points()
         xs = np.linspace(-10.0, 10.0, 2001)
         # x^2/2 at the 14 analytic and Fenchel-Young pairs of the suite
@@ -336,7 +326,7 @@ class TestSandwich:
     def test_primal_dual_value_equality(self):
         # Thm-level check: grid minima of g - h and h* - g* agree
         pts = Grid1D(-10.0, 10.0, 20001).points()
-        problem = quartic_problem()
+        problem = quartic_dcproblem()
         primal = float(np.min(pts ** 4 - pts ** 2))
         xs = np.linspace(-6.0, 6.0, 601)
         dual = min(

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import subprocess
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from rdcopt import problems
+from rdcopt.bench import FRECHET_STOP, LOGDET_SUB, ROSENBROCK_START
 from rdcopt.manifolds import SPDManifold
 from rdcopt.matfun import (
     spd_logdet,
@@ -33,7 +35,6 @@ from rdcopt.problems import (
     log_power,
     logdet_dcproblem,
     logdet_subproblem,
-    power,
     random_frechet_instance,
     rosenbrock_cost,
     rosenbrock_dcproblem,
@@ -43,7 +44,6 @@ from rdcopt.problems import (
 )
 from rdcopt.solvers import (
     StoppingCriterion,
-    SubSolverSpec,
     dca_solve,
     is_critical,
     trust_region_solve,
@@ -61,8 +61,6 @@ from conftest import (
     tangent_map,
 )
 
-
-TR_SUB = SubSolverSpec("trust_region", StoppingCriterion(max_iter=5000, grad_norm_tol=1e-10))
 
 
 def logm_sym(a):
@@ -267,7 +265,7 @@ class TestLogDetProblem:
         q = random_spd(rng, 3, scale=1.5)
         cost, rgrad = logdet_subproblem(spec, q)
         p_hat, trace = trust_region_solve(
-            geom, cost, rgrad, q, StoppingCriterion(max_iter=5000, grad_norm_tol=1e-10))
+            geom, cost, rgrad, q, LOGDET_SUB.criterion)
         assert trace.reason == "gradient norm"
         lhs = 4.0 * spd_logdet(p_hat) ** 3
         rhs = 2.0 * spd_logdet(q)
@@ -312,7 +310,7 @@ class TestTrDetProblem:
 
     def test_descent_from_twice_identity(self):
         problem = trdet_dcproblem(TrDetProblem(3))
-        _, trace = dca_solve(problem, 2.0 * np.eye(3), TR_SUB,
+        _, trace = dca_solve(problem, 2.0 * np.eye(3), LOGDET_SUB,
                              StoppingCriterion(max_iter=4))
         fs = np.asarray(trace.f)
         assert len(fs) >= 3
@@ -322,7 +320,7 @@ class TestTrDetProblem:
 class TestRosenbrock:
     def test_initial_cost(self):
         spec = RosenbrockProblem(a=2e5, b=1.0)
-        assert rosenbrock_cost(spec, np.array([0.1, 0.2])) == pytest.approx(7220.81, abs=1e-9)
+        assert rosenbrock_cost(spec, np.array(ROSENBROCK_START)) == pytest.approx(7220.81, abs=1e-9)
 
     def test_minimizer(self):
         spec = RosenbrockProblem(a=2e5, b=1.0)
@@ -603,8 +601,7 @@ def oracle_eigh_matrices(n, m, seed):
     np.linalg.eigh, problems.box_linear_subproblem = counted, entered
     try:
         prob, p0 = random_frechet_instance(n, m, seed)
-        stop = StoppingCriterion(max_iter=1000, iterate_change_tol=1e-14, grad_change_tol=1e-9)
-        dca_solve(frechet_dcproblem(prob), p0, None, stop)
+        dca_solve(frechet_dcproblem(prob), p0, None, FRECHET_STOP)
     finally:
         np.linalg.eigh, problems.box_linear_subproblem = eigh, oracle
     return matrices[0]
@@ -647,7 +644,6 @@ class TestBoxLinearSubproblem:
                 assert np.array_equal(box_linear_subproblem(s, x, lower, upper), expected)
 
     def test_dca_oracle_calls_match_reference(self, monkeypatch):
-        stop = StoppingCriterion(max_iter=1000, iterate_change_tol=1e-14, grad_change_tol=1e-9)
         for n, m, seed in ((5, 20, 15), (10, 100, 1)):
             calls = []
 
@@ -658,7 +654,7 @@ class TestBoxLinearSubproblem:
 
             monkeypatch.setattr(problems, "box_linear_subproblem", recording)
             prob, p0 = random_frechet_instance(n, m, seed)
-            dca_solve(frechet_dcproblem(prob), p0, None, stop)
+            dca_solve(frechet_dcproblem(prob), p0, None, FRECHET_STOP)
             assert len(calls) >= 2
             longest = []
             for s, x, lower, upper, z in calls:
@@ -792,8 +788,7 @@ class TestFrechetDCParts:
     def test_dca_monotone_and_feasible(self, frechet_instance):
         prob, p0 = frechet_instance
         dc = frechet_dcproblem(prob)
-        stop = StoppingCriterion(max_iter=100, iterate_change_tol=1e-14,
-                                 grad_change_tol=1e-9)
+        stop = dataclasses.replace(FRECHET_STOP, max_iter=100)
         _, trace = dca_solve(dc, p0, None, stop, record_points=True)
         h = -np.asarray(trace.f)
         if len(h) > 1:
@@ -808,8 +803,7 @@ class TestFrechetDCParts:
         dc = frechet_dcproblem(prob)
         p0 = symmetrize(prob.upper * 4.0)  # outside the box
         assert not box_feasible(p0, prob.lower, prob.upper)
-        stop = StoppingCriterion(max_iter=50, iterate_change_tol=1e-14,
-                                 grad_change_tol=1e-9)
+        stop = dataclasses.replace(FRECHET_STOP, max_iter=50)
         p, trace = dca_solve(dc, p0, None, stop, record_points=True)
         assert np.isinf(trace.f[0])
         assert np.all(np.isfinite(np.asarray(trace.f)[1:]))

@@ -5,12 +5,20 @@ import numpy as np
 import pytest
 
 from rdcopt import problems, solvers
-from rdcopt.manifolds import Euclidean, RosenbrockPlane, SPDManifold
+from rdcopt.bench import (
+    LOGDET_STOP,
+    LOGDET_SUB,
+    ROSENBROCK_START,
+    ROSENBROCK_STOP,
+    ROSENBROCK_SUB,
+)
+from rdcopt.manifolds import Euclidean, SPDManifold
 from rdcopt.problems import (
     LogDetProblem,
     RosenbrockProblem,
     TrDetProblem,
     logdet_dcproblem,
+    quartic_dcproblem,
     rosenbrock_dcproblem,
     trdet_dcproblem,
 )
@@ -38,9 +46,6 @@ from test_problems import rosenbrock_subproblem
 
 EUCLID1 = Euclidean(1)
 
-TR_SUB = SubSolverSpec("trust_region", StoppingCriterion(max_iter=5000, grad_norm_tol=1e-10))
-OUTER = StoppingCriterion(max_iter=100, grad_norm_tol=1e-10)
-
 
 def logdet_start(rng, n, logdet):
     """A random SPD(n) matrix scaled to the given log det."""
@@ -50,17 +55,6 @@ def logdet_start(rng, n, logdet):
 
 def no_finite_differences(*args, **kwargs):
     raise AssertionError("finite-difference Hessian product on the exact path")
-
-
-def quartic_problem():
-    # g - h = x^4 - x^2 with critical points at 0 and +-1/sqrt(2)
-    return DCProblem(
-        geometry=EUCLID1,
-        g_cost=lambda x: float(x[0]) ** 4 + float(x[0]) ** 2,
-        h_cost=lambda x: 2.0 * float(x[0]) ** 2,
-        g_rgrad=lambda x: np.array([4.0 * float(x[0]) ** 3 + 2.0 * float(x[0])]),
-        h_rgrad=lambda x: np.array([4.0 * float(x[0])]),
-    )
 
 
 class TestArmijo:
@@ -193,7 +187,7 @@ class TestTrustRegion:
         q = math.log(4) * np.eye(4)
         cost, rgrad = problem.subproblem(q, problem.h_rgrad(q))
         p, trace = trust_region_solve(geom, cost, rgrad, q,
-                                      StoppingCriterion(max_iter=5000, grad_norm_tol=1e-10))
+                                      LOGDET_SUB.criterion)
         assert trace.reason == "gradient norm"
         assert geom.norm(p, rgrad(p)) < 1e-10
 
@@ -208,7 +202,7 @@ class TestTrustRegion:
         q = logdet_start(rng, 5, 0.9)
         cost, rgrad, hess = solvers._surrogate(problem, q, problem.h_rgrad(q), lam)
         p, trace = trust_region_solve(geom, cost, rgrad, logdet_start(rng, 5, 0.3),
-                                      StoppingCriterion(max_iter=5000, grad_norm_tol=1e-10),
+                                      LOGDET_SUB.criterion,
                                       hess=hess)
         assert trace.reason == "gradient norm"
         assert geom.norm(p, rgrad(p)) < 1e-10
@@ -235,8 +229,8 @@ class TestTrustRegion:
         monkeypatch.setattr(solvers, "trust_region_solve", recorded_tr)
         problem = logdet_dcproblem(LogDetProblem(5))
         p0, one = math.log(5) * np.eye(5), StoppingCriterion(max_iter=1)
-        dca_solve(problem, p0, TR_SUB, one)
-        dcppa_solve(problem, p0, 1.0 / 10.0, TR_SUB, one)
+        dca_solve(problem, p0, LOGDET_SUB, one)
+        dcppa_solve(problem, p0, 1.0 / 10.0, LOGDET_SUB, one)
         assert len(runs) == 2
         for inner_calls, steps in runs:
             assert steps > 1 and inner_calls <= steps
@@ -270,7 +264,7 @@ class TestDCA:
             problem = logdet_dcproblem(LogDetProblem(n))
             p0 = math.log(n) * np.eye(n)
             assert math.copysign(1.0, spd_logdet_of(p0)) == sign
-            p, trace = dca_solve(problem, p0, TR_SUB, OUTER)
+            p, trace = dca_solve(problem, p0, LOGDET_SUB, LOGDET_STOP)
             assert abs(trace.f[-1] + 0.25) <= 1e-8
             det = math.exp(spd_logdet_of(p))
             assert abs(det - math.exp(sign / math.sqrt(2.0))) <= 1e-6, n
@@ -293,8 +287,8 @@ class TestDCA:
             monkeypatch.setattr(np.linalg, name, counted)
         problem = logdet_dcproblem(LogDetProblem(5))
         p0 = math.log(5) * np.eye(5)
-        dca_solve(problem, p0, TR_SUB, OUTER, record_points=False)
-        dcppa_solve(problem, p0, 1.0 / 10.0, TR_SUB, OUTER, record_points=False)
+        dca_solve(problem, p0, LOGDET_SUB, LOGDET_STOP, record_points=False)
+        dcppa_solve(problem, p0, 1.0 / 10.0, LOGDET_SUB, LOGDET_STOP, record_points=False)
         assert counts["eigh"] <= 400
         assert counts["solve"] == 0
 
@@ -315,7 +309,7 @@ class TestDCA:
 
     def test_monotone_descent(self):
         problem = logdet_dcproblem(LogDetProblem(5))
-        _, trace = dca_solve(problem, math.log(5) * np.eye(5), TR_SUB, OUTER)
+        _, trace = dca_solve(problem, math.log(5) * np.eye(5), LOGDET_SUB, LOGDET_STOP)
         fs = np.asarray(trace.f)
         assert np.all(np.diff(fs) <= 1e-10)
 
@@ -333,16 +327,16 @@ class TestDCA:
         )
         p0 = math.log(n) * np.eye(n)
         stop = StoppingCriterion(max_iter=8)
-        p_closed, tr_closed = dca_solve(closed, p0, TR_SUB, stop)
-        p_generic, tr_generic = dca_solve(generic, p0, TR_SUB, stop)
+        p_closed, tr_closed = dca_solve(closed, p0, LOGDET_SUB, stop)
+        p_generic, tr_generic = dca_solve(generic, p0, LOGDET_SUB, stop)
         assert closed.geometry.dist(p_closed, p_generic) <= 1e-6
         np.testing.assert_allclose(tr_closed.f, tr_generic.f, atol=1e-8)
 
     def test_termination_criticality(self):
         problem = logdet_dcproblem(LogDetProblem(4))
-        p, trace = dca_solve(problem, math.log(4) * np.eye(4), TR_SUB, OUTER)
+        p, trace = dca_solve(problem, math.log(4) * np.eye(4), LOGDET_SUB, LOGDET_STOP)
         assert trace.reason == "gradient norm"
-        ok, residual = is_critical(problem, p, 10.0 * OUTER.grad_norm_tol)
+        ok, residual = is_critical(problem, p, 10.0 * LOGDET_STOP.grad_norm_tol)
         assert ok, residual
 
     def test_critical_point_equation_at_limit(self):
@@ -350,17 +344,15 @@ class TestDCA:
         # of the det-composed family holds
         spec = LogDetProblem(4)
         problem = logdet_dcproblem(spec)
-        p, _ = dca_solve(problem, math.log(4) * np.eye(4), TR_SUB, OUTER)
+        p, _ = dca_solve(problem, math.log(4) * np.eye(4), LOGDET_SUB, LOGDET_STOP)
         det = math.exp(spd_logdet_of(p))
         assert abs(spec.phi1.d1(det) - spec.phi2.d1(det)) <= 1e-6
 
     def test_rosenbrock_converges(self):
         spec = RosenbrockProblem(a=2e5, b=1.0)
         problem = rosenbrock_dcproblem(spec, "rb")
-        sub = SubSolverSpec("gradient_descent",
-                            StoppingCriterion(max_iter=1000, grad_norm_tol=1e-16))
-        p, trace = dca_solve(problem, np.array([0.1, 0.2]), sub,
-                             StoppingCriterion(max_iter=20000, iterate_change_tol=1e-16),
+        p, trace = dca_solve(problem, np.array(ROSENBROCK_START), ROSENBROCK_SUB,
+                             dataclasses.replace(ROSENBROCK_STOP, max_iter=20000),
                              record_points=False)
         assert np.linalg.norm(p - np.array([1.0, 1.0])) <= 1e-6
         assert 100 <= trace.iterations - 1 <= 10000
@@ -383,7 +375,7 @@ class TestDCA:
         # fast path (DCA) and on the generic gradient descent (DCPPA)
         sub = SubSolverSpec("gradient_descent",
                             StoppingCriterion(max_iter=50, grad_norm_tol=1e-16))
-        p0 = np.array([0.1, 0.2])
+        p0 = np.array(ROSENBROCK_START)
         for geometry in ("euclidean", "rb"):
             problem = rosenbrock_dcproblem(RosenbrockProblem(a=2e5, b=1.0), geometry)
             for _, trace in (dca_solve(problem, p0, sub, StoppingCriterion(max_iter=1)),
@@ -419,10 +411,10 @@ class TestDCA:
                             lambda *args: counted(build(*args)))
         logdet = logdet_dcproblem(LogDetProblem(3))
         trdet = trdet_dcproblem(TrDetProblem(3))
-        for problem, p0, stop in ((logdet, math.log(3) * np.eye(3), OUTER),
+        for problem, p0, stop in ((logdet, math.log(3) * np.eye(3), LOGDET_STOP),
                                   (trdet, 2.0 * np.eye(3), StoppingCriterion(max_iter=4))):
-            for solve in (lambda: dca_solve(problem, p0, TR_SUB, stop),
-                          lambda: dcppa_solve(problem, p0, 1.0 / 6.0, TR_SUB, stop)):
+            for solve in (lambda: dca_solve(problem, p0, LOGDET_SUB, stop),
+                          lambda: dcppa_solve(problem, p0, 1.0 / 6.0, LOGDET_SUB, stop)):
                 products[0] = 0
                 inner.clear()
                 _, trace = solve()
@@ -435,7 +427,7 @@ class TestDCA:
                 assert all(h >= 2 * k for h, k in zip(trace.extra["hessian_products"],
                                                       trace.extra["inner_steps"]))
         # the full n = 3 log-det DCA rejects two trust-region steps
-        _, trace = dca_solve(logdet, math.log(3) * np.eye(3), TR_SUB, OUTER)
+        _, trace = dca_solve(logdet, math.log(3) * np.eye(3), LOGDET_SUB, LOGDET_STOP)
         assert sum(trace.extra["tr_rejected"]) == 2
 
     def test_capped_subsolve_that_keeps_the_iterate_is_no_fixed_point(self):
@@ -443,7 +435,7 @@ class TestDCA:
         # diverges, its sub-solves hit the cap, and the last returns p_k
         capped = SubSolverSpec("trust_region",
                                StoppingCriterion(max_iter=50, grad_norm_tol=1e-10))
-        _, trace = dca_solve(trdet_dcproblem(TrDetProblem(3)), 2.0 * np.eye(3), capped, OUTER)
+        _, trace = dca_solve(trdet_dcproblem(TrDetProblem(3)), 2.0 * np.eye(3), capped, LOGDET_STOP)
         assert trace.reason == "sub-solver failed"
         assert trace.subsolver_failures[-1] == trace.iterations - 1
         assert trace.f[-1] < -1e20
@@ -453,8 +445,8 @@ class TestDCA:
         problem = rosenbrock_dcproblem(spec, "rb")
         starving = SubSolverSpec("gradient_descent",
                                  StoppingCriterion(max_iter=3, grad_norm_tol=1e-16))
-        _, trace = dca_solve(problem, np.array([0.1, 0.2]), starving,
-                             StoppingCriterion(max_iter=10, iterate_change_tol=1e-16),
+        _, trace = dca_solve(problem, np.array(ROSENBROCK_START), starving,
+                             dataclasses.replace(ROSENBROCK_STOP, max_iter=10),
                              record_points=False)
         assert trace.subsolver_failures
         assert trace.iterations > 1
@@ -464,11 +456,11 @@ class TestDCPPA:
     def test_logdet_with_quarter_lambda(self):
         n = 2
         problem = logdet_dcproblem(LogDetProblem(n))
-        p, trace = dcppa_solve(problem, math.log(n) * np.eye(n), 0.25, TR_SUB, OUTER)
+        p, trace = dcppa_solve(problem, math.log(n) * np.eye(n), 0.25, LOGDET_SUB, LOGDET_STOP)
         assert abs(trace.f[-1] + 0.25) <= 1e-8
 
     def test_large_lambda_approaches_dca(self):
-        problem = quartic_problem()
+        problem = quartic_dcproblem()
         sub = SubSolverSpec("trust_region",
                             StoppingCriterion(max_iter=200, grad_norm_tol=1e-12))
         stop = StoppingCriterion(max_iter=6)
@@ -484,14 +476,14 @@ class TestDCPPA:
         problem = logdet_dcproblem(LogDetProblem(n))
         # det p = e^(1/sqrt 2) makes p critical; scaled identity realizes it
         p0 = math.exp(1.0 / (n * math.sqrt(2.0))) * np.eye(n)
-        p, trace = dcppa_solve(problem, p0, 0.25, TR_SUB, StoppingCriterion(max_iter=10))
+        p, trace = dcppa_solve(problem, p0, 0.25, LOGDET_SUB, StoppingCriterion(max_iter=10))
         assert trace.iterations == 1
         assert trace.reason == "fixed point"
         assert p is p0
 
     def test_rejects_nonpositive_lambda(self):
         with pytest.raises(ValueError):
-            dcppa_solve(quartic_problem(), np.zeros(1), 0.0, TR_SUB, OUTER)
+            dcppa_solve(quartic_dcproblem(), np.zeros(1), 0.0, LOGDET_SUB, LOGDET_STOP)
 
     @pytest.mark.parametrize("n", [2, 5, 20])
     def test_proximal_surrogate_hessian_matches_gradient_differences(self, rng, n):
@@ -557,7 +549,7 @@ class TestStronglyConvexify:
         problem = strongly_convexify(logdet_dcproblem(LogDetProblem(3)), 1.0, np.eye(3))
         geom = problem.geometry
         p0 = math.log(3) * np.eye(3)
-        _, trace = dca_solve(problem, p0, TR_SUB,
+        _, trace = dca_solve(problem, p0, LOGDET_SUB,
                              StoppingCriterion(max_iter=40, grad_norm_tol=1e-10))
         fs = np.asarray(trace.f)
         steps = np.asarray(trace.step)
@@ -595,7 +587,7 @@ class TestFastPathParity:
         geom = problem.geometry
         inner = StoppingCriterion(max_iter=50, grad_norm_tol=1e-16)
         sub = SubSolverSpec("gradient_descent", inner)
-        for start in ((0.1, 0.2), (-0.5, 0.7), (1.3, 1.1)):
+        for start in (ROSENBROCK_START, (-0.5, 0.7), (1.3, 1.1)):
             p0 = np.array(start)
             p_fast, _ = dca_solve(problem, p0, sub, StoppingCriterion(max_iter=1),
                                   record_points=False)
@@ -622,7 +614,7 @@ class TestFastPathParity:
         logdet = logdet_dcproblem(LogDetProblem(2))
         with pytest.raises(ValueError, match="subproblem_hessian"):
             dataclasses.replace(logdet, subproblem=None)
-        quartic = quartic_problem()
+        quartic = quartic_dcproblem()
         with pytest.raises(ValueError, match="subproblem_hessian"):
             dataclasses.replace(quartic, subproblem=lambda q, x: (None, None),
                                 subproblem_hessian=lambda q, x: None)
@@ -688,7 +680,7 @@ class TestStoppingCriterion:
 
     def test_max_iter_reason(self):
         problem = logdet_dcproblem(LogDetProblem(2))
-        _, trace = dca_solve(problem, math.log(2) * np.eye(2), TR_SUB,
+        _, trace = dca_solve(problem, math.log(2) * np.eye(2), LOGDET_SUB,
                              StoppingCriterion(max_iter=3))
         assert trace.reason == "max iterations"
         assert trace.iterations == 4  # initial row plus three steps
