@@ -23,6 +23,7 @@ from .manifolds import Euclidean
 from .problems import (
     LogDetProblem,
     RosenbrockProblem,
+    box_feasible,
     box_slack,
     frechet_dcproblem,
     frechet_grad,
@@ -37,7 +38,6 @@ from .problems import (
     save_frechet_spec,
 )
 from .solvers import (
-    ArmijoParams,
     SolverError,
     StoppingCriterion,
     SubSolverSpec,
@@ -187,8 +187,7 @@ def run_dca_vs_dcppa(config: ExperimentConfig) -> dict:
 _ROSENBROCK_ALGORITHMS = ("euclidean_gd", "euclidean_dca", "riemannian_gd", "riemannian_dca")
 ROSENBROCK_START = (0.1, 0.2)
 ROSENBROCK_SUB = SubSolverSpec(
-    kind="gradient_descent", criterion=StoppingCriterion(max_iter=1000, grad_norm_tol=1e-16),
-    armijo=ArmijoParams())
+    kind="gradient_descent", criterion=StoppingCriterion(max_iter=1000, grad_norm_tol=1e-16))
 ROSENBROCK_STOP = StoppingCriterion(max_iter=10_000_000, iterate_change_tol=1e-16)
 
 
@@ -286,7 +285,7 @@ def run_frechet(config: ExperimentConfig) -> dict:
         lambda p: -frechet_grad(prob, p), oracle, p0,
         replace(FRECHET_STOP, max_iter=fw_steps),
         lambda p: -frechet_variance(prob, p),
-        lambda p: box_slack(p, prob.lower, prob.upper) >= 0.0,
+        lambda p: box_feasible(p, prob.lower, prob.upper),
         True)
 
     def rows(trace):

@@ -57,8 +57,6 @@ class Grid1D:
 class ConjugateEvaluation:
     """Sampled value of f*(p, X) together with the maximizing sample point."""
 
-    base_point: np.ndarray
-    covector: np.ndarray
     value: float
     maximizer: np.ndarray
 
@@ -99,7 +97,7 @@ def conjugate_grid(f: Callable, geometry: Geometry, points, p, x) -> ConjugateEv
         values = np.asarray(
             [geometry.inner(p_arr, x_arr, geometry.log(p_arr, q)) - f(q) for q in pts])
     best = int(np.argmax(values))
-    return ConjugateEvaluation(p_arr, x_arr, float(values[best]), pts[best])
+    return ConjugateEvaluation(float(values[best]), pts[best])
 
 
 def sampled_conjugate(f: Callable, points) -> Callable:

@@ -221,14 +221,12 @@ class TrDetProblem:
     """
 
     n: int
-    phi1: ScalarFunction | None = None
-    phi2: ScalarFunction | None = None
+    phi1: ScalarFunction = field(default_factory=lambda: power(1.0, 2.0))
+    phi2: ScalarFunction | None = None  # None: 2n t, which depends on n
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be positive")
-        if self.phi1 is None:
-            object.__setattr__(self, "phi1", power(1.0, 2.0))
         if self.phi2 is None:
             object.__setattr__(self, "phi2", power(2.0 * self.n, 1.0))
         if any(self.phi1.d1(t) < -1e-12 or self.phi1.d2(t) < -1e-12 for t in _SAMPLE_T):
@@ -298,13 +296,16 @@ def rosenbrock_grad(spec: RosenbrockProblem, p) -> np.ndarray:
     return np.array([4.0 * v * x1 + 2.0 * (x1 - spec.b), -2.0 * v])
 
 
-def rosenbrock_dcproblem(spec: RosenbrockProblem, geometry: str = "rb") -> DCProblem:
-    """DC split of the Rosenbrock cost on flat space or the adapted plane.
+def rosenbrock_dcproblem(spec: RosenbrockProblem, geometry: str) -> DCProblem:
+    """DC split of the Rosenbrock cost on flat space (``geometry`` "euclidean")
+    or the adapted plane ("rb").
 
     g(x) = a(x1^2-x2)^2 + 2(x1-b)^2 and h(x) = (x1-b)^2; on the adapted
     metric both components are geodesically convex (h composed with the
-    chart isometry is (x1-b)^2). The DC surrogate is written once, in plain
-    floats, as the ``subproblem_2d`` hook; ``subproblem`` adapts it to arrays.
+    chart isometry is (x1-b)^2). g is written once, in plain floats, with a
+    linear term -c x1: c = 0 gives ``g_cost`` and ``g_rgrad``, and
+    c = 2(q1 - b) the DC surrogate at q of the ``subproblem_2d`` hook (up to
+    a constant); ``subproblem`` adapts the hook to arrays.
     """
     if geometry == "euclidean":
         geom = Euclidean(2)
@@ -314,31 +315,20 @@ def rosenbrock_dcproblem(spec: RosenbrockProblem, geometry: str = "rb") -> DCPro
         raise ValueError("geometry must be 'euclidean' or 'rb'")
     a, b = spec.a, spec.b
 
-    def g_cost(p):
-        x1, x2 = float(p[0]), float(p[1])
-        v = x1 * x1 - x2
-        w = x1 - b
-        return a * v * v + 2.0 * w * w
-
     def h_cost(p):
         w = float(p[0]) - b
         return w * w
-
-    def g_egrad(p):
-        x1, x2 = float(p[0]), float(p[1])
-        v = a * (x1 * x1 - x2)
-        return np.array([4.0 * v * x1 + 4.0 * (x1 - b), -2.0 * v])
 
     def h_egrad(p):
         return np.array([2.0 * (float(p[0]) - b), 0.0])
 
     plane = geometry == "rb"
 
-    def subproblem_2d(q, x):
-        # phi(p) = a(p1^2-p2)^2 + 2(p1-b)^2 - 2(q1-b) p1 up to a constant, on
-        # both geometries; on the plane G^-1 is applied as
-        # RosenbrockPlane.egrad_to_rgrad applies it
-        c = 2.0 * (float(q[0]) - b)
+    def linear_g(c):
+        # g(p) - c p1 and its Riemannian gradient in plain floats, on both
+        # geometries; on the plane G^-1 is applied as
+        # RosenbrockPlane.egrad_to_rgrad applies it. At c = 0 the bits are
+        # g's: x - 0.0 is x, and g >= +0 absorbs the -(+-0.0) of c x1.
 
         def cost(x1, x2):
             v = x1 * x1 - x2
@@ -354,18 +344,21 @@ def rosenbrock_dcproblem(spec: RosenbrockProblem, geometry: str = "rb") -> DCPro
 
         return cost, rgrad
 
-    def subproblem(q, x):
-        cost, rgrad = subproblem_2d(q, x)
+    def on_arrays(cost, rgrad):
         return (lambda p: cost(float(p[0]), float(p[1])),
                 lambda p: np.array(rgrad(float(p[0]), float(p[1]))))
 
+    def subproblem_2d(q, x):
+        return linear_g(2.0 * (float(q[0]) - b))
+
+    g_cost, g_rgrad = on_arrays(*linear_g(0.0))
     return DCProblem(
         geometry=geom,
         g_cost=g_cost,
         h_cost=h_cost,
-        g_rgrad=lambda p: geom.egrad_to_rgrad(p, g_egrad(p)),
+        g_rgrad=g_rgrad,
         h_rgrad=lambda p: geom.egrad_to_rgrad(p, h_egrad(p)),
-        subproblem=subproblem,
+        subproblem=lambda q, x: on_arrays(*subproblem_2d(q, x)),
         subproblem_2d=subproblem_2d,
     )
 
@@ -425,10 +418,6 @@ class FrechetBoxProblem:
     @property
     def n(self) -> int:
         return self.points.shape[1]
-
-    @property
-    def m(self) -> int:
-        return self.points.shape[0]
 
 
 def _assert_box(lower, upper):

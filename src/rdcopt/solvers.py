@@ -26,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .manifolds import Euclidean, Geometry, RosenbrockPlane, SPDManifold
+from .manifolds import Euclidean, Geometry, RosenbrockPlane
 
 __all__ = [
     "ArmijoParams",
@@ -164,9 +164,8 @@ class SolverTrace:
         self.step.append(step)
         self.grad_norm.append(grad_norm)
         self.seconds.append(seconds)
-        if self.points is not None and point is not None:
+        if self.points is not None:
             self.points.append(point)
-        if self.subgradients is not None:
             self.subgradients.append(subgradient)
 
     def __len__(self) -> int:
@@ -195,12 +194,12 @@ class DCProblem:
     Riemannian gradient as a float pair. Gradient-descent DCA sub-solves
     without change tolerances then run on it directly.
 
-    On the SPD cone a problem with ``subproblem`` may also give
+    A problem with ``subproblem`` may also give
     ``subproblem_hessian(q, X) -> hess``: ``hess(p)`` maps frame coordinates
     Y to to_frame(p, Hess psi(p)[from_frame(p, Y)]) for the surrogate psi of
     ``subproblem(q, X)``. Trust-region sub-solves then use it, and DCPPA adds
-    the exact Hessian of its proximal term; without it they take finite
-    differences.
+    the exact Hessian of its proximal term (``half_sq_dist_hessian``, which
+    the SPD cone gives); without it they take finite differences.
     """
 
     geometry: Geometry
@@ -218,20 +217,11 @@ class DCProblem:
                 self.geometry.dim == 2
                 and isinstance(self.geometry, (Euclidean, RosenbrockPlane))):
             raise ValueError("subproblem_2d needs Euclidean(2) or RosenbrockPlane")
-        if self.subproblem_hessian is not None and (
-                self.subproblem is None or not isinstance(self.geometry, SPDManifold)):
-            raise ValueError("subproblem_hessian needs subproblem and an SPDManifold")
+        if self.subproblem_hessian is not None and self.subproblem is None:
+            raise ValueError("subproblem_hessian needs subproblem")
 
     def cost(self, p) -> float:
         return float(self.g_cost(p)) - float(self.h_cost(p))
-
-    def stopping_grad(self, p, h_grad=None):
-        """Gradient used by stopping rules: grad f when g is smooth,
-        otherwise grad h (the working subgradient)."""
-        hg = self.h_rgrad(p) if h_grad is None else h_grad
-        if self.g_rgrad is None:
-            return hg
-        return self.g_rgrad(p) - hg
 
 
 def _require_finite(value: float, what: str) -> float:
@@ -245,7 +235,7 @@ def _same_point(a, b) -> bool:
 
 
 def armijo_linesearch(geometry: Geometry, f: Callable, p, direction,
-                      params: ArmijoParams = ArmijoParams(), *, slope: float,
+                      params: ArmijoParams, *, slope: float,
                       f_at_p: Optional[float] = None,
                       initial_step: Optional[float] = None):
     """Backtracking line search along exp_p(t * direction).
@@ -273,8 +263,7 @@ def armijo_linesearch(geometry: Geometry, f: Callable, p, direction,
 
 
 def gradient_descent(geometry: Geometry, f: Callable, rgrad: Callable, p0,
-                     linesearch: ArmijoParams, stop: StoppingCriterion,
-                     record_points: bool = False):
+                     linesearch: ArmijoParams, stop: StoppingCriterion):
     """Riemannian steepest descent with Armijo backtracking.
 
     Steps p <- exp_p(-t grad f(p)); strictly decreasing f until a stopping
@@ -282,12 +271,12 @@ def gradient_descent(geometry: Geometry, f: Callable, rgrad: Callable, p0,
     "linesearch stalled" instead of raising.
     """
     t0 = time.perf_counter()
-    trace = SolverTrace(record_points)
+    trace = SolverTrace()
     p = p0
     fp = _require_finite(float(f(p)), "cost")
     g = rgrad(p)
     gn = geometry.norm(p, g)
-    trace.append(fp, 0.0, gn, time.perf_counter() - t0, point=p)
+    trace.append(fp, 0.0, gn, time.perf_counter() - t0)
     trace.reason = _stop_reason(stop, 0, gn)
     steps = 0
     # each search warm-starts from the previous accepted step (with room to
@@ -307,7 +296,7 @@ def gradient_descent(geometry: Geometry, f: Callable, rgrad: Callable, p0,
         g_next = rgrad(p_next)
         gn_next = geometry.norm(p_next, g_next)
         steps += 1
-        trace.append(f_next, step_dist, gn_next, time.perf_counter() - t0, point=p_next)
+        trace.append(f_next, step_dist, gn_next, time.perf_counter() - t0)
         trace.reason = _stop_reason(
             stop, steps, gn_next, step_dist,
             lambda: geometry.norm(p_next, geometry.transport(p, p_next, g) - g_next))
@@ -348,14 +337,13 @@ def _dot(a, b) -> float:
 def _truncated_cg(g, hvp, radius: float, tol: float, max_iter: int):
     """Steihaug-Toint CG for the trust-region model in frame coordinates.
 
-    Returns (step, hit_boundary, number of Hessian products made).
+    Returns (step, hit_boundary, number of Hessian products made). The
+    caller stops at a zero gradient, so r2 > 0 here.
     """
     eta = np.zeros_like(g)
     r = g.copy()
     d = -r
     r2 = _dot(r, r)
-    if r2 == 0.0:
-        return eta, False, 0
     ee = 0.0
     for k in range(1, max_iter + 1):
         hd = hvp(d)
@@ -386,8 +374,7 @@ def _boundary_tau(dd: float, ed: float, ee: float, radius: float) -> float:
 
 
 def trust_region_solve(geometry: Geometry, f: Callable, rgrad: Callable, p0,
-                       stop: StoppingCriterion, record_points: bool = False,
-                       hess: Optional[Callable] = None):
+                       stop: StoppingCriterion, hess: Optional[Callable] = None):
     """Riemannian trust-region method with truncated CG.
 
     The model m(Y) = f(p) + <g, Y> + <H Y, Y>/2 is written in orthonormal
@@ -399,20 +386,19 @@ def trust_region_solve(geometry: Geometry, f: Callable, rgrad: Callable, p0,
     ``hess`` is None, :func:`fd_hessian_apply` is composed the same way.
     Truncated CG with the kappa-theta rule min(0.5, sqrt(||g||)) ||g|| and
     at most max(dim, 10) steps minimizes the model; the radius follows the
-    classic rho-based update. Rejected steps are rows with zero step
-    distance. ``trace.extra`` lists the Hessian products of each step
-    (``"hessian_products"``) and the rejected steps (``"rejected"``).
+    classic rho-based update. Rejected steps are the rows after the first
+    with zero step distance. ``trace.extra["hessian_products"]`` lists the
+    Hessian products of each step.
     """
     t0 = time.perf_counter()
-    trace = SolverTrace(record_points)
+    trace = SolverTrace()
     products = trace.extra["hessian_products"] = []
-    rejected = trace.extra["rejected"] = []
     p = p0
     fp = _require_finite(float(f(p)), "cost")
     g = rgrad(p)
     gy = geometry.to_frame(p, g)
     gn = math.sqrt(_dot(gy, gy))
-    trace.append(fp, 0.0, gn, time.perf_counter() - t0, point=p)
+    trace.append(fp, 0.0, gn, time.perf_counter() - t0)
     trace.reason = _stop_reason(stop, 0, gn)
     radius = _TR_INITIAL_RADIUS
     cg_budget = max(geometry.dim, 10)
@@ -442,9 +428,7 @@ def trust_region_solve(geometry: Geometry, f: Callable, rgrad: Callable, p0,
             gy = geometry.to_frame(p, g)
             gn = math.sqrt(_dot(gy, gy))
             hvp = None
-        else:
-            rejected.append(steps)
-        trace.append(fp, step_dist or 0.0, gn, time.perf_counter() - t0, point=p)
+        trace.append(fp, step_dist or 0.0, gn, time.perf_counter() - t0)
         trace.reason = _stop_reason(
             stop, steps, gn, step_dist,
             lambda: geometry.norm(p, geometry.transport(p_prev, p, g_prev) - g))
@@ -555,13 +539,6 @@ def _descend_2d(plane: bool, cost, rgrad, start, params: ArmijoParams,
         it += 1
 
 
-def _minimize(geometry, cost, grad, hess, start, sub: SubSolverSpec):
-    """One DC subproblem from ``start``; returns (point, sub-solver trace)."""
-    if sub.kind == "trust_region":
-        return trust_region_solve(geometry, cost, grad, start, sub.criterion, hess=hess)
-    return gradient_descent(geometry, cost, grad, start, sub.armijo, sub.criterion)
-
-
 def _outer_loop(geometry: Geometry, p, evaluate: Callable, step: Callable,
                 stop: StoppingCriterion, trace: SolverTrace):
     """The outer iteration shared by DCA, DCPPA and Frank-Wolfe.
@@ -629,7 +606,8 @@ def _dc_solve(problem: DCProblem, p0, sub: Optional[SubSolverSpec],
         if hook is None or trace.iterations or np.isnan(f):
             _require_finite(f, "cost")
         x = problem.h_rgrad(p)
-        return f, x, problem.stopping_grad(p, x)
+        # the stopping rule reads grad f when g is smooth, otherwise grad h
+        return f, x, x if problem.g_rgrad is None else problem.g_rgrad(p) - x
 
     def step(k, p, x):
         if hook is not None:
@@ -639,16 +617,19 @@ def _dc_solve(problem: DCProblem, p0, sub: Optional[SubSolverSpec],
             p_next, reason, steps = _descend_2d(plane, cost, grad, p, sub.armijo, crit)
         else:
             cost, grad, hess = _surrogate(problem, p, x, lam)
-            p_next, inner = _minimize(geom, cost, grad, hess, p, sub)
-            reason, steps = inner.reason, inner.iterations - 1
             if sub.kind == "trust_region":
+                p_next, inner = trust_region_solve(geom, cost, grad, p, crit, hess=hess)
                 hessian_products.append(sum(inner.extra["hessian_products"]))
-                tr_rejected.append(len(inner.extra["rejected"]))
+                # the rejected steps: the rows after the first with zero distance
+                tr_rejected.append(inner.step.count(0.0) - 1)
+            else:
+                p_next, inner = gradient_descent(geom, cost, grad, p, sub.armijo, crit)
+            reason, steps = inner.reason, inner.iterations - 1
         inner_steps.append(steps)
         if reason == "max iterations":
             trace.subsolver_failures.append(k)
             # a trust region that rejected steps and kept p_k failed there
-            if sub.kind == "trust_region" and inner.extra["rejected"] and _same_point(p_next, p):
+            if sub.kind == "trust_region" and tr_rejected[-1] and _same_point(p_next, p):
                 trace.reason = "sub-solver failed"
         return p_next
 

@@ -1,10 +1,11 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
-from rdcopt import cli
+from rdcopt import bench, cli
 from rdcopt.bench import (
     ROSENBROCK_STOP,
     ROSENBROCK_SUB,
@@ -72,6 +73,28 @@ class TestDcaVsDcppaRunner:
     def test_out_of_range_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             run_dca_vs_dcppa(ExperimentConfig(out_dir=tmp_path, n_min=1, n_max=2))
+
+    def test_solver_error_row(self, tmp_path, monkeypatch, capsys):
+        # a non-finite cost at n = 3 is a hard solver error: that size gets a
+        # failures entry and a NaN timing row, the others still run, and the
+        # CLI exits with 1
+        build = bench.logdet_dcproblem
+
+        def nan_at_3(spec):
+            problem = build(spec)
+            return dataclasses.replace(problem, g_cost=lambda p: math.nan) if spec.n == 3 else problem
+
+        monkeypatch.setattr(bench, "logdet_dcproblem", nan_at_3)
+        summary = run_dca_vs_dcppa(ExperimentConfig(out_dir=tmp_path, n_min=2, n_max=3))
+        assert [result["n"] for result in summary["results"]] == [2]
+        assert summary["failures"] == [{"n": 3, "error": "non-finite cost: nan"}]
+        _, rows = read_csv(tmp_path / "timing.csv")
+        assert rows[1] == ["3", "6", "nan", "nan", "0", "0"]
+        assert not (tmp_path / "dca_n3.csv").exists()
+        code = main(["bench", "dca-vs-dcppa", "--n-min", "3", "--n-max", "3",
+                     "--out", str(tmp_path / "cli")])
+        assert code == 1
+        assert json.loads(capsys.readouterr().out)["failures"][0]["n"] == 3
 
 
 class TestRosenbrockRunner:

@@ -153,6 +153,13 @@ class TestSpdHelpers:
         with pytest.raises(ValueError):
             assert_spd(np.diag([1.0, -1.0]))
 
+    def test_is_spd_rejects_malformed_input(self):
+        assert not is_spd(np.ones(3))  # not a matrix
+        assert not is_spd(np.ones((2, 3)))  # not square
+        assert not is_spd(np.diag([1.0, np.nan]))
+        assert not is_spd(np.diag([1.0, np.inf]))
+        assert not is_spd(np.array([[2.0, 0.5], [0.0, 2.0]]))  # not symmetric
+
     def test_dlog_stack_matches_slices(self, rng):
         for n in (2, 5, 10):
             ms = np.stack([random_spd(rng, n) for _ in range(7)])

@@ -350,6 +350,26 @@ class TestRosenbrock:
                            lambda z: geom.egrad_to_rgrad(z, rosenbrock_grad(spec, z)),
                            p, dirs)
 
+    @pytest.mark.parametrize("geometry", ["euclidean", "rb"])
+    def test_g_matches_unfused_reference_bit_for_bit(self, geometry, rng):
+        # at q1 = b the reference surrogate's linear term vanishes and it is
+        # g; at x1 < 0 the kernel subtracts c x1 = -0.0 from g >= +0
+        spec = RosenbrockProblem(a=2e5, b=1.0)
+        problem = rosenbrock_dcproblem(spec, geometry)
+        geom = problem.geometry
+        ref_cost, ref_egrad = rosenbrock_subproblem(spec, np.array([spec.b, 0.0]))
+        points = np.vstack([rng.uniform(-1.5, 1.5, size=(20, 2)),
+                            [[-0.5, 0.25], [-1.0, 0.0], [0.0, 0.0], [1.0, 1.0]]])
+        bits = lambda v: np.asarray(v, dtype=float).tobytes()
+        for z in points:
+            v, w = z[0] * z[0] - z[1], z[0] - spec.b
+            assert bits(problem.g_cost(z)) == bits(ref_cost(z)) == bits(spec.a * v * v + 2.0 * w * w)
+            assert bits(problem.g_rgrad(z)) == bits(geom.egrad_to_rgrad(z, ref_egrad(z)))
+
+    def test_geometry_name_checked(self):
+        with pytest.raises(ValueError, match="geometry must be"):
+            rosenbrock_dcproblem(RosenbrockProblem(), "plane")
+
     def test_split_reconstructs_cost(self, rng):
         spec = RosenbrockProblem(a=2e5, b=1.0)
         problem = rosenbrock_dcproblem(spec, "rb")
@@ -719,6 +739,17 @@ class TestSafeguard:
 
 
 class TestRandomInstance:
+    def test_problem_validates_points_and_weights(self):
+        prob, _ = random_frechet_instance(2, 3, seed=0)
+        box = {"lower": prob.lower, "upper": prob.upper}
+        with pytest.raises(ValueError, match=r"\(m, n, n\)"):
+            FrechetBoxProblem(points=prob.points[:, :, :1], weights=prob.weights, **box)
+        for weights in (np.array([1.5, -0.5, 0.0]), np.array([0.5, 0.5])):
+            with pytest.raises(ValueError, match="nonnegative, one per point"):
+                FrechetBoxProblem(points=prob.points, weights=weights, **box)
+        with pytest.raises(ValueError, match="sum to one"):
+            FrechetBoxProblem(points=prob.points, weights=np.full(3, 0.3), **box)
+
     def test_single_point_degenerate(self):
         with pytest.raises(ValueError, match="degenerate box"):
             random_frechet_instance(3, 1, seed=0)

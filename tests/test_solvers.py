@@ -6,6 +6,8 @@ import pytest
 
 from rdcopt import problems, solvers
 from rdcopt.bench import (
+    DUALITY_STOP,
+    DUALITY_SUB,
     LOGDET_STOP,
     LOGDET_SUB,
     ROSENBROCK_START,
@@ -82,6 +84,12 @@ class TestArmijo:
         with pytest.raises(LineSearchError):
             armijo_linesearch(EUCLID1, f, np.zeros(1), np.ones(1),
                               ArmijoParams(max_backtracks=5), slope=-1.0)
+
+    @pytest.mark.parametrize("bad", [{"initial_step": 0.0}, {"contraction": 1.0},
+                                     {"sufficient_decrease": 1.0}, {"max_backtracks": 0}])
+    def test_invalid_parameters(self, bad):
+        with pytest.raises(ValueError, match="line-search parameters"):
+            ArmijoParams(**bad)
 
 
 class TestGradientDescent:
@@ -236,7 +244,8 @@ class TestTrustRegion:
             assert steps > 1 and inner_calls <= steps
 
     def test_rejected_steps_recorded(self):
-        # sqrt(1 + x^2) from x = 10: the model's Newton steps overshoot
+        # sqrt(1 + x^2) from x = 10: the model's Newton steps overshoot; a
+        # rejected step is a row with zero distance that keeps f
         geom = Euclidean(1)
         f = lambda x: math.sqrt(1.0 + float(x[0]) ** 2)
         rgrad = lambda x: np.array([float(x[0]) / f(x)])
@@ -244,8 +253,19 @@ class TestTrustRegion:
                                       StoppingCriterion(max_iter=60, grad_norm_tol=1e-6))
         rejected = [k for k in range(1, trace.iterations) if trace.step[k] == 0.0]
         assert rejected
-        assert trace.extra["rejected"] == rejected
+        assert all(trace.f[k] == trace.f[k - 1] for k in rejected)
         assert len(trace.extra["hessian_products"]) == trace.iterations - 1
+
+    def test_truncated_cg_stops_at_its_budget(self):
+        # 20 distinct curvatures take 20 CG steps; a budget of 3 ends inside
+        # the region and above the tolerance, after 3 Hessian products
+        curvatures = np.arange(1.0, 21.0)
+        g = np.ones(20)
+        eta, boundary, products = solvers._truncated_cg(
+            g, lambda d: curvatures * d, 1e6, 1e-12, 3)
+        assert (boundary, products) == (False, 3)
+        assert np.linalg.norm(g + curvatures * eta) > 1e-12
+        assert g @ eta + 0.5 * eta @ (curvatures * eta) < 0.0
 
     def test_non_finite_cost_raises(self):
         geom = Euclidean(1)
@@ -369,6 +389,45 @@ class TestDCA:
             dca_solve(problem, np.zeros(1),
                       SubSolverSpec("gradient_descent", StoppingCriterion(max_iter=5)),
                       StoppingCriterion(max_iter=5))
+
+    def test_argument_errors(self):
+        stop = StoppingCriterion(max_iter=5)
+        with pytest.raises(ValueError, match="sub-solver spec"):
+            dca_solve(quartic_dcproblem(), np.ones(1), None, stop)
+        no_smooth_g = DCProblem(geometry=EUCLID1, g_cost=lambda x: 0.0, h_cost=lambda x: 0.0,
+                                h_rgrad=lambda x: np.zeros(1))
+        with pytest.raises(ValueError, match="smooth g"):
+            dca_solve(no_smooth_g, np.ones(1), LOGDET_SUB, stop)
+        hooked = dataclasses.replace(no_smooth_g, constrained_subsolver=lambda p, x: p)
+        with pytest.raises(ValueError, match="proximal variant"):
+            dcppa_solve(hooked, np.ones(1), 1.0, None, stop)
+        with pytest.raises(ValueError, match="unknown sub-solver kind"):
+            SubSolverSpec("newton", stop)
+
+    def test_fast_path_linesearch_stall_is_a_fixed_point(self, monkeypatch):
+        # |x1| + |x2| from its kink with the subgradient (1, 0): the 2-D line
+        # search finds no decrease, so the sub-solve keeps p_k without
+        # hitting its cap, and DCA ends on a fixed point
+        monkeypatch.setattr(solvers, "gradient_descent", None)  # the fast path only
+
+        def subproblem_2d(q, x):
+            return (lambda x1, x2: abs(x1) + abs(x2)), (lambda x1, x2: (1.0, 0.0))
+
+        problem = DCProblem(geometry=Euclidean(2), g_cost=lambda p: float(np.abs(p).sum()),
+                            h_cost=lambda p: 0.0, h_rgrad=lambda p: np.zeros(2),
+                            g_rgrad=lambda p: np.array([1.0, 0.0]), subproblem_2d=subproblem_2d)
+        sub = SubSolverSpec("gradient_descent", StoppingCriterion(max_iter=50),
+                            ArmijoParams(max_backtracks=5))
+        p0 = np.zeros(2)
+        _, reason, steps = solvers._descend_2d(False, *subproblem_2d(p0, p0), p0,
+                                               sub.armijo, sub.criterion)
+        assert (reason, steps) == ("linesearch stalled", 0)
+        p, trace = dca_solve(problem, p0, sub, StoppingCriterion(max_iter=10))
+        assert np.array_equal(p, p0)
+        assert trace.reason == "fixed point"
+        assert trace.iterations == 1
+        assert trace.extra["inner_steps"] == [0]
+        assert trace.subsolver_failures == []
 
     def test_inner_steps_recorded(self):
         # one outer step whose sub-solve runs into its 50-step cap, on the 2-D
@@ -545,6 +604,10 @@ class TestStronglyConvexify:
         np.testing.assert_allclose(wrapped.h_rgrad(anchor), problem.h_rgrad(anchor),
                                    atol=1e-12)
 
+    def test_sigma_must_be_positive(self):
+        with pytest.raises(ValueError, match="sigma"):
+            strongly_convexify(quartic_dcproblem(), 0.0, np.zeros(1))
+
     def test_strong_descent_along_dca(self):
         problem = strongly_convexify(logdet_dcproblem(LogDetProblem(3)), 1.0, np.eye(3))
         geom = problem.geometry
@@ -569,6 +632,12 @@ class TestIsCritical:
         problem = rosenbrock_dcproblem(RosenbrockProblem(a=2e5, b=1.0), "rb")
         ok, residual = is_critical(problem, np.array([1.0, 1.0]), 1e-10)
         assert ok and residual <= 1e-10
+
+    def test_needs_a_smooth_g(self):
+        indicator = DCProblem(geometry=EUCLID1, g_cost=lambda x: 0.0, h_cost=lambda x: 0.0,
+                              h_rgrad=lambda x: np.zeros(1), constrained_subsolver=lambda p, x: p)
+        with pytest.raises(ValueError, match="smooth g"):
+            is_critical(indicator, np.zeros(1), 1e-8)
 
     def test_random_point_not_critical(self, rng):
         problem = logdet_dcproblem(LogDetProblem(3))
@@ -610,14 +679,27 @@ class TestFastPathParity:
                 assert kernel == (cost(z), *rgrad(z))
                 assert kernel == (ref_cost(z), *geom.egrad_to_rgrad(z, ref_egrad(z)))
 
-    def test_subproblem_hessian_needs_a_subproblem_on_spd(self):
+    def test_subproblem_hessian_needs_a_subproblem(self):
         logdet = logdet_dcproblem(LogDetProblem(2))
         with pytest.raises(ValueError, match="subproblem_hessian"):
             dataclasses.replace(logdet, subproblem=None)
+
+    def test_subproblem_hessian_on_flat_space(self, monkeypatch):
+        # the hook is not tied to the SPD cone: the quartic family's DCA runs
+        # its trust-region sub-solves on the exact Hessian 12 p^2 + 2 alone
+        monkeypatch.setattr(solvers, "fd_hessian_apply", no_finite_differences)
         quartic = quartic_dcproblem()
-        with pytest.raises(ValueError, match="subproblem_hessian"):
-            dataclasses.replace(quartic, subproblem=lambda q, x: (None, None),
-                                subproblem_hessian=lambda q, x: None)
+
+        def subproblem(q, x):
+            return (lambda p: quartic.g_cost(p) - float(x[0]) * float(p[0]),
+                    lambda p: quartic.g_rgrad(p) - x)
+
+        exact = dataclasses.replace(
+            quartic, subproblem=subproblem,
+            subproblem_hessian=lambda q, x: lambda p: lambda y: (12.0 * float(p[0]) ** 2 + 2.0) * y)
+        p, trace = dca_solve(exact, np.array([2.0]), DUALITY_SUB, DUALITY_STOP)
+        assert abs(float(p[0]) - 1.0 / math.sqrt(2.0)) <= 1e-8
+        assert trace.reason == "gradient norm"
 
     def test_hook_needs_a_2d_geometry(self):
         problem = rosenbrock_dcproblem(RosenbrockProblem(), "euclidean")
