@@ -10,7 +10,6 @@ byte-for-byte.
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -48,39 +47,40 @@ from .solvers import (
 )
 
 __all__ = [
-    "ExperimentConfig", "DEFAULT_SEED", "default_seed",
+    "ExperimentConfig",
     "LOGDET_SUB", "LOGDET_STOP", "logdet_start", "logdet_lambda", "run_dca_vs_dcppa",
     "ROSENBROCK_START", "ROSENBROCK_SUB", "ROSENBROCK_STOP", "rosenbrock_gd_stop",
     "run_rosenbrock", "FRECHET_STOP", "run_frechet",
     "DUALITY_START", "DUALITY_SUB", "DUALITY_STOP", "run_duality_checks",
 ]
 
-DEFAULT_SEED_ENV = "RDCOPT_SEED"
-DEFAULT_SEED = 42
-
-
-def default_seed() -> int:
-    return int(os.environ.get(DEFAULT_SEED_ENV, DEFAULT_SEED))
-
-
 @dataclass
 class ExperimentConfig:
-    """Knobs shared by the experiment runners."""
+    """The instance of each experiment: its defaults and its valid range.
+
+    Construction rejects an invalid instance with ``ValueError`` before it
+    creates ``out_dir``.
+    """
 
     out_dir: Path
-    seed: int = DEFAULT_SEED
+    seed: int = 42
     # log-det comparison
     n_min: int = 2
     n_max: int = 20
     # rosenbrock
-    a: float = 2e5
-    b: float = 1.0
+    a: float = RosenbrockProblem.a
+    b: float = RosenbrockProblem.b
     long_run: bool = False
     # frechet
     n: int = 5
     m: int = 20
 
     def __post_init__(self):
+        if not 2 <= self.n_min <= self.n_max <= 80:
+            raise ValueError("n range must lie within [2, 80]")
+        if self.n < 2 or self.m < 2:
+            raise ValueError("frechet experiment needs n >= 2 and m >= 2")
+        RosenbrockProblem(self.a, self.b)  # its rule for a and b
         self.out_dir = Path(self.out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -134,16 +134,13 @@ def logdet_lambda(n: int) -> float:
 def run_dca_vs_dcppa(config: ExperimentConfig) -> dict:
     """DCA vs DCPPA on the log-det family for each matrix size n.
 
-    Both start from ``logdet_start(n)`` = log(n) I_n, stop on ``LOGDET_STOP``
-    (gradient of f below 1e-10, fallback 100 steps), and solve their
-    subproblems with ``LOGDET_SUB`` (trust region to gradient 1e-10, cap
-    5000 steps); DCPPA uses ``logdet_lambda(n)`` = 1/(2n). Each result row also
-    gives both runs' ``inner_steps`` (trust-region steps), ``capped_subsolves``,
-    ``hessian_products``, ``tr_rejected`` (rejected trust-region steps) and
-    ``eigendecompositions`` (SPD cache misses; DCPPA reuses DCA's cache).
+    Both start from ``logdet_start(n)``, stop on ``LOGDET_STOP`` and solve
+    their subproblems with ``LOGDET_SUB``; DCPPA uses ``logdet_lambda(n)``.
+    Each result row also gives both runs' ``inner_steps`` (trust-region
+    steps), ``capped_subsolves``, ``hessian_products``, ``tr_rejected``
+    (rejected trust-region steps) and ``eigendecompositions`` (SPD cache
+    misses; DCPPA reuses DCA's cache).
     """
-    if config.n_min < 2 or config.n_max > 80 or config.n_min > config.n_max:
-        raise ValueError("n range must lie within [2, 80]")
     target = -0.25
     timing_rows = []
     results = []
@@ -184,7 +181,6 @@ def run_dca_vs_dcppa(config: ExperimentConfig) -> dict:
     return {"experiment": "dca-vs-dcppa", "results": results, "failures": failures}
 
 
-_ROSENBROCK_ALGORITHMS = ("euclidean_gd", "euclidean_dca", "riemannian_gd", "riemannian_dca")
 ROSENBROCK_START = (0.1, 0.2)
 ROSENBROCK_SUB = SubSolverSpec(
     kind="gradient_descent", criterion=StoppingCriterion(max_iter=1000, grad_norm_tol=1e-16))
@@ -201,13 +197,11 @@ def run_rosenbrock(config: ExperimentConfig) -> dict:
     """Four first-order methods on the Rosenbrock problem from ``ROSENBROCK_START``.
 
     All use Armijo line searches (``ROSENBROCK_SUB.armijo``) and stop on
-    ``ROSENBROCK_STOP`` (iterate change below 1e-16, cap 10 million steps);
-    DC subproblems run ``ROSENBROCK_SUB``, gradient descent down to gradient
-    norm 1e-16 or 1000 inner iterations. The Euclidean gradient-descent run
-    stops on ``rosenbrock_gd_stop(config.long_run)``: capped at 200,000
-    iterations unless ``long_run`` restores the full-length run. The two DC
-    results also give ``inner_steps`` (gradient-descent steps over all
-    sub-solves) and ``capped_subsolves`` (sub-solves that hit the 1000-step cap).
+    ``ROSENBROCK_STOP``, except the Euclidean gradient descent, which stops
+    on ``rosenbrock_gd_stop(config.long_run)``; DC subproblems run
+    ``ROSENBROCK_SUB``. The two DC results also give ``inner_steps``
+    (gradient-descent steps over all sub-solves) and ``capped_subsolves``
+    (sub-solves that hit ``ROSENBROCK_SUB``'s step cap).
     """
     spec = RosenbrockProblem(config.a, config.b)
     p0 = np.array(ROSENBROCK_START)
@@ -235,13 +229,10 @@ def run_rosenbrock(config: ExperimentConfig) -> dict:
         dca_solve, dc_plane, p0, ROSENBROCK_SUB, ROSENBROCK_STOP, record_points=False)
 
     solution = np.array([spec.b, spec.b * spec.b])
-    summary_rows = []
     results = {}
-    for name in _ROSENBROCK_ALGORITHMS:
-        (point, trace), seconds = runs[name]
+    for name, ((point, trace), seconds) in runs.items():
         _write_csv(config.out_dir / f"{name}.csv", ["i", "f"],
                    ((i, f) for i, f in enumerate(trace.f)))
-        summary_rows.append([name, seconds, trace.iterations])
         results[name] = {
             "seconds": seconds,
             "iterations": trace.iterations,
@@ -252,8 +243,8 @@ def run_rosenbrock(config: ExperimentConfig) -> dict:
         }
         if name.endswith("_dca"):
             results[name].update(_subsolve_stats(trace))
-    _write_csv(config.out_dir / "summary.csv",
-               ["algorithm", "seconds", "iterations"], summary_rows)
+    _write_csv(config.out_dir / "summary.csv", ["algorithm", "seconds", "iterations"],
+               ([name, r["seconds"], r["iterations"]] for name, r in results.items()))
     return {"experiment": "rosenbrock", "initial_cost": rosenbrock_cost(spec, p0),
             "results": results}
 
@@ -266,12 +257,9 @@ def run_frechet(config: ExperimentConfig) -> dict:
 
     Both start from the box midpoint of a seeded random instance. DCA uses
     the closed-form box oracle plus the feasibility safeguard and stops on
-    ``FRECHET_STOP`` (iterate change < 1e-14 or transported-gradient change
-    < 1e-9, cap 1000 steps); Frank-Wolfe then runs ``FRECHET_STOP`` capped at
+    ``FRECHET_STOP``; Frank-Wolfe then runs ``FRECHET_STOP`` capped at
     exactly as many iterations, for a row-aligned comparison.
     """
-    if config.n < 2 or config.m < 2:
-        raise ValueError("frechet experiment needs n >= 2 and m >= 2")
     prob, p0 = random_frechet_instance(config.n, config.m, config.seed)
     save_frechet_spec(config.out_dir / "instance.json", config.n, config.m, config.seed)
     dc = frechet_dcproblem(prob)
@@ -317,8 +305,7 @@ def run_duality_checks(config: ExperimentConfig, tamper: bool = False) -> dict:
 
     Verifies the analytic conjugate reductions, Fenchel-Young gaps, the
     primal-dual value equality, and the per-iteration DC sandwich along a
-    DCA trace from ``DUALITY_START`` = 2 with ``DUALITY_SUB`` (trust region to
-    gradient 1e-11, cap 500) and ``DUALITY_STOP`` (gradient 1e-10, cap 200).
+    DCA trace from ``DUALITY_START`` with ``DUALITY_SUB`` and ``DUALITY_STOP``.
     Each of the four costs (x^2/2, zero, g and h) is sampled once, and every
     check reads its :func:`sampled_conjugate`. ``tamper`` negates the
     sandwich check's conjugate of h as a negative control; the suite must

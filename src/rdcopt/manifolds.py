@@ -36,8 +36,9 @@ class Geometry:
     """Interface shared by the concrete geometries.
 
     Subclasses implement ``inner``, ``exp``, ``log``, ``transport``,
-    ``egrad_to_rgrad``, ``to_frame`` and ``from_frame``; distance and geodesic
-    points are derived from those (exact on Hadamard manifolds, where exp/log are global).
+    ``egrad_to_rgrad``, ``to_frame``, ``from_frame`` and
+    ``half_sq_dist_hessian``; distance and geodesic points are derived from
+    those (exact on Hadamard manifolds, where exp/log are global).
     """
 
     dim: int
@@ -83,6 +84,11 @@ class Geometry:
         """Riemannian gradient from the Euclidean gradient at p."""
         raise NotImplementedError
 
+    def half_sq_dist_hessian(self, p, y):
+        """The Riemannian Hessian of d^2(., y)/2 at p, whose gradient is
+        -log_p(y), as a map Y -> Hess[Y] of frame coordinates (``to_frame``)."""
+        raise NotImplementedError
+
     def adjoint_log_diff(self, q, p, x):
         """Gradient at p of the linear model term ell(p) = <x, log_q(p)>_q.
 
@@ -125,6 +131,10 @@ class Euclidean(Geometry):
 
     def egrad_to_rgrad(self, p, g):
         return np.asarray(g, dtype=float)
+
+    def half_sq_dist_hessian(self, p, y):
+        # flat space: the identity
+        return lambda v: v
 
     def adjoint_log_diff(self, q, p, x):
         return np.asarray(x, dtype=float)
@@ -256,15 +266,12 @@ class SPDManifold(Geometry):
         return symmetrize(p @ symmetrize(g) @ p)
 
     def half_sq_dist_hessian(self, p, y):
-        """The Riemannian Hessian of d^2(., y)/2 at p, as a map Y -> Hess[Y] of
-        frame coordinates (``to_frame``).
-
-        Its gradient is -log_p(y). With p^{-1/2} y p^{-1/2} = Q diag(mu) Q^T
-        and l = log mu, the Hessian scales Y, written in the basis Q,
-        entrywise by g(l_i - l_j) with g(t) = (t/2) coth(t/2) and g(0) = 1:
-        the Jacobi fields along the geodesic from p to y on a symmetric
-        space. The factors come from the cache, where ``dist`` and ``log``
-        at p leave them. Self-adjoint; the identity at y = p.
+        """With p^{-1/2} y p^{-1/2} = Q diag(mu) Q^T and l = log mu, the
+        Hessian scales Y, written in the basis Q, entrywise by g(l_i - l_j)
+        with g(t) = (t/2) coth(t/2) and g(0) = 1: the Jacobi fields along
+        the geodesic from p to y on a symmetric space. The factors come from
+        the cache, where ``dist`` and ``log`` at p leave them. Self-adjoint;
+        the identity at y = p.
         """
         mu, q = self._eig(self.to_frame(p, y))
         if mu[0] <= 0.0:
@@ -344,6 +351,11 @@ class RosenbrockPlane(Geometry):
         g1, g2 = float(g[0]), float(g[1])
         return np.array([g1 + 2.0 * p1 * g2,
                          2.0 * p1 * g1 + (1.0 + 4.0 * p1 * p1) * g2])
+
+    def half_sq_dist_hessian(self, p, y):
+        # flat: the frame coordinates C x are those of the flat chart, where
+        # the Hessian is the identity
+        return lambda v: v
 
     def adjoint_log_diff(self, q, p, x):
         # ell(p) = alpha u + beta w with (alpha, beta) = G_q x,

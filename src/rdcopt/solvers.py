@@ -198,8 +198,8 @@ class DCProblem:
     ``subproblem_hessian(q, X) -> hess``: ``hess(p)`` maps frame coordinates
     Y to to_frame(p, Hess psi(p)[from_frame(p, Y)]) for the surrogate psi of
     ``subproblem(q, X)``. Trust-region sub-solves then use it, and DCPPA adds
-    the exact Hessian of its proximal term (``half_sq_dist_hessian``, which
-    the SPD cone gives); without it they take finite differences.
+    the exact Hessian of its proximal term (the geometry's
+    ``half_sq_dist_hessian``); without it they take finite differences.
     """
 
     geometry: Geometry
@@ -670,7 +670,7 @@ def frank_wolfe_solve(geometry: Geometry, rgrad_f: Callable, linear_oracle: Call
     feasible up to the oracle's round-off, and no further: an oracle point
     slightly outside the set carries the next iterate with it (rows 1 and 2
     of ``frechet_fw.csv`` of ``rdcopt bench frechet --seed 42`` have slack
-    -4.4e-14 and -1.0e-14; ROADMAP open item 2). The start must be feasible.
+    -4.4e-14 and -1.0e-14; ROADMAP open item 4). The start must be feasible.
     """
     if feasible is not None and not feasible(p0):
         raise ValueError("Frank-Wolfe requires feasible start")

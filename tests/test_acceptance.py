@@ -111,7 +111,7 @@ def test_criterion_2_iteration_bands():
 
 
 def test_criterion_3_rosenbrock(tmp_path):
-    config = ExperimentConfig(out_dir=tmp_path / "rosenbrock", a=2e5, b=1.0, long_run=False)
+    config = ExperimentConfig(out_dir=tmp_path / "rosenbrock")
     summary = run_rosenbrock(config)
     failures = []
     # the trace CSVs, bit for bit, on the host's own BLAS kernel (see golden.py)
@@ -142,7 +142,7 @@ def test_criterion_3_rosenbrock(tmp_path):
 
 def test_criterion_4_frechet(tmp_path):
     t0 = time.perf_counter()
-    config = ExperimentConfig(out_dir=tmp_path, n=5, m=20, seed=0)
+    config = ExperimentConfig(out_dir=tmp_path, seed=0)
     summary = run_frechet(config)
     elapsed = time.perf_counter() - t0
     failures = []

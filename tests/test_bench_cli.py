@@ -1,6 +1,10 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,8 +75,11 @@ class TestDcaVsDcppaRunner:
                                  for tag in ("dca", "dcppa"))
 
     def test_out_of_range_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            run_dca_vs_dcppa(ExperimentConfig(out_dir=tmp_path, n_min=1, n_max=2))
+        # the config rejects the range before it makes the output directory
+        for n_min, n_max in ((1, 2), (3, 2), (2, 81)):
+            with pytest.raises(ValueError, match="n range"):
+                ExperimentConfig(out_dir=tmp_path / "out", n_min=n_min, n_max=n_max)
+        assert not (tmp_path / "out").exists()
 
     def test_solver_error_row(self, tmp_path, monkeypatch, capsys):
         # a non-finite cost at n = 3 is a hard solver error: that size gets a
@@ -152,8 +159,10 @@ class TestFrechetRunner:
         assert len(dca_rows) == summary["dca"]["iterations"]
 
     def test_rejects_tiny_sizes(self, tmp_path):
-        with pytest.raises(ValueError):
-            run_frechet(ExperimentConfig(out_dir=tmp_path, n=1, m=8, seed=0))
+        for n, m in ((1, 8), (4, 1)):
+            with pytest.raises(ValueError, match="n >= 2 and m >= 2"):
+                ExperimentConfig(out_dir=tmp_path / "out", n=n, m=m, seed=0)
+        assert not (tmp_path / "out").exists()
 
     def test_trace_determinism(self, tmp_path):
         logdet_traces = tuple(f"{tag}_n{n}.csv" for tag in ("dca", "dcppa") for n in (2, 3, 4))
@@ -204,9 +213,47 @@ class TestCli:
         assert exc.value.code == 2
 
     def test_invalid_config_exit_code(self, tmp_path, capsys):
-        code = main(["bench", "frechet", "--n", "1", "--m", "2", "--out", str(tmp_path)])
-        assert code == 2
-        assert "error" in capsys.readouterr().err
+        # an instance outside its valid range is a usage error, found before
+        # the output directory is made
+        out = tmp_path / "out"
+        for argv in (["bench", "frechet", "--n", "1"], ["bench", "dca-vs-dcppa", "--n-min", "1"],
+                     ["bench", "rosenbrock", "--a", "-1"]):
+            assert main([*argv, "--out", str(out)]) == 2, argv
+            assert capsys.readouterr().err.startswith("rdcopt: error: ")
+            assert not out.exists(), argv
+
+    def test_defaults_are_the_configs(self, tmp_path, monkeypatch, capsys):
+        # with only --out given, each command runs ExperimentConfig's defaults
+        configs = []
+        for command in cli.COMMANDS:
+            monkeypatch.setitem(cli.COMMANDS, command,
+                                (lambda config: configs.append(config) or {}, lambda summary: True))
+        for command in cli.COMMANDS:
+            out = tmp_path / "-".join(command)
+            args = vars(build_parser().parse_args([*command, "--out", str(out)]))
+            assert {name for name, value in args.items() if value is not None} == {
+                "command", "target", "out_dir"}
+            assert main([*command, "--out", str(out)]) == 0
+            assert configs.pop() == ExperimentConfig(out_dir=out)
+
+
+    def test_error_inside_a_run_is_not_a_usage_error(self, tmp_path):
+        # a ValueError raised by a runner propagates: the console script
+        # exits 1 with its traceback, not 2 with a usage message
+        script = ("import sys\n"
+                  "from rdcopt import cli\n"
+                  "def run(config):\n"
+                  "    raise ValueError('spectrum outside domain')\n"
+                  "cli.COMMANDS['check', 'duality'] = (run, lambda summary: True)\n"
+                  "sys.exit(cli.main(sys.argv[1:]))\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", script, "check", "duality",
+                               "--out", str(tmp_path)], env=env, capture_output=True, text=True)
+        assert done.returncode == 1
+        assert "Traceback" in done.stderr
+        assert "ValueError: spectrum outside domain" in done.stderr
+        assert "rdcopt: error" not in done.stderr
 
     def test_check_duality_exit_zero(self, tmp_path, capsys):
         code = main(["check", "duality", "--out", str(tmp_path)])
@@ -226,14 +273,15 @@ class TestCli:
         assert not build_parser().parse_args(["bench", "rosenbrock", *out]).long_run
         # main hands the flag to the runner, here one that solves nothing
         configs = []
-        monkeypatch.setattr(cli, "run_rosenbrock", lambda config: configs.append(config) or {})
+        _, passed = cli.COMMANDS["bench", "rosenbrock"]
+        monkeypatch.setitem(cli.COMMANDS, ("bench", "rosenbrock"),
+                            (lambda config: configs.append(config) or {}, passed))
         assert main(["bench", "rosenbrock", "--long-run", *out]) == 0
         assert [config.long_run for config in configs] == [True]
 
-    def test_bench_frechet_seed_env(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("RDCOPT_SEED", "11")
-        code = main(["bench", "frechet", "--n", "4", "--m", "8",
+    def test_bench_frechet_seed(self, tmp_path, capsys):
+        code = main(["bench", "frechet", "--n", "4", "--m", "8", "--seed", "11",
                      "--out", str(tmp_path)])
         assert code == 0
         spec = json.loads((tmp_path / "instance.json").read_text())
-        assert spec["seed"] == 11
+        assert spec == {"n": 4, "m": 8, "seed": 11}

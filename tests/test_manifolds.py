@@ -117,6 +117,14 @@ class TestSharedContracts:
             assert geometry.dist(geometry.exp_frame(p, 0.5 * y), q) <= 1e-12 * (
                 1.0 + geometry.point_norm(q))
 
+    def test_half_sq_dist_hessian_matches_gradient_differences(self, geometry, rng):
+        # grad d^2(., y)/2 = -log_.(y)
+        for _ in range(3):
+            p, y = _pair(geometry, rng)
+            check_hessian(geometry, lambda z: -geometry.log(z, y),
+                          tangent_map(geometry, p, geometry.half_sq_dist_hessian(p, y)), p,
+                          sample_directions(geometry, rng, p, 3))
+
     def test_adjoint_log_diff_matches_fd(self, geometry, rng):
         for _ in range(5):
             q, p = _pair(geometry, rng)

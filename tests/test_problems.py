@@ -319,17 +319,17 @@ class TestTrDetProblem:
 
 class TestRosenbrock:
     def test_initial_cost(self):
-        spec = RosenbrockProblem(a=2e5, b=1.0)
+        spec = RosenbrockProblem()
         assert rosenbrock_cost(spec, np.array(ROSENBROCK_START)) == pytest.approx(7220.81, abs=1e-9)
 
     def test_minimizer(self):
-        spec = RosenbrockProblem(a=2e5, b=1.0)
+        spec = RosenbrockProblem()
         p_star = np.array([1.0, 1.0])
         assert rosenbrock_cost(spec, p_star) == 0.0
         np.testing.assert_allclose(rosenbrock_grad(spec, p_star), np.zeros(2))
 
     def test_h_gradient_form(self, rng):
-        spec = RosenbrockProblem(a=2e5, b=1.0)
+        spec = RosenbrockProblem()
         problem = rosenbrock_dcproblem(spec, "euclidean")
         for _ in range(5):
             p = rng.standard_normal(2)
@@ -354,7 +354,7 @@ class TestRosenbrock:
     def test_g_matches_unfused_reference_bit_for_bit(self, geometry, rng):
         # at q1 = b the reference surrogate's linear term vanishes and it is
         # g; at x1 < 0 the kernel subtracts c x1 = -0.0 from g >= +0
-        spec = RosenbrockProblem(a=2e5, b=1.0)
+        spec = RosenbrockProblem()
         problem = rosenbrock_dcproblem(spec, geometry)
         geom = problem.geometry
         ref_cost, ref_egrad = rosenbrock_subproblem(spec, np.array([spec.b, 0.0]))
@@ -371,7 +371,7 @@ class TestRosenbrock:
             rosenbrock_dcproblem(RosenbrockProblem(), "plane")
 
     def test_split_reconstructs_cost(self, rng):
-        spec = RosenbrockProblem(a=2e5, b=1.0)
+        spec = RosenbrockProblem()
         problem = rosenbrock_dcproblem(spec, "rb")
         for _ in range(10):
             p = rng.standard_normal(2)
@@ -406,7 +406,7 @@ class TestRosenbrock:
             assert abs(p[0] ** 2 - p[1]) < 1e-10
 
     def test_h_convex_along_plane_geodesics(self, rng):
-        spec = RosenbrockProblem(a=2e5, b=1.0)
+        spec = RosenbrockProblem()
         problem = rosenbrock_dcproblem(spec, "rb")
         geom = problem.geometry
         for _ in range(10):

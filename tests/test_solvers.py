@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from rdcopt import problems, solvers
+from rdcopt import bench, problems, solvers
 from rdcopt.bench import (
     DUALITY_STOP,
     DUALITY_SUB,
@@ -236,9 +236,9 @@ class TestTrustRegion:
         monkeypatch.setattr(SPDManifold, "inner", counted_inner)
         monkeypatch.setattr(solvers, "trust_region_solve", recorded_tr)
         problem = logdet_dcproblem(LogDetProblem(5))
-        p0, one = math.log(5) * np.eye(5), StoppingCriterion(max_iter=1)
+        p0, one = bench.logdet_start(5), StoppingCriterion(max_iter=1)
         dca_solve(problem, p0, LOGDET_SUB, one)
-        dcppa_solve(problem, p0, 1.0 / 10.0, LOGDET_SUB, one)
+        dcppa_solve(problem, p0, bench.logdet_lambda(5), LOGDET_SUB, one)
         assert len(runs) == 2
         for inner_calls, steps in runs:
             assert steps > 1 and inner_calls <= steps
@@ -282,7 +282,7 @@ class TestDCA:
         # each run ends on the branch whose sign matches log det p0
         for n, sign in ((2, -1.0), (3, 1.0)):
             problem = logdet_dcproblem(LogDetProblem(n))
-            p0 = math.log(n) * np.eye(n)
+            p0 = bench.logdet_start(n)
             assert math.copysign(1.0, spd_logdet_of(p0)) == sign
             p, trace = dca_solve(problem, p0, LOGDET_SUB, LOGDET_STOP)
             assert abs(trace.f[-1] + 0.25) <= 1e-8
@@ -306,9 +306,10 @@ class TestDCA:
 
             monkeypatch.setattr(np.linalg, name, counted)
         problem = logdet_dcproblem(LogDetProblem(5))
-        p0 = math.log(5) * np.eye(5)
+        p0 = bench.logdet_start(5)
         dca_solve(problem, p0, LOGDET_SUB, LOGDET_STOP, record_points=False)
-        dcppa_solve(problem, p0, 1.0 / 10.0, LOGDET_SUB, LOGDET_STOP, record_points=False)
+        dcppa_solve(problem, p0, bench.logdet_lambda(5), LOGDET_SUB, LOGDET_STOP,
+                    record_points=False)
         assert counts["eigh"] <= 400
         assert counts["solve"] == 0
 
@@ -329,7 +330,7 @@ class TestDCA:
 
     def test_monotone_descent(self):
         problem = logdet_dcproblem(LogDetProblem(5))
-        _, trace = dca_solve(problem, math.log(5) * np.eye(5), LOGDET_SUB, LOGDET_STOP)
+        _, trace = dca_solve(problem, bench.logdet_start(5), LOGDET_SUB, LOGDET_STOP)
         fs = np.asarray(trace.f)
         assert np.all(np.diff(fs) <= 1e-10)
 
@@ -345,7 +346,7 @@ class TestDCA:
             g_rgrad=closed.g_rgrad,
             h_rgrad=closed.h_rgrad,
         )
-        p0 = math.log(n) * np.eye(n)
+        p0 = bench.logdet_start(n)
         stop = StoppingCriterion(max_iter=8)
         p_closed, tr_closed = dca_solve(closed, p0, LOGDET_SUB, stop)
         p_generic, tr_generic = dca_solve(generic, p0, LOGDET_SUB, stop)
@@ -369,7 +370,7 @@ class TestDCA:
         assert abs(spec.phi1.d1(det) - spec.phi2.d1(det)) <= 1e-6
 
     def test_rosenbrock_converges(self):
-        spec = RosenbrockProblem(a=2e5, b=1.0)
+        spec = RosenbrockProblem()
         problem = rosenbrock_dcproblem(spec, "rb")
         p, trace = dca_solve(problem, np.array(ROSENBROCK_START), ROSENBROCK_SUB,
                              dataclasses.replace(ROSENBROCK_STOP, max_iter=20000),
@@ -436,7 +437,7 @@ class TestDCA:
                             StoppingCriterion(max_iter=50, grad_norm_tol=1e-16))
         p0 = np.array(ROSENBROCK_START)
         for geometry in ("euclidean", "rb"):
-            problem = rosenbrock_dcproblem(RosenbrockProblem(a=2e5, b=1.0), geometry)
+            problem = rosenbrock_dcproblem(RosenbrockProblem(), geometry)
             for _, trace in (dca_solve(problem, p0, sub, StoppingCriterion(max_iter=1)),
                              dcppa_solve(problem, p0, 1.0, sub, StoppingCriterion(max_iter=1))):
                 assert trace.extra["inner_steps"] == [50]
@@ -500,7 +501,7 @@ class TestDCA:
         assert trace.f[-1] < -1e20
 
     def test_subsolver_failure_recorded_and_continues(self):
-        spec = RosenbrockProblem(a=2e5, b=1.0)
+        spec = RosenbrockProblem()
         problem = rosenbrock_dcproblem(spec, "rb")
         starving = SubSolverSpec("gradient_descent",
                                  StoppingCriterion(max_iter=3, grad_norm_tol=1e-16))
@@ -629,7 +630,7 @@ class TestIsCritical:
         assert ok, residual
 
     def test_rosenbrock_minimizer(self):
-        problem = rosenbrock_dcproblem(RosenbrockProblem(a=2e5, b=1.0), "rb")
+        problem = rosenbrock_dcproblem(RosenbrockProblem(), "rb")
         ok, residual = is_critical(problem, np.array([1.0, 1.0]), 1e-10)
         assert ok and residual <= 1e-10
 
@@ -651,7 +652,7 @@ class TestFastPathParity:
         # a 2-D gradient-descent sub-solve takes the plain-float fast path; it
         # must end, bit for bit, where the generic solver ends on the surrogate
         # built from the unfused public formulas
-        spec = RosenbrockProblem(a=2e5, b=1.0)
+        spec = RosenbrockProblem()
         problem = rosenbrock_dcproblem(spec, geometry)
         geom = problem.geometry
         inner = StoppingCriterion(max_iter=50, grad_norm_tol=1e-16)
@@ -686,7 +687,8 @@ class TestFastPathParity:
 
     def test_subproblem_hessian_on_flat_space(self, monkeypatch):
         # the hook is not tied to the SPD cone: the quartic family's DCA runs
-        # its trust-region sub-solves on the exact Hessian 12 p^2 + 2 alone
+        # its trust-region sub-solves on the exact Hessian 12 p^2 + 2 alone,
+        # and DCPPA adds the flat proximal Hessian, the identity
         monkeypatch.setattr(solvers, "fd_hessian_apply", no_finite_differences)
         quartic = quartic_dcproblem()
 
@@ -697,9 +699,10 @@ class TestFastPathParity:
         exact = dataclasses.replace(
             quartic, subproblem=subproblem,
             subproblem_hessian=lambda q, x: lambda p: lambda y: (12.0 * float(p[0]) ** 2 + 2.0) * y)
-        p, trace = dca_solve(exact, np.array([2.0]), DUALITY_SUB, DUALITY_STOP)
-        assert abs(float(p[0]) - 1.0 / math.sqrt(2.0)) <= 1e-8
-        assert trace.reason == "gradient norm"
+        for solve, lam in ((dca_solve, ()), (dcppa_solve, (0.5,))):
+            p, trace = solve(exact, np.array([2.0]), *lam, DUALITY_SUB, DUALITY_STOP)
+            assert abs(float(p[0]) - 1.0 / math.sqrt(2.0)) <= 1e-8
+            assert trace.reason == "gradient norm"
 
     def test_hook_needs_a_2d_geometry(self):
         problem = rosenbrock_dcproblem(RosenbrockProblem(), "euclidean")
