@@ -116,17 +116,19 @@ def sampled_conjugate(f: Callable, points) -> Callable:
     The hull drops the strict concave corners of the kept samples, one O(N)
     pass after another, until none is left. That is exact for any samples:
     one pass for convex ones, such as the components of a DC split, and
-    about 300 for 20,001 samples of x^4 - x^2. Of samples at one point the
-    smallest is kept.
+    about 300 for 20,001 samples of x^4 - x^2. Points not strictly increasing
+    are sorted first, keeping the smallest sample at each point.
     """
     pts = _as_point_array(points)
     if pts.shape[1] != 1:
         raise ValueError("grid conjugate intractable")
-    samples = _sample_cost(f, pts)
-    order = np.lexsort((samples, pts[:, 0]))
-    xs, s = pts[order, 0], samples[order]
-    first = np.r_[True, xs[1:] != xs[:-1]]
-    xs, s = xs[first], s[first]
+    # copies, so that later writes to the caller's points or samples cannot reach conj
+    xs, s = pts[:, 0].copy(), _sample_cost(f, pts).copy()
+    if not np.all(xs[1:] > xs[:-1]):
+        order = np.lexsort((s, xs))
+        xs, s = xs[order], s[order]
+        first = np.r_[True, xs[1:] != xs[:-1]]
+        xs, s = xs[first], s[first]
     while True:
         slopes = np.diff(s)
         slopes /= np.diff(xs)

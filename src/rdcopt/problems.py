@@ -365,7 +365,8 @@ def rosenbrock_dcproblem(spec: RosenbrockProblem, geometry: str) -> DCProblem:
 
 def quartic_dcproblem() -> DCProblem:
     """The 1-D family g(x) = x^4 + x^2, h(x) = 2x^2: f = x^4 - x^2, critical at 0
-    and +-1/sqrt(2), f* = -1/4. The costs take batched samples (..., 1) too."""
+    and +-1/sqrt(2), f* = -1/4. The costs take batched samples (..., 1) too.
+    The surrogate at (q, X) is g(p) - X p, with the exact Hessian 12 p^2 + 2."""
 
     def g_cost(x):
         u = np.asarray(x, dtype=float)[..., 0]
@@ -375,13 +376,17 @@ def quartic_dcproblem() -> DCProblem:
         u = np.asarray(x, dtype=float)[..., 0]
         return 2.0 * u ** 2
 
+    def g_rgrad(x):
+        return np.array([4.0 * float(x[0]) ** 3 + 2.0 * float(x[0])])
+
+    def subproblem(q, x):
+        return (lambda p: g_cost(p) - float(x[0]) * float(p[0]),
+                lambda p: g_rgrad(p) - x)
+
     return DCProblem(
-        geometry=Euclidean(1),
-        g_cost=g_cost,
-        h_cost=h_cost,
-        g_rgrad=lambda x: np.array([4.0 * float(x[0]) ** 3 + 2.0 * float(x[0])]),
-        h_rgrad=lambda x: np.array([4.0 * float(x[0])]),
-    )
+        geometry=Euclidean(1), g_cost=g_cost, h_cost=h_cost, g_rgrad=g_rgrad,
+        h_rgrad=lambda x: np.array([4.0 * float(x[0])]), subproblem=subproblem,
+        subproblem_hessian=lambda q, x: lambda p: lambda y: (12.0 * float(p[0]) ** 2 + 2.0) * y)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import rdcopt.duality
+import rdcopt.solvers
 from rdcopt.bench import (
     DUALITY_START,
     DUALITY_STOP,
@@ -206,6 +207,36 @@ class TestHullConjugate:
         for samples in (np.cosh(pts), np.cosh(pts) + rng.uniform(0.0, 0.5, len(pts))):
             assert_hull_matches_grid(pts[order], samples[order], p, x)
 
+    def test_sorted_grid_equals_its_shuffle(self, rng):
+        # strictly increasing points skip the sort; shuffled ones take it
+        pts = Grid1D(-3.0, 3.0, 2001).points()
+        p, x = rng.uniform(-3.0, 3.0, 300), rng.uniform(-60.0, 60.0, 300)
+        order = rng.permutation(len(pts))
+        for samples in (pts ** 4 - pts ** 2, rng.standard_normal(len(pts))):
+            got = sampled_conjugate(lambda q: samples, pts)(p, x)
+            shuffled = sampled_conjugate(lambda q: samples[order], pts[order])(p, x)
+            assert np.array_equal(got, shuffled)
+
+    def test_conjugate_keeps_its_own_samples(self):
+        pts = Grid1D(-3.0, 3.0, 301).points()
+        samples = pts ** 2
+        conj = sampled_conjugate(lambda q: samples, pts)
+        p, x = np.zeros(3), np.array([-1.0, 0.5, 2.0])
+        before = conj(p, x)
+        pts[:], samples[:] = 0.0, 1.0
+        assert np.array_equal(conj(p, x), before)
+
+    def test_repeated_points_in_order(self, rng):
+        # non-decreasing points with repeats are not strictly increasing: they
+        # must take the sort, which keeps one sample per point (equal samples
+        # at one point would otherwise give a 0/0 hull slope)
+        base = Grid1D(-3.0, 3.0, 301).points()
+        pts = np.sort(np.concatenate([base, base[::7], base[::11]]))
+        assert np.all(pts[1:] >= pts[:-1]) and not np.all(pts[1:] > pts[:-1])
+        p, x = rng.uniform(-3.0, 3.0, 200), rng.uniform(-12.0, 12.0, 200)
+        for samples in (np.cosh(pts), np.cosh(pts) + rng.uniform(0.0, 0.5, len(pts))):
+            assert_hull_matches_grid(pts, samples, p, x)
+
     def test_two_point_grid(self):
         assert_hull_matches_grid([1.0, -0.5], [3.0, 2.0], [0.0, 0.0, 0.3, 2.0],
                                  [-5.0, 0.0, 2.0 / 3.0, 5.0])
@@ -356,3 +387,16 @@ class TestDualitySuite:
             # x^2/2, the zero cost, g and h: four costs, each sampled once
             assert len(sampled) == 4
             assert len({id(f) for f in sampled}) == 4
+
+    def test_dca_takes_no_finite_differences(self, tmp_path, monkeypatch):
+        # the quartic's sub-solves run on its exact surrogate Hessian
+        calls = []
+        fd_hessian_apply = rdcopt.solvers.fd_hessian_apply
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return fd_hessian_apply(*args, **kwargs)
+
+        monkeypatch.setattr(rdcopt.solvers, "fd_hessian_apply", counted)
+        assert run_duality_checks(ExperimentConfig(out_dir=tmp_path))["passed"]
+        assert calls == []

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from rdcopt import problems
-from rdcopt.bench import FRECHET_STOP, LOGDET_SUB, ROSENBROCK_START
+from rdcopt.bench import FRECHET_STOP, LOGDET_SUB, ROSENBROCK_START, logdet_start
 from rdcopt.manifolds import SPDManifold
 from rdcopt.matfun import (
     spd_logdet,
@@ -196,7 +196,7 @@ class TestLogDetProblem:
     def test_initial_cost_scalar_oracle(self):
         for n in (2, 5, 8):
             problem = logdet_dcproblem(LogDetProblem(n))
-            p0 = math.log(n) * np.eye(n)
+            p0 = logdet_start(n)
             t = n * math.log(math.log(n))
             assert problem.cost(p0) == pytest.approx(t ** 4 - t ** 2, rel=1e-12)
 

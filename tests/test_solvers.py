@@ -192,7 +192,7 @@ class TestTrustRegion:
         spec = LogDetProblem(4)
         problem = logdet_dcproblem(spec)
         geom = problem.geometry
-        q = math.log(4) * np.eye(4)
+        q = bench.logdet_start(4)
         cost, rgrad = problem.subproblem(q, problem.h_rgrad(q))
         p, trace = trust_region_solve(geom, cost, rgrad, q,
                                       LOGDET_SUB.criterion)
@@ -355,7 +355,7 @@ class TestDCA:
 
     def test_termination_criticality(self):
         problem = logdet_dcproblem(LogDetProblem(4))
-        p, trace = dca_solve(problem, math.log(4) * np.eye(4), LOGDET_SUB, LOGDET_STOP)
+        p, trace = dca_solve(problem, bench.logdet_start(4), LOGDET_SUB, LOGDET_STOP)
         assert trace.reason == "gradient norm"
         ok, residual = is_critical(problem, p, 10.0 * LOGDET_STOP.grad_norm_tol)
         assert ok, residual
@@ -365,7 +365,7 @@ class TestDCA:
         # of the det-composed family holds
         spec = LogDetProblem(4)
         problem = logdet_dcproblem(spec)
-        p, _ = dca_solve(problem, math.log(4) * np.eye(4), LOGDET_SUB, LOGDET_STOP)
+        p, _ = dca_solve(problem, bench.logdet_start(4), LOGDET_SUB, LOGDET_STOP)
         det = math.exp(spd_logdet_of(p))
         assert abs(spec.phi1.d1(det) - spec.phi2.d1(det)) <= 1e-6
 
@@ -471,7 +471,7 @@ class TestDCA:
                             lambda *args: counted(build(*args)))
         logdet = logdet_dcproblem(LogDetProblem(3))
         trdet = trdet_dcproblem(TrDetProblem(3))
-        for problem, p0, stop in ((logdet, math.log(3) * np.eye(3), LOGDET_STOP),
+        for problem, p0, stop in ((logdet, bench.logdet_start(3), LOGDET_STOP),
                                   (trdet, 2.0 * np.eye(3), StoppingCriterion(max_iter=4))):
             for solve in (lambda: dca_solve(problem, p0, LOGDET_SUB, stop),
                           lambda: dcppa_solve(problem, p0, 1.0 / 6.0, LOGDET_SUB, stop)):
@@ -487,7 +487,7 @@ class TestDCA:
                 assert all(h >= 2 * k for h, k in zip(trace.extra["hessian_products"],
                                                       trace.extra["inner_steps"]))
         # the full n = 3 log-det DCA rejects two trust-region steps
-        _, trace = dca_solve(logdet, math.log(3) * np.eye(3), LOGDET_SUB, LOGDET_STOP)
+        _, trace = dca_solve(logdet, bench.logdet_start(3), LOGDET_SUB, LOGDET_STOP)
         assert sum(trace.extra["tr_rejected"]) == 2
 
     def test_capped_subsolve_that_keeps_the_iterate_is_no_fixed_point(self):
@@ -516,7 +516,7 @@ class TestDCPPA:
     def test_logdet_with_quarter_lambda(self):
         n = 2
         problem = logdet_dcproblem(LogDetProblem(n))
-        p, trace = dcppa_solve(problem, math.log(n) * np.eye(n), 0.25, LOGDET_SUB, LOGDET_STOP)
+        p, trace = dcppa_solve(problem, bench.logdet_start(n), 0.25, LOGDET_SUB, LOGDET_STOP)
         assert abs(trace.f[-1] + 0.25) <= 1e-8
 
     def test_large_lambda_approaches_dca(self):
@@ -612,7 +612,7 @@ class TestStronglyConvexify:
     def test_strong_descent_along_dca(self):
         problem = strongly_convexify(logdet_dcproblem(LogDetProblem(3)), 1.0, np.eye(3))
         geom = problem.geometry
-        p0 = math.log(3) * np.eye(3)
+        p0 = bench.logdet_start(3)
         _, trace = dca_solve(problem, p0, LOGDET_SUB,
                              StoppingCriterion(max_iter=40, grad_norm_tol=1e-10))
         fs = np.asarray(trace.f)
@@ -691,16 +691,8 @@ class TestFastPathParity:
         # and DCPPA adds the flat proximal Hessian, the identity
         monkeypatch.setattr(solvers, "fd_hessian_apply", no_finite_differences)
         quartic = quartic_dcproblem()
-
-        def subproblem(q, x):
-            return (lambda p: quartic.g_cost(p) - float(x[0]) * float(p[0]),
-                    lambda p: quartic.g_rgrad(p) - x)
-
-        exact = dataclasses.replace(
-            quartic, subproblem=subproblem,
-            subproblem_hessian=lambda q, x: lambda p: lambda y: (12.0 * float(p[0]) ** 2 + 2.0) * y)
         for solve, lam in ((dca_solve, ()), (dcppa_solve, (0.5,))):
-            p, trace = solve(exact, np.array([2.0]), *lam, DUALITY_SUB, DUALITY_STOP)
+            p, trace = solve(quartic, np.array([2.0]), *lam, DUALITY_SUB, DUALITY_STOP)
             assert abs(float(p[0]) - 1.0 / math.sqrt(2.0)) <= 1e-8
             assert trace.reason == "gradient norm"
 
@@ -765,7 +757,7 @@ class TestStoppingCriterion:
 
     def test_max_iter_reason(self):
         problem = logdet_dcproblem(LogDetProblem(2))
-        _, trace = dca_solve(problem, math.log(2) * np.eye(2), LOGDET_SUB,
+        _, trace = dca_solve(problem, bench.logdet_start(2), LOGDET_SUB,
                              StoppingCriterion(max_iter=3))
         assert trace.reason == "max iterations"
         assert trace.iterations == 4  # initial row plus three steps
