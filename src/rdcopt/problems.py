@@ -46,6 +46,7 @@ __all__ = [
     "RosenbrockProblem",
     "rosenbrock_cost",
     "rosenbrock_grad",
+    "rosenbrock_kernel",
     "rosenbrock_dcproblem",
     "quartic_dcproblem",
     "FrechetBoxProblem",
@@ -296,16 +297,41 @@ def rosenbrock_grad(spec: RosenbrockProblem, p) -> np.ndarray:
     return np.array([4.0 * v * x1 + 2.0 * (x1 - spec.b), -2.0 * v])
 
 
+def rosenbrock_kernel(spec: RosenbrockProblem, plane: bool, k: float = 1.0, c: float = 0.0):
+    """``(cost(x1, x2), rgrad(x1, x2))`` of a(x1^2-x2)^2 + k(x1-b)^2 - c x1 in
+    plain floats, G^-1 applied as ``RosenbrockPlane.egrad_to_rgrad`` does
+    when ``plane``. k = 1, c = 0 has the bits of ``rosenbrock_cost`` and
+    ``rosenbrock_grad`` (1.0 w w is w w, 2k is 2.0, f >= +0 absorbs the
+    -(+-0.0) of c x1); k = 2 is g of :func:`rosenbrock_dcproblem`, and
+    c = 2(q1 - b) then its DC surrogate at q (up to a constant).
+    """
+    a, b = spec.a, spec.b
+    k2 = 2.0 * k
+
+    def cost(x1, x2):
+        v = x1 * x1 - x2
+        w = x1 - b
+        return a * v * v + k * w * w - c * x1
+
+    def rgrad(x1, x2):
+        v = a * (x1 * x1 - x2)
+        g1, g2 = 4.0 * v * x1 + k2 * (x1 - b) - c, -2.0 * v
+        if plane:
+            return g1 + 2.0 * x1 * g2, 2.0 * x1 * g1 + (1.0 + 4.0 * x1 * x1) * g2
+        return g1, g2
+
+    return cost, rgrad
+
+
 def rosenbrock_dcproblem(spec: RosenbrockProblem, geometry: str) -> DCProblem:
     """DC split of the Rosenbrock cost on flat space (``geometry`` "euclidean")
     or the adapted plane ("rb").
 
     g(x) = a(x1^2-x2)^2 + 2(x1-b)^2 and h(x) = (x1-b)^2; on the adapted
     metric both components are geodesically convex (h composed with the
-    chart isometry is (x1-b)^2). g is written once, in plain floats, with a
-    linear term -c x1: c = 0 gives ``g_cost`` and ``g_rgrad``, and
-    c = 2(q1 - b) the DC surrogate at q of the ``subproblem_2d`` hook (up to
-    a constant); ``subproblem`` adapts the hook to arrays.
+    chart isometry is (x1-b)^2). g and the ``subproblem_2d`` surrogate come
+    from :func:`rosenbrock_kernel` with k = 2; ``subproblem`` adapts the
+    hook to arrays.
     """
     if geometry == "euclidean":
         geom = Euclidean(2)
@@ -313,7 +339,8 @@ def rosenbrock_dcproblem(spec: RosenbrockProblem, geometry: str) -> DCProblem:
         geom = RosenbrockPlane()
     else:
         raise ValueError("geometry must be 'euclidean' or 'rb'")
-    a, b = spec.a, spec.b
+    b = spec.b
+    plane = geometry == "rb"
 
     def h_cost(p):
         w = float(p[0]) - b
@@ -322,36 +349,14 @@ def rosenbrock_dcproblem(spec: RosenbrockProblem, geometry: str) -> DCProblem:
     def h_egrad(p):
         return np.array([2.0 * (float(p[0]) - b), 0.0])
 
-    plane = geometry == "rb"
-
-    def linear_g(c):
-        # g(p) - c p1 and its Riemannian gradient in plain floats, on both
-        # geometries; on the plane G^-1 is applied as
-        # RosenbrockPlane.egrad_to_rgrad applies it. At c = 0 the bits are
-        # g's: x - 0.0 is x, and g >= +0 absorbs the -(+-0.0) of c x1.
-
-        def cost(x1, x2):
-            v = x1 * x1 - x2
-            w = x1 - b
-            return a * v * v + 2.0 * w * w - c * x1
-
-        def rgrad(x1, x2):
-            v = a * (x1 * x1 - x2)
-            g1, g2 = 4.0 * v * x1 + 4.0 * (x1 - b) - c, -2.0 * v
-            if plane:
-                return g1 + 2.0 * x1 * g2, 2.0 * x1 * g1 + (1.0 + 4.0 * x1 * x1) * g2
-            return g1, g2
-
-        return cost, rgrad
-
     def on_arrays(cost, rgrad):
         return (lambda p: cost(float(p[0]), float(p[1])),
                 lambda p: np.array(rgrad(float(p[0]), float(p[1]))))
 
     def subproblem_2d(q, x):
-        return linear_g(2.0 * (float(q[0]) - b))
+        return rosenbrock_kernel(spec, plane, 2.0, 2.0 * (float(q[0]) - b))
 
-    g_cost, g_rgrad = on_arrays(*linear_g(0.0))
+    g_cost, g_rgrad = on_arrays(*rosenbrock_kernel(spec, plane, 2.0))
     return DCProblem(
         geometry=geom,
         g_cost=g_cost,

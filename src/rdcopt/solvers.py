@@ -117,11 +117,14 @@ def _stop_reason(stop: StoppingCriterion, steps: int, grad_norm: float,
     transported gradient; it is called only when its tolerance is set and no
     earlier clause holds. By default an exact zero gradient meets the
     gradient-norm clause without a tolerance, since a descent method cannot
-    step along it; the outer DC and Frank-Wolfe loop turns that off.
+    step along it; the outer DC and Frank-Wolfe loop turns that off. A
+    non-finite ``grad_norm`` raises :class:`SolverError`.
     """
     tol = stop.grad_norm_tol
     if (tol is not None and grad_norm <= tol) or (zero_grad_stops and grad_norm == 0.0):
         return "gradient norm"
+    if not math.isfinite(grad_norm):
+        raise SolverError(f"non-finite gradient norm: {grad_norm!r}")
     if step is not None:
         if stop.iterate_change_tol is not None and step <= stop.iterate_change_tol:
             return "iterate change"
@@ -192,7 +195,7 @@ class DCProblem:
     ``subproblem_2d(q, X) -> (cost, rgrad)`` may give the same surrogate in
     plain floats: ``cost(x1, x2)`` returns a float and ``rgrad(x1, x2)`` the
     Riemannian gradient as a float pair. Gradient-descent DCA sub-solves
-    without change tolerances then run on it directly.
+    without a gradient-change tolerance then run on it directly.
 
     A problem with ``subproblem`` may also give
     ``subproblem_hessian(q, X) -> hess``: ``hess(p)`` maps frame coordinates
@@ -225,7 +228,7 @@ class DCProblem:
 
 
 def _require_finite(value: float, what: str) -> float:
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise SolverError(f"non-finite {what}: {value!r}")
     return value
 
@@ -491,40 +494,49 @@ def _surrogate(problem: DCProblem, p_k, x_k, lam: Optional[float]):
 
 
 def _descend_2d(plane: bool, cost, rgrad, start, params: ArmijoParams,
-                stop: StoppingCriterion):
-    """:func:`gradient_descent` in plain floats on the two 2-D geometries.
+                stop: StoppingCriterion, costs: Optional[array] = None):
+    """:func:`gradient_descent` in plain floats on the two 2-D geometries,
+    without the gradient-change clause.
 
     ``cost(x1, x2)`` returns a float and ``rgrad(x1, x2)`` the Riemannian
     gradient r as a float pair (on the plane too), so the step is
     exp_x(-t r) and the squared norm is <r, r>_G, with the same arithmetic
-    as the geometry's own ``exp`` and ``inner``: the iterates equal
-    gradient_descent's. With no trace, no arrays and no conversions, an
-    accepted step on the Rosenbrock surrogate (one gradient, about three
-    costs) takes a median 2.2-3.7 us, against 5.4-9.1 us through the array
-    closures (CPython 3.11, 2-vCPU Xeon host); the Rosenbrock DC runs take
-    millions of them. Returns ``(point, reason, steps)``.
+    as the geometry's own ``exp`` and ``inner``: the iterates, costs,
+    reasons and errors equal gradient_descent's. ``costs``, if given,
+    receives each row's cost, as gradient_descent's ``trace.f`` does. With
+    no trace, no arrays and no conversions, an accepted step on the
+    Rosenbrock surrogate (one gradient, about three costs) takes a median
+    2.2-3.7 us, against 5.4-9.1 us through the array closures (CPython
+    3.11, 2-vCPU Xeon host); the Rosenbrock DC runs take millions of them.
+    Returns ``(point, reason, steps)``.
     """
     x1, x2 = float(start[0]), float(start[1])
     beta = params.contraction
     c = params.sufficient_decrease
-    max_bt = params.max_backtracks
+    tries = range(params.max_backtracks + 1)
     t0 = params.initial_step
+    isfinite, sqrt = math.isfinite, math.sqrt  # local names: millions of steps
     f = cost(x1, x2)
     t_guess = t0
     it = 0
+    step = None
     while True:
+        if not isfinite(f):
+            raise SolverError(f"non-finite cost: {f!r}")
+        if costs is not None:
+            costs.append(f)
         r1, r2 = rgrad(x1, x2)
         if plane:
             n2 = (1.0 + 4.0 * x1 * x1) * r1 * r1 - 2.0 * x1 * (r1 * r2 + r2 * r1) + r2 * r2
         else:
             n2 = r1 * r1 + r2 * r2
-        gn = math.sqrt(0.0 if n2 < 0.0 else n2)  # Geometry.norm without a max() call
-        reason = _stop_reason(stop, it, gn)
+        gn = sqrt(0.0 if n2 < 0.0 else n2)  # Geometry.norm without a max() call
+        reason = _stop_reason(stop, it, gn, step)
         if reason is not None:
             return np.array([x1, x2]), reason, it
         slope = -gn * gn
         t = t_guess
-        for _ in range(max_bt + 1):
+        for _ in tries:
             u = t * r1
             c1 = x1 - u
             c2 = x2 - t * r2 + (u * u if plane else 0.0)
@@ -535,6 +547,7 @@ def _descend_2d(plane: bool, cost, rgrad, start, params: ArmijoParams,
         else:
             return np.array([x1, x2]), "linesearch stalled", it
         x1, x2, f = c1, c2, fc
+        step = t * gn  # distance along the geodesic exp_x(-t r)
         t_guess = min(t0, 4.0 * t)
         it += 1
 
@@ -595,8 +608,7 @@ def _dc_solve(problem: DCProblem, p0, sub: Optional[SubSolverSpec],
             tr_rejected = trace.extra["tr_rejected"] = []
         crit = sub.criterion
         fast = (problem.subproblem_2d is not None and lam is None
-                and sub.kind == "gradient_descent"
-                and crit.iterate_change_tol is None and crit.grad_change_tol is None)
+                and sub.kind == "gradient_descent" and crit.grad_change_tol is None)
         plane = isinstance(geom, RosenbrockPlane)
 
     def evaluate(p):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -14,14 +15,17 @@ from rdcopt.bench import (
     ROSENBROCK_STOP,
     ROSENBROCK_SUB,
 )
-from rdcopt.manifolds import Euclidean, SPDManifold
+from rdcopt.manifolds import Euclidean, RosenbrockPlane, SPDManifold
 from rdcopt.problems import (
     LogDetProblem,
     RosenbrockProblem,
     TrDetProblem,
     logdet_dcproblem,
     quartic_dcproblem,
+    rosenbrock_cost,
     rosenbrock_dcproblem,
+    rosenbrock_grad,
+    rosenbrock_kernel,
     trdet_dcproblem,
 )
 from rdcopt.solvers import (
@@ -131,6 +135,13 @@ class TestGradientDescent:
         _, trace = gradient_descent(EUCLID1, f, rgrad, np.array([0.0]), ArmijoParams(),
                                     StoppingCriterion(max_iter=50))
         assert trace.reason == "linesearch stalled"
+
+    def test_non_finite_gradient_is_hard_error(self):
+        # a NaN gradient is no descent direction; it must not read as a stall
+        f = lambda x: 0.5 * float(x[0]) ** 2
+        with pytest.raises(SolverError, match="gradient norm"):
+            gradient_descent(EUCLID1, f, lambda x: np.array([np.nan]), np.array([1.0]),
+                             ArmijoParams(), StoppingCriterion(max_iter=50))
 
 
 class TestFDHessian:
@@ -391,6 +402,16 @@ class TestDCA:
                       SubSolverSpec("gradient_descent", StoppingCriterion(max_iter=5)),
                       StoppingCriterion(max_iter=5))
 
+    def test_non_finite_gradient_is_hard_error(self):
+        # the sub-solve's NaN gradient used to stall at p_k: a false fixed point
+        problem = DCProblem(geometry=EUCLID1, g_cost=lambda x: 0.5 * float(x[0]) ** 2,
+                            h_cost=lambda x: 0.0, h_rgrad=lambda x: np.zeros(1),
+                            g_rgrad=lambda x: np.array([np.nan]))
+        with pytest.raises(SolverError, match="gradient norm"):
+            dca_solve(problem, np.ones(1),
+                      SubSolverSpec("gradient_descent", StoppingCriterion(max_iter=5)),
+                      StoppingCriterion(max_iter=5))
+
     def test_argument_errors(self):
         stop = StoppingCriterion(max_iter=5)
         with pytest.raises(ValueError, match="sub-solver spec"):
@@ -420,9 +441,11 @@ class TestDCA:
         sub = SubSolverSpec("gradient_descent", StoppingCriterion(max_iter=50),
                             ArmijoParams(max_backtracks=5))
         p0 = np.zeros(2)
-        _, reason, steps = solvers._descend_2d(False, *subproblem_2d(p0, p0), p0,
-                                               sub.armijo, sub.criterion)
-        assert (reason, steps) == ("linesearch stalled", 0)
+        costs = array("d")
+        point, reason, steps = solvers._descend_2d(False, *subproblem_2d(p0, p0), p0,
+                                                   sub.armijo, sub.criterion, costs)
+        assert np.array_equal(point, p0)
+        assert (reason, steps, list(costs)) == ("linesearch stalled", 0, [0.0])
         p, trace = dca_solve(problem, p0, sub, StoppingCriterion(max_iter=10))
         assert np.array_equal(p, p0)
         assert trace.reason == "fixed point"
@@ -680,6 +703,24 @@ class TestFastPathParity:
                 assert kernel == (cost(z), *rgrad(z))
                 assert kernel == (ref_cost(z), *geom.egrad_to_rgrad(z, ref_egrad(z)))
 
+    @pytest.mark.parametrize("geometry", ["euclidean", "rb"])
+    def test_iterate_change_tolerance_takes_the_fast_path(self, geometry, monkeypatch):
+        # the sub-solve stops on "iterate change" after 13 (flat) or 10
+        # (plane) steps, where the generic solver stops
+        problem = rosenbrock_dcproblem(RosenbrockProblem(), geometry)
+        inner = StoppingCriterion(max_iter=1000, grad_norm_tol=1e-16, iterate_change_tol=1e-3)
+        p0 = np.array(ROSENBROCK_START)
+        p_generic, trace = gradient_descent(
+            problem.geometry, *problem.subproblem(p0, problem.h_rgrad(p0)), p0,
+            ArmijoParams(), inner)
+        assert trace.reason == "iterate change"
+        monkeypatch.setattr(solvers, "gradient_descent", None)  # the fast path only
+        p_fast, outer = dca_solve(problem, p0, SubSolverSpec("gradient_descent", inner),
+                                  StoppingCriterion(max_iter=1), record_points=False)
+        assert np.array_equal(p_fast, p_generic)
+        assert outer.extra["inner_steps"] == [trace.iterations - 1]
+        assert outer.subsolver_failures == []
+
     def test_subproblem_hessian_needs_a_subproblem(self):
         logdet = logdet_dcproblem(LogDetProblem(2))
         with pytest.raises(ValueError, match="subproblem_hessian"):
@@ -701,6 +742,81 @@ class TestFastPathParity:
         with pytest.raises(ValueError, match="subproblem_2d"):
             DCProblem(geometry=Euclidean(3), g_cost=problem.g_cost, h_cost=problem.h_cost,
                       h_rgrad=problem.h_rgrad, subproblem_2d=problem.subproblem_2d)
+
+
+def descend_both(plane: bool, stop: StoppingCriterion):
+    """Gradient descent on the Rosenbrock cost from ``ROSENBROCK_START``: the
+    generic loop on the public array formulas and the 2-D float loop on
+    ``rosenbrock_kernel``, each as ``(point, costs, reason)``."""
+    spec = RosenbrockProblem()
+    geom = RosenbrockPlane() if plane else Euclidean(2)
+    p0 = np.array(ROSENBROCK_START)
+    p, trace = gradient_descent(
+        geom, lambda p: rosenbrock_cost(spec, p),
+        lambda p: geom.egrad_to_rgrad(p, rosenbrock_grad(spec, p)), p0, ArmijoParams(), stop)
+    costs = array("d")
+    point, reason, steps = solvers._descend_2d(plane, *rosenbrock_kernel(spec, plane), p0,
+                                               ArmijoParams(), stop, costs)
+    assert steps == len(costs) - 1
+    return (p, np.asarray(trace.f), trace.reason), (point, np.asarray(costs), reason)
+
+
+class TestFloatDescent:
+    """The 2-D float loop against :func:`gradient_descent`, bit for bit."""
+
+    @pytest.mark.parametrize("plane", [False, True])
+    def test_ten_thousand_steps_match(self, plane):
+        generic, fast = descend_both(plane, StoppingCriterion(max_iter=10_000))
+        assert generic[2] == fast[2] == "max iterations"
+        assert len(fast[1]) == 10_001
+        assert np.array_equal(generic[1], fast[1])
+        assert np.array_equal(generic[0], fast[0])
+
+    @pytest.mark.parametrize("plane, steps", [(False, 3689), (True, 14250)])
+    def test_iterate_change_stop_and_its_tie_with_max_iterations(self, plane, steps):
+        # the iterate-change clause fires after `steps` steps; capped at
+        # exactly that many, it still wins the tie with max iterations
+        for max_iter in (20_000, steps):
+            stop = StoppingCriterion(max_iter=max_iter, iterate_change_tol=1e-5)
+            generic, fast = descend_both(plane, stop)
+            assert generic[2] == fast[2] == "iterate change"
+            assert len(fast[1]) == steps + 1
+            assert np.array_equal(generic[1], fast[1])
+            assert np.array_equal(generic[0], fast[0])
+
+    @pytest.mark.parametrize("plane", [False, True])
+    def test_kernel_is_the_rosenbrock_cost(self, plane, rng):
+        # k = 1, c = 0 gives the bits of rosenbrock_cost and rosenbrock_grad,
+        # signed zeros included
+        spec = RosenbrockProblem()
+        geom = RosenbrockPlane() if plane else Euclidean(2)
+        cost, rgrad = rosenbrock_kernel(spec, plane)
+        points = [*rng.uniform(-1.5, 1.5, size=(50, 2)),
+                  (1.0, 1.0), (1.0, 0.0), (0.0, 0.0), (-0.0, 0.0), (-0.5, 0.25)]
+        for z in points:
+            x1, x2 = float(z[0]), float(z[1])
+            p = np.array([x1, x2])
+            ref = (rosenbrock_cost(spec, p), *geom.egrad_to_rgrad(p, rosenbrock_grad(spec, p)))
+            assert ([float(v).hex() for v in (cost(x1, x2), *rgrad(x1, x2))]
+                    == [float(v).hex() for v in ref])
+
+    @pytest.mark.parametrize("cost, start", [
+        (lambda x1, x2: math.inf, (0.0, 0.0)),  # at the start
+        (lambda x1, x2: x1 if x1 > 0.5 else -math.inf, (1.0, 0.0)),  # at the first step
+    ])
+    def test_non_finite_cost_is_hard_error(self, cost, start):
+        stop = StoppingCriterion(max_iter=10)
+        with pytest.raises(SolverError, match="cost"):
+            solvers._descend_2d(False, cost, lambda x1, x2: (1.0, 0.0), start,
+                                ArmijoParams(), stop)
+        with pytest.raises(SolverError, match="cost"):
+            gradient_descent(Euclidean(2), lambda p: cost(*p), lambda p: np.array([1.0, 0.0]),
+                             np.array(start), ArmijoParams(), stop)
+
+    def test_non_finite_gradient_is_hard_error(self):
+        with pytest.raises(SolverError, match="gradient norm"):
+            solvers._descend_2d(False, lambda x1, x2: x1 * x1, lambda x1, x2: (math.nan, 0.0),
+                                (1.0, 0.0), ArmijoParams(), StoppingCriterion(max_iter=10))
 
 
 TIE = StoppingCriterion(max_iter=10, grad_norm_tol=1e-6, iterate_change_tol=10.0)
