@@ -1,10 +1,11 @@
 """Benchmark runners behind the CLI: three experiments plus duality checks.
 
 Each runner writes per-iteration trace CSVs (UTF-8, header row, floats with
-17 significant digits) and returns a summary dict. Wall-clock timing wraps
-the solver call only; problem construction is excluded. Trace files contain
-no timing columns, so identical seeds and configs reproduce them
-byte-for-byte.
+17 significant digits) and returns a summary dict, which the CLI writes as
+``summary.json``. Wall-clock timing wraps the solver call only; problem
+construction is excluded. Trace files contain no timing columns, so
+identical seeds and configs reproduce them byte-for-byte; so does a
+summary, once its ``seconds`` fields are dropped.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .problems import (
     rosenbrock_cost,
     rosenbrock_dcproblem,
     rosenbrock_kernel,
-    save_frechet_spec,
 )
 from .solvers import (
     SolverError,
@@ -143,7 +143,6 @@ def run_dca_vs_dcppa(config: ExperimentConfig) -> dict:
     misses; DCPPA reuses DCA's cache).
     """
     target = -0.25
-    timing_rows = []
     results = []
     failures = []
     for n in range(config.n_min, config.n_max + 1):
@@ -160,7 +159,6 @@ def run_dca_vs_dcppa(config: ExperimentConfig) -> dict:
             eigs_ppa = problem.geometry.eigendecompositions - eigs_dca
         except SolverError as exc:
             failures.append({"n": n, "error": str(exc)})
-            timing_rows.append([n, row["d"], math.nan, math.nan, 0, 0])
             continue
         row.update({
             "dca_seconds": sec_dca, "dcppa_seconds": sec_ppa,
@@ -173,12 +171,7 @@ def run_dca_vs_dcppa(config: ExperimentConfig) -> dict:
                        ((i, f, abs(f - target)) for i, f in enumerate(trace.f)))
             row.update({f"{tag}_{key}": value for key, value in _subsolve_stats(trace).items()})
             row[f"{tag}_eigendecompositions"] = eigs
-        timing_rows.append([n, row["d"], sec_dca, sec_ppa,
-                            tr_dca.iterations, tr_ppa.iterations])
         results.append(row)
-    _write_csv(config.out_dir / "timing.csv",
-               ["n", "d", "dca_seconds", "dcppa_seconds", "dca_iters", "dcppa_iters"],
-               timing_rows)
     return {"experiment": "dca-vs-dcppa", "results": results, "failures": failures}
 
 
@@ -223,23 +216,23 @@ def run_rosenbrock(config: ExperimentConfig) -> dict:
     runs["riemannian_dca"] = _timed(dca_solve, rosenbrock_dcproblem(spec, "rb"), p0,
                                     ROSENBROCK_SUB, ROSENBROCK_STOP, record_points=False)
 
-    solution = np.array([spec.b, spec.b * spec.b])
+    solution = (spec.b, spec.b * spec.b)
     results = {}
     for name, ((point, trace), seconds) in runs.items():
         _write_csv(config.out_dir / f"{name}.csv", ["i", "f"],
                    ((i, f) for i, f in enumerate(trace.f)))
+        final_point = [float(point[0]), float(point[1])]
         results[name] = {
             "seconds": seconds,
             "iterations": trace.iterations,
-            "final_point": [float(point[0]), float(point[1])],
+            "final_point": final_point,
             "final_cost": trace.f[-1],
-            "distance_to_solution": float(np.linalg.norm(np.asarray(point) - solution)),
+            # in plain floats: a BLAS norm's bits depend on the kernel
+            "distance_to_solution": math.dist(final_point, solution),
             "reason": trace.reason,
         }
         if name.endswith("_dca"):
             results[name].update(_subsolve_stats(trace))
-    _write_csv(config.out_dir / "summary.csv", ["algorithm", "seconds", "iterations"],
-               ([name, r["seconds"], r["iterations"]] for name, r in results.items()))
     return {"experiment": "rosenbrock", "initial_cost": rosenbrock_cost(spec, p0),
             "results": results}
 
@@ -256,7 +249,6 @@ def run_frechet(config: ExperimentConfig) -> dict:
     exactly as many iterations, for a row-aligned comparison.
     """
     prob, p0 = random_frechet_instance(config.n, config.m, config.seed)
-    save_frechet_spec(config.out_dir / "instance.json", config.n, config.m, config.seed)
     dc = frechet_dcproblem(prob)
     (p_dca, tr_dca), sec_dca = _timed(dca_solve, dc, p0, None, FRECHET_STOP,
                                       record_points=True)
@@ -359,14 +351,9 @@ def run_duality_checks(config: ExperimentConfig, tamper: bool = False) -> dict:
     check("primal-dual value equality", abs(f_primal - f_dual) <= 1e-3,
           f"primal {f_primal:.6f} vs dual {f_dual:.6f}")
 
-    passed = all(c["passed"] for c in checks)
-    lines = [f"{'PASS' if c['passed'] else 'FAIL'}  {c['name']}: {c['detail']}"
-             for c in checks]
-    lines.append(f"{'PASS' if passed else 'FAIL'}  duality suite")
-    (config.out_dir / "duality_report.txt").write_text("\n".join(lines) + "\n",
-                                                       encoding="utf-8")
     _write_csv(config.out_dir / "sandwich.csv",
                ["k", "primal", "dual", "primal_next", "lower_residual", "upper_residual"],
                ([r.k, r.primal, r.dual, r.primal_next, r.lower_residual, r.upper_residual]
                 for r in report.rows))
-    return {"experiment": "duality", "passed": passed, "checks": checks}
+    return {"experiment": "duality", "passed": all(c["passed"] for c in checks),
+            "checks": checks}

@@ -7,8 +7,9 @@
 
 Each option sets the ``ExperimentConfig`` field of its name (``--out`` sets
 ``out_dir``); the config holds every default and decides whether the
-instance is valid. Exit codes: 0 on success, 1 on any failure inside a run,
-2 on usage errors.
+instance is valid. Each command prints its JSON summary and writes the same
+bytes to ``DIR/summary.json``. Exit codes: 0 on success, 1 on any failure
+inside a run, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -87,8 +88,9 @@ def main(argv=None) -> int:
         print(f"rdcopt: error: {exc}", file=sys.stderr)
         return 2
     summary = run(config)
-    json.dump(summary, sys.stdout, indent=2, default=str)
-    sys.stdout.write("\n")
+    text = json.dumps(summary, indent=2, default=str) + "\n"
+    sys.stdout.write(text)
+    (config.out_dir / "summary.json").write_text(text, encoding="utf-8", newline="\n")
     return 0 if passed(summary) else 1
 
 

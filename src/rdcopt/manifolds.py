@@ -290,7 +290,7 @@ class SPDManifold(Geometry):
         # Euclidean gradient q^-1/2 Dlogm(M)[Xhat] q^-1/2 by Daleckii-Krein,
         # then converted with p G p.
         _, qi = self.roots(q)
-        egrad = qi @ sym_dlog(self.to_frame(q, p), self.to_frame(q, x)) @ qi
+        egrad = qi @ sym_dlog(self._eig(self.to_frame(q, p)), self.to_frame(q, x)) @ qi
         return self.egrad_to_rgrad(p, egrad)
 
 

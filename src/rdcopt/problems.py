@@ -14,7 +14,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -59,7 +58,6 @@ __all__ = [
     "frechet_dcproblem",
     "frechet_linear_oracle",
     "random_frechet_instance",
-    "save_frechet_spec",
 ]
 
 
@@ -712,11 +710,4 @@ def random_frechet_instance(n: int, m: int, seed: int):
     p0 = symmetrize(0.5 * (harm + arith))
     prob = FrechetBoxProblem(points=points, weights=weights, lower=harm, upper=arith)
     return prob, p0
-
-
-def save_frechet_spec(path, n: int, m: int, seed: int) -> None:
-    """Record an instance as (n, m, seed); regeneration is by seed."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"n": n, "m": m, "seed": seed}, fh)
-        fh.write("\n")
 

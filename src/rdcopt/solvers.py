@@ -139,8 +139,8 @@ class SolverTrace:
     """Per-iteration records of a solver run.
 
     Row ``k`` holds the cost at the k-th iterate, the step distance
-    d(p_{k-1}, p_k) (zero for k = 0), the stopping-gradient norm at the
-    iterate and the wall-clock seconds elapsed since the solver started.
+    d(p_{k-1}, p_k) (zero for k = 0) and the wall-clock seconds elapsed
+    since the solver started.
     Points and DC subgradients are kept only when requested.
     ``subsolver_failures`` lists the outer steps whose sub-solve hit its
     cap; ``extra`` holds per-step lists of a method, such as the inner
@@ -153,7 +153,6 @@ class SolverTrace:
     def __init__(self, record_points: bool = False):
         self.f = array("d")
         self.step = array("d")
-        self.grad_norm = array("d")
         self.seconds = array("d")
         self.reason: Optional[str] = None
         self.points: Optional[list] = [] if record_points else None
@@ -161,11 +160,10 @@ class SolverTrace:
         self.subsolver_failures: list[int] = []
         self.extra: dict[str, list] = {}
 
-    def append(self, f: float, step: float, grad_norm: float, seconds: float,
+    def append(self, f: float, step: float, seconds: float,
                point=None, subgradient=None) -> None:
         self.f.append(f)
         self.step.append(step)
-        self.grad_norm.append(grad_norm)
         self.seconds.append(seconds)
         if self.points is not None:
             self.points.append(point)
@@ -279,7 +277,7 @@ def gradient_descent(geometry: Geometry, f: Callable, rgrad: Callable, p0,
     fp = _require_finite(float(f(p)), "cost")
     g = rgrad(p)
     gn = geometry.norm(p, g)
-    trace.append(fp, 0.0, gn, time.perf_counter() - t0)
+    trace.append(fp, 0.0, time.perf_counter() - t0)
     trace.reason = _stop_reason(stop, 0, gn)
     steps = 0
     # each search warm-starts from the previous accepted step (with room to
@@ -299,7 +297,7 @@ def gradient_descent(geometry: Geometry, f: Callable, rgrad: Callable, p0,
         g_next = rgrad(p_next)
         gn_next = geometry.norm(p_next, g_next)
         steps += 1
-        trace.append(f_next, step_dist, gn_next, time.perf_counter() - t0)
+        trace.append(f_next, step_dist, time.perf_counter() - t0)
         trace.reason = _stop_reason(
             stop, steps, gn_next, step_dist,
             lambda: geometry.norm(p_next, geometry.transport(p, p_next, g) - g_next))
@@ -401,7 +399,7 @@ def trust_region_solve(geometry: Geometry, f: Callable, rgrad: Callable, p0,
     g = rgrad(p)
     gy = geometry.to_frame(p, g)
     gn = math.sqrt(_dot(gy, gy))
-    trace.append(fp, 0.0, gn, time.perf_counter() - t0)
+    trace.append(fp, 0.0, time.perf_counter() - t0)
     trace.reason = _stop_reason(stop, 0, gn)
     radius = _TR_INITIAL_RADIUS
     cg_budget = max(geometry.dim, 10)
@@ -431,7 +429,7 @@ def trust_region_solve(geometry: Geometry, f: Callable, rgrad: Callable, p0,
             gy = geometry.to_frame(p, g)
             gn = math.sqrt(_dot(gy, gy))
             hvp = None
-        trace.append(fp, step_dist or 0.0, gn, time.perf_counter() - t0)
+        trace.append(fp, step_dist or 0.0, time.perf_counter() - t0)
         trace.reason = _stop_reason(
             stop, steps, gn, step_dist,
             lambda: geometry.norm(p, geometry.transport(p_prev, p, g_prev) - g))
@@ -564,8 +562,7 @@ def _outer_loop(geometry: Geometry, p, evaluate: Callable, step: Callable,
     """
     t0 = time.perf_counter()
     f, x, g = evaluate(p)
-    trace.append(f, 0.0, geometry.norm(p, g), time.perf_counter() - t0,
-                 point=p, subgradient=x)
+    trace.append(f, 0.0, time.perf_counter() - t0, point=p, subgradient=x)
     k = 0
     while trace.reason is None:
         p_next = step(k, p, x)
@@ -576,7 +573,7 @@ def _outer_loop(geometry: Geometry, p, evaluate: Callable, step: Callable,
         gn = geometry.norm(p_next, g_next)
         step_dist = geometry.dist(p, p_next)
         k += 1
-        trace.append(f, step_dist, gn, time.perf_counter() - t0,
+        trace.append(f, step_dist, time.perf_counter() - t0,
                      point=p_next, subgradient=x_next)
         trace.reason = _stop_reason(
             stop, k, gn, step_dist,

@@ -1,10 +1,13 @@
-"""The golden-trace manifest: sha256 of every trace output of the CLI.
+"""The golden-trace manifest: every trace output of the CLI, and its summary.
 
-The outputs are the 38 ``dca_n*`` / ``dcppa_n*`` CSVs of ``rdcopt bench
-dca-vs-dcppa`` (n = 2..20), ``frechet_dca.csv``, ``frechet_fw.csv`` and
-``instance.json`` of ``rdcopt bench frechet --seed 42``, ``sandwich.csv``
-and ``duality_report.txt`` of ``rdcopt check duality``, and the four trace
-CSVs of ``rdcopt bench rosenbrock`` (a = 2e5).
+The manifest holds the sha256 of the 38 ``dca_n*`` / ``dcppa_n*`` CSVs of
+``rdcopt bench dca-vs-dcppa`` (n = 2..20), ``frechet_dca.csv`` and
+``frechet_fw.csv`` of ``rdcopt bench frechet --seed 42``, ``sandwich.csv``
+of ``rdcopt check duality`` and the four trace CSVs of ``rdcopt bench
+rosenbrock`` (a = 2e5). For each of the four commands it also holds the
+record of its ``summary.json``: the summary itself, stop reasons and work
+counts included, without the keys that contain "seconds" (``record``). A
+record is kept whole, not hashed, so a mismatch names the fields that moved.
 
 The bits of the first three commands depend on the BLAS kernel, so
 ``test_golden.py`` regenerates them in a subprocess with OpenBLAS pinned to
@@ -13,16 +16,17 @@ Where that pin cannot hold (numpy's BLAS is not an OpenBLAS built with
 DYNAMIC_ARCH, or the machine is not x86-64) ``skip_reason`` says so and the
 gate skips. The Rosenbrock runs compute in plain floats and 2-vectors:
 their CSVs hashed the same under the SkylakeX, Haswell, Zen and Prescott
-kernels. Their run takes minutes, so ``test_criterion_3_rosenbrock`` in
-``test_acceptance.py``, which makes it anyway, checks their hashes on the
-host's own kernel.
+kernels, and their record under SkylakeX and Haswell. Their run takes
+minutes, so ``test_criterion_3_rosenbrock`` in ``test_acceptance.py``,
+which makes it anyway, checks their hashes, and the record of the summary
+that ``run_rosenbrock`` returns, on the host's own kernel.
 
 A change that moves results on purpose re-blesses the manifest with
 
     python tests/golden.py
 
 (all four commands, the Rosenbrock one for some minutes) and says in its
-description which outputs moved and why.
+description which outputs and fields moved and why.
 """
 
 from __future__ import annotations
@@ -44,13 +48,14 @@ TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
 PINNED_ENV = {"OPENBLAS_CORETYPE": "Haswell", "OPENBLAS_NUM_THREADS": "1"}
 
-# output directory -> (CLI arguments, files kept)
+SUMMARY = "summary.json"
+# output directory -> (CLI arguments, files hashed)
 COMMANDS = {
     "logdet": (["bench", "dca-vs-dcppa", "--n-min", "2", "--n-max", "20"],
                [f"{tag}_n{n}.csv" for tag in ("dca", "dcppa") for n in range(2, 21)]),
     "frechet": (["bench", "frechet", "--n", "5", "--m", "20", "--seed", "42"],
-                ["frechet_dca.csv", "frechet_fw.csv", "instance.json"]),
-    "duality": (["check", "duality"], ["sandwich.csv", "duality_report.txt"]),
+                ["frechet_dca.csv", "frechet_fw.csv"]),
+    "duality": (["check", "duality"], ["sandwich.csv"]),
     "rosenbrock": (["bench", "rosenbrock"],
                    [f"{name}.csv" for name in ("euclidean_gd", "euclidean_dca",
                                                "riemannian_gd", "riemannian_dca")]),
@@ -91,23 +96,68 @@ def generate(out_dir: Path, names=GATE) -> None:
                        env=env, check=True, stdout=subprocess.DEVNULL)
 
 
-def digests(out_dir: Path, names=GATE) -> dict:
-    """sha256 of the manifest files of the commands ``names`` under ``out_dir``,
+def record(summary):
+    """A summary without its wall-clock fields: every key that contains
+    "seconds" is dropped, at any depth."""
+    if isinstance(summary, dict):
+        return {key: record(value) for key, value in summary.items() if "seconds" not in key}
+    if isinstance(summary, list):
+        return [record(value) for value in summary]
+    return summary
+
+
+def hashes(out_dir: Path, names) -> dict:
+    """sha256 of the hashed files of the commands ``names`` under ``out_dir``,
     keyed "<name>/<file>"."""
     return {f"{name}/{file}": hashlib.sha256((out_dir / name / file).read_bytes()).hexdigest()
             for name in names for file in COMMANDS[name][1]}
+
+
+def digests(out_dir: Path, names=GATE) -> dict:
+    """The manifest entries of the commands ``names`` under ``out_dir``: the
+    ``hashes`` and the record of each command's summary.json."""
+    return {**hashes(out_dir, names),
+            **{f"{name}/{SUMMARY}": record(json.loads(
+                (out_dir / name / SUMMARY).read_text(encoding="utf-8"))) for name in names}}
 
 
 def load_manifest() -> dict:
     return json.loads(MANIFEST.read_text(encoding="utf-8"))
 
 
+def _moved_fields(expected: dict, actual: dict, path: str = "") -> list:
+    """The paths of the fields where two records differ; a number differs
+    when its JSON text does, so -0.0 is not 0.0 and 1 is not 1.0."""
+    moved = []
+    for key in sorted(expected.keys() | actual.keys()):
+        field = f"{path}.{key}" if path else key
+        a, b = expected.get(key), actual.get(key)
+        if key not in expected or key not in actual:
+            moved.append(field)
+        elif isinstance(a, dict) and isinstance(b, dict):
+            moved += _moved_fields(a, b, field)
+        elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+            moved += _moved_fields(dict(enumerate(a)), dict(enumerate(b)), field)
+        elif json.dumps(a) != json.dumps(b):
+            moved.append(field)
+    return moved
+
+
 def mismatches(expected: dict, actual: dict) -> list:
-    """The keys of the commands ``actual`` covers whose digests differ, or
-    that only one side has."""
+    """What differs in the commands ``actual`` covers: each key whose hash
+    differs or that only one side has, and "<key>: <field>" for each field
+    of a record that moved."""
     names = {key.split("/")[0] for key in actual}
-    return sorted(key for key in expected.keys() | actual.keys()
-                  if key.split("/")[0] in names and expected.get(key) != actual.get(key))
+    moved = []
+    for key in sorted(expected.keys() | actual.keys()):
+        if key.split("/")[0] not in names:
+            continue
+        a, b = expected.get(key), actual.get(key)
+        if isinstance(a, dict) and isinstance(b, dict):
+            moved += [f"{key}: {field}" for field in _moved_fields(a, b)]
+        elif key not in expected or key not in actual or a != b:
+            moved.append(key)
+    return moved
 
 
 def main() -> int:
@@ -120,7 +170,7 @@ def main() -> int:
         new = digests(Path(tmp), COMMANDS)
     moved = mismatches(load_manifest(), new) if MANIFEST.exists() else sorted(new)
     MANIFEST.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"{MANIFEST.name}: {len(moved)} of {len(new)} outputs moved")
+    print(f"{MANIFEST.name}: {len(moved)} outputs or fields moved, of {len(new)} outputs")
     for key in moved:
         print(f"  {key}")
     return 0

@@ -2,8 +2,8 @@
 
 Criterion 3 runs the full-scale Rosenbrock comparison (a = 2e5), including a
 multi-million-iteration gradient-descent baseline; expect a few minutes. It
-also checks the sha256 of the comparison's four trace CSVs against
-``tests/golden.json``.
+also checks the sha256 of the comparison's four trace CSVs, and the record of
+its summary, against ``tests/golden.json``.
 """
 
 import math
@@ -114,10 +114,13 @@ def test_criterion_3_rosenbrock(tmp_path):
     config = ExperimentConfig(out_dir=tmp_path / "rosenbrock")
     summary = run_rosenbrock(config)
     failures = []
-    # the trace CSVs, bit for bit, on the host's own BLAS kernel (see golden.py)
-    moved = golden.mismatches(golden.load_manifest(), golden.digests(tmp_path, ["rosenbrock"]))
+    # the trace CSVs and the summary's record, bit for bit, on the host's own
+    # BLAS kernel (see golden.py)
+    actual = {**golden.hashes(tmp_path, ["rosenbrock"]),
+              f"rosenbrock/{golden.SUMMARY}": golden.record(summary)}
+    moved = golden.mismatches(golden.load_manifest(), actual)
     if moved:
-        failures.append(f"trace CSVs differ from tests/golden.json: {moved}")
+        failures.append(f"outputs differ from tests/golden.json: {moved}")
     if abs(summary["initial_cost"] - 7220.81) > 0.01:
         failures.append(f"initial cost {summary['initial_cost']}")
     results = summary["results"]

@@ -34,11 +34,12 @@ class TestDcaVsDcppaRunner:
     def test_small_range(self, tmp_path):
         summary = run_dca_vs_dcppa(ExperimentConfig(out_dir=tmp_path, n_min=2, n_max=5))
         assert not summary["failures"]
-        header, rows = read_csv(tmp_path / "timing.csv")
-        assert header == ["n", "d", "dca_seconds", "dcppa_seconds", "dca_iters", "dcppa_iters"]
-        assert [int(r[0]) for r in rows] == [2, 3, 4, 5]
-        # the dimension column is n(n+1)/2; 5x5 matrices live on a 15-dim manifold
-        assert [int(r[1]) for r in rows] == [3, 6, 10, 15]
+        assert [result["n"] for result in summary["results"]] == [2, 3, 4, 5]
+        # the dimension is n(n+1)/2; 5x5 matrices live on a 15-dim manifold
+        assert [result["d"] for result in summary["results"]] == [3, 6, 10, 15]
+        # the runner writes the traces only; the CLI writes the summary
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+            f"{tag}_n{n}.csv" for tag in ("dca", "dcppa") for n in range(2, 6))
         for result in summary["results"]:
             n = result["n"]
             for tag in ("dca", "dcppa"):
@@ -83,8 +84,8 @@ class TestDcaVsDcppaRunner:
 
     def test_solver_error_row(self, tmp_path, monkeypatch, capsys):
         # a non-finite cost at n = 3 is a hard solver error: that size gets a
-        # failures entry and a NaN timing row, the others still run, and the
-        # CLI exits with 1
+        # failures entry and no result row or traces, the others still run,
+        # and the CLI exits with 1
         build = bench.logdet_dcproblem
 
         def nan_at_3(spec):
@@ -95,13 +96,14 @@ class TestDcaVsDcppaRunner:
         summary = run_dca_vs_dcppa(ExperimentConfig(out_dir=tmp_path, n_min=2, n_max=3))
         assert [result["n"] for result in summary["results"]] == [2]
         assert summary["failures"] == [{"n": 3, "error": "non-finite cost: nan"}]
-        _, rows = read_csv(tmp_path / "timing.csv")
-        assert rows[1] == ["3", "6", "nan", "nan", "0", "0"]
         assert not (tmp_path / "dca_n3.csv").exists()
         code = main(["bench", "dca-vs-dcppa", "--n-min", "3", "--n-max", "3",
                      "--out", str(tmp_path / "cli")])
         assert code == 1
-        assert json.loads(capsys.readouterr().out)["failures"][0]["n"] == 3
+        out = capsys.readouterr().out
+        assert json.loads(out)["failures"][0]["n"] == 3
+        # a failed run still leaves its summary
+        assert (tmp_path / "cli" / "summary.json").read_text(encoding="utf-8") == out
 
 
 class TestRosenbrockRunner:
@@ -112,10 +114,10 @@ class TestRosenbrockRunner:
         summary = run_rosenbrock(config)
         assert summary["initial_cost"] == pytest.approx(
             100.0 * (0.1 ** 2 - 0.2) ** 2 + 0.81)
-        header, rows = read_csv(tmp_path / "summary.csv")
-        assert header == ["algorithm", "seconds", "iterations"]
-        assert [r[0] for r in rows] == [
+        assert list(summary["results"]) == [
             "euclidean_gd", "euclidean_dca", "riemannian_gd", "riemannian_dca"]
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+            f"{name}.csv" for name in summary["results"])
         for name, result in summary["results"].items():
             trace_header, trace_rows = read_csv(tmp_path / f"{name}.csv")
             assert trace_header == ["i", "f"]
@@ -145,9 +147,8 @@ class TestFrechetRunner:
     def test_desk_scale(self, tmp_path):
         config = ExperimentConfig(out_dir=tmp_path, n=4, m=8, seed=0)
         summary = run_frechet(config)
-        assert (tmp_path / "instance.json").exists()
-        spec = json.loads((tmp_path / "instance.json").read_text())
-        assert spec == {"n": 4, "m": 8, "seed": 0}
+        # the summary names the instance
+        assert (summary["n"], summary["m"], summary["seed"]) == (4, 8, 0)
         for name in ("frechet_dca.csv", "frechet_fw.csv"):
             header, rows = read_csv(tmp_path / name)
             assert header == ["i", "h", "feas_slack"]
@@ -171,9 +172,9 @@ class TestFrechetRunner:
                 lambda out: run_dca_vs_dcppa(ExperimentConfig(out_dir=out, n_min=2, n_max=4)),
                 logdet_traces),
             "frechet": (lambda out: run_frechet(ExperimentConfig(out_dir=out, n=4, m=8, seed=5)),
-                        ("frechet_dca.csv", "frechet_fw.csv", "instance.json")),
+                        ("frechet_dca.csv", "frechet_fw.csv")),
             "duality": (lambda out: run_duality_checks(ExperimentConfig(out_dir=out)),
-                        ("duality_report.txt", "sandwich.csv")),
+                        ("sandwich.csv",)),
         }
         for tag, (run, names) in runs.items():
             a_dir = tmp_path / tag / "a"
@@ -188,8 +189,8 @@ class TestDualityRunner:
     def test_passes_and_writes_report(self, tmp_path):
         summary = run_duality_checks(ExperimentConfig(out_dir=tmp_path))
         assert summary["passed"]
-        report = (tmp_path / "duality_report.txt").read_text()
-        assert "FAIL" not in report
+        assert len(summary["checks"]) == 6
+        assert all(check["passed"] for check in summary["checks"])
         header, rows = read_csv(tmp_path / "sandwich.csv")
         assert header == ["k", "primal", "dual", "primal_next",
                           "lower_residual", "upper_residual"]
@@ -258,14 +259,22 @@ class TestCli:
     def test_check_duality_exit_zero(self, tmp_path, capsys):
         code = main(["check", "duality", "--out", str(tmp_path)])
         assert code == 0
-        out = json.loads(capsys.readouterr().out)
-        assert out["passed"]
+        out = capsys.readouterr().out
+        assert json.loads(out)["passed"]
+        # the summary holds no seconds, so a second run writes the same bytes
+        assert main(["check", "duality", "--out", str(tmp_path / "again")]) == 0
+        assert capsys.readouterr().out == out
+        assert (tmp_path / "summary.json").read_bytes() == out.encode("utf-8")
+        assert (tmp_path / "again" / "summary.json").read_bytes() == out.encode("utf-8")
 
     def test_bench_dca_vs_dcppa(self, tmp_path, capsys):
         code = main(["bench", "dca-vs-dcppa", "--n-min", "2", "--n-max", "3",
                      "--out", str(tmp_path)])
         assert code == 0
-        assert (tmp_path / "timing.csv").exists()
+        # stdout and summary.json are the same bytes
+        out = capsys.readouterr().out
+        assert (tmp_path / "summary.json").read_bytes() == out.encode("utf-8")
+        assert [result["n"] for result in json.loads(out)["results"]] == [2, 3]
 
     def test_bench_rosenbrock_long_run(self, tmp_path, capsys, monkeypatch):
         out = ["--out", str(tmp_path)]
@@ -283,5 +292,5 @@ class TestCli:
         code = main(["bench", "frechet", "--n", "4", "--m", "8", "--seed", "11",
                      "--out", str(tmp_path)])
         assert code == 0
-        spec = json.loads((tmp_path / "instance.json").read_text())
-        assert spec == {"n": 4, "m": 8, "seed": 11}
+        summary = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
+        assert (summary["n"], summary["m"], summary["seed"]) == (4, 8, 11)

@@ -1,9 +1,10 @@
-"""The golden-trace gate: the CLI's trace outputs, bit for bit.
+"""The golden-trace gate: the CLI's trace outputs and summaries, bit for bit.
 
 See ``golden.py`` for what is hashed, how the BLAS kernel is pinned and
 how to re-bless ``golden.json``.
 """
 
+import json
 import shutil
 
 import numpy as np
@@ -24,8 +25,9 @@ def outputs(tmp_path_factory):
 
 def test_trace_outputs_match_manifest(outputs):
     moved = golden.mismatches(golden.load_manifest(), golden.digests(outputs))
-    assert not moved, (f"{len(moved)} trace outputs differ from tests/golden.json: {moved}; "
-                       "re-bless with `python tests/golden.py` if the change is intended")
+    assert not moved, (f"{len(moved)} trace outputs or summary fields differ from "
+                       f"tests/golden.json: {moved}; re-bless with `python tests/golden.py` "
+                       "if the change is intended")
 
 
 def test_one_ulp_in_one_row_is_caught(outputs, tmp_path):
@@ -40,3 +42,42 @@ def test_one_ulp_in_one_row_is_caught(outputs, tmp_path):
     assert float(lines[5].split(",")[1]) == bumped != float(f)
     assert golden.mismatches(golden.load_manifest(), golden.digests(copy)) == [
         "logdet/dcppa_n9.csv"]
+
+
+def edit_summary(outputs, tmp_path, name, edit):
+    """A copy of the outputs with ``edit`` applied to ``name``'s summary.json."""
+    copy = tmp_path / "copy"
+    shutil.copytree(outputs, copy)
+    path = copy / name / golden.SUMMARY
+    summary = json.loads(path.read_text(encoding="utf-8"))
+    edit(summary)
+    path.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
+    return copy
+
+
+def test_a_flipped_reason_is_caught(outputs, tmp_path):
+    def flip(summary):
+        assert summary["dca"]["reason"] != "max iterations"
+        summary["dca"]["reason"] = "max iterations"
+
+    copy = edit_summary(outputs, tmp_path, "frechet", flip)
+    assert golden.mismatches(golden.load_manifest(), golden.digests(copy)) == [
+        "frechet/summary.json: dca.reason"]
+
+
+def test_a_bumped_count_is_caught(outputs, tmp_path):
+    def bump(summary):
+        summary["results"][3]["dca_eigendecompositions"] += 1
+
+    copy = edit_summary(outputs, tmp_path, "logdet", bump)
+    assert golden.mismatches(golden.load_manifest(), golden.digests(copy)) == [
+        "logdet/summary.json: results.3.dca_eigendecompositions"]
+
+
+def test_seconds_are_not_gated(outputs, tmp_path):
+    def slow_down(summary):
+        for row in summary["results"]:
+            row["dca_seconds"] += 1.0
+
+    copy = edit_summary(outputs, tmp_path, "logdet", slow_down)
+    assert golden.mismatches(golden.load_manifest(), golden.digests(copy)) == []

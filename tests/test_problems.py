@@ -1,5 +1,4 @@
 import dataclasses
-import json
 import math
 import subprocess
 import sys
@@ -39,7 +38,6 @@ from rdcopt.problems import (
     rosenbrock_cost,
     rosenbrock_dcproblem,
     rosenbrock_grad,
-    save_frechet_spec,
     trdet_dcproblem,
 )
 from rdcopt.solvers import (
@@ -767,15 +765,6 @@ class TestRandomInstance:
         np.testing.assert_array_equal(a.points, b.points)
         np.testing.assert_array_equal(a.weights, b.weights)
         np.testing.assert_array_equal(pa, pb)
-
-    def test_spec_roundtrip(self, tmp_path):
-        path = tmp_path / "instance.json"
-        save_frechet_spec(path, 4, 6, 3)
-        spec = json.loads(path.read_text(encoding="utf-8"))
-        prob, p0 = random_frechet_instance(spec["n"], spec["m"], spec["seed"])
-        ref, ref_p0 = random_frechet_instance(4, 6, 3)
-        np.testing.assert_array_equal(prob.points, ref.points)
-        np.testing.assert_array_equal(p0, ref_p0)
 
 
 class TestFrechetDCParts:

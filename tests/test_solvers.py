@@ -13,7 +13,6 @@ from rdcopt.bench import (
     LOGDET_SUB,
     ROSENBROCK_START,
     ROSENBROCK_STOP,
-    ROSENBROCK_SUB,
 )
 from rdcopt.manifolds import Euclidean, RosenbrockPlane, SPDManifold
 from rdcopt.problems import (
@@ -380,15 +379,6 @@ class TestDCA:
         det = math.exp(spd_logdet_of(p))
         assert abs(spec.phi1.d1(det) - spec.phi2.d1(det)) <= 1e-6
 
-    def test_rosenbrock_converges(self):
-        spec = RosenbrockProblem()
-        problem = rosenbrock_dcproblem(spec, "rb")
-        p, trace = dca_solve(problem, np.array(ROSENBROCK_START), ROSENBROCK_SUB,
-                             dataclasses.replace(ROSENBROCK_STOP, max_iter=20000),
-                             record_points=False)
-        assert np.linalg.norm(p - np.array([1.0, 1.0])) <= 1e-6
-        assert 100 <= trace.iterations - 1 <= 10000
-
     def test_non_finite_cost_is_hard_error(self):
         problem = DCProblem(
             geometry=EUCLID1,
@@ -642,6 +632,17 @@ class TestStronglyConvexify:
         steps = np.asarray(trace.step)
         for k in range(1, len(fs)):
             assert fs[k] <= fs[k - 1] - 0.5 * steps[k] ** 2 + 1e-8
+
+    def test_generic_surrogate_decomposes_through_the_cache(self, monkeypatch):
+        # the generic surrogate's adjoint log differential factors its
+        # whitened point in the geometry's cache, so every eigh is counted
+        problem = strongly_convexify(logdet_dcproblem(LogDetProblem(3)), 1.0, np.eye(3))
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+        dca_solve(problem, bench.logdet_start(3), LOGDET_SUB, StoppingCriterion(max_iter=5))
+        assert problem.geometry.eigendecompositions > 0
+        assert len(calls) == problem.geometry.eigendecompositions
 
 
 class TestIsCritical:
