@@ -165,13 +165,16 @@ def toland_dual_value(hstar: Callable, gstar: Callable, covectors) -> float:
     return float(np.min(hstar(p, x) - gstar(p, x)))
 
 
-def fenchel_young_gap(f: Callable, geometry: Geometry, fstar: Callable, p, x, q) -> float:
-    """f(q) + f*(p, X) - <X, log_p(q)>: nonnegative for the exact conjugate,
-    >= -eps_grid for the sampled one. ``fstar`` is a conjugate of f as
-    :func:`sampled_conjugate` makes it."""
-    p, x, q = (np.atleast_1d(np.asarray(a, dtype=float)) for a in (p, x, q))
-    pairing = geometry.inner(p, x, geometry.log(p, q))
-    return float(f(q)) + float(fstar(p, x)[0]) - pairing
+def fenchel_young_gap(f: Callable, geometry: Geometry, fstar: Callable, p, x, q):
+    """f(q) + f*(p, X) - <X, log_p(q)> on flat 1-D space: nonnegative for the
+    exact conjugate, >= -eps_grid for ``fstar`` as :func:`sampled_conjugate`
+    makes it. One triple gives a float; K > 1 triples (p_k, X_k, q_k) give the
+    K gaps from one call of f on (K, 1) samples, each its single call's bits."""
+    if not isinstance(geometry, Euclidean) or geometry.dim > 1:
+        raise ValueError("grid conjugate intractable")
+    p, x, q = map(np.ravel, np.broadcast_arrays(*(np.array(a, float) for a in (p, x, q))))
+    gaps = np.asarray(f(q[:, None]), dtype=float) + fstar(p, x) - (q - p) * x
+    return float(gaps[0]) if gaps.size == 1 else gaps
 
 
 @dataclass(frozen=True)

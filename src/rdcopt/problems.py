@@ -368,12 +368,13 @@ def rosenbrock_dcproblem(spec: RosenbrockProblem, geometry: str) -> DCProblem:
 
 def quartic_dcproblem() -> DCProblem:
     """The 1-D family g(x) = x^4 + x^2, h(x) = 2x^2: f = x^4 - x^2, critical at 0
-    and +-1/sqrt(2), f* = -1/4. The costs take batched samples (..., 1) too.
+    and +-1/sqrt(2), f* = -1/4. The costs take batched samples (..., 1) too; g
+    is u^2 u^2 + u^2 in IEEE products, within 2 ulp of pow and host-independent.
     The surrogate at (q, X) is g(p) - X p, with the exact Hessian 12 p^2 + 2."""
 
     def g_cost(x):
-        u = np.asarray(x, dtype=float)[..., 0]
-        return u ** 4 + u ** 2
+        u2 = np.square(np.asarray(x, dtype=float)[..., 0])
+        return u2 * u2 + u2
 
     def h_cost(x):
         u = np.asarray(x, dtype=float)[..., 0]
@@ -515,6 +516,11 @@ def box_linear_subproblem(s: np.ndarray, x: np.ndarray, lower: np.ndarray,
     s = symmetrize(s)
     x = assert_spd(x, "congruence factor")
     _assert_box(lower, upper)
+    return _box_oracle(s, x, lower, upper)
+
+
+def _box_oracle(s, x, lower, upper):
+    """:func:`box_linear_subproblem` on a box, ``s`` and ``x`` it has checked."""
     n = s.shape[0]
     d, q = sym_eig(s)
     xq = x @ q
@@ -646,9 +652,8 @@ def frechet_linear_oracle(prob: FrechetBoxProblem):
     """
 
     def oracle(p, grad_vec):
-        _, si = prob.geometry.roots(p)
-        s = symmetrize(si @ grad_vec @ si)
-        return box_linear_subproblem(s, si, prob.lower, prob.upper)
+        _, si = prob.geometry.roots(p)  # SPD; prob checked the box when it was made
+        return _box_oracle(symmetrize(si @ grad_vec @ si), symmetrize(si), prob.lower, prob.upper)
 
     return oracle
 

@@ -23,10 +23,12 @@ that ``run_rosenbrock`` returns, on the host's own kernel.
 
 A change that moves results on purpose re-blesses the manifest with
 
-    python tests/golden.py
+    python tests/golden.py [command ...]
 
-(all four commands, the Rosenbrock one for some minutes) and says in its
-description which outputs and fields moved and why.
+where each command is a key of ``COMMANDS``: only their entries are
+regenerated, and every other entry is kept byte for byte. With no command
+it re-blesses all four, the Rosenbrock one for some minutes. The change
+says in its description which outputs and fields moved and why.
 """
 
 from __future__ import annotations
@@ -160,21 +162,31 @@ def mismatches(expected: dict, actual: dict) -> list:
     return moved
 
 
-def main() -> int:
+def main(names=()) -> int:
+    """Re-bless the entries of the commands ``names`` (all four when empty)."""
+    unknown = sorted(set(names) - COMMANDS.keys())
+    if unknown:
+        print(f"unknown command {unknown}; choose from {sorted(COMMANDS)}", file=sys.stderr)
+        return 2
     reason = skip_reason()
     if reason is not None:
         print(f"cannot bless here: {reason}", file=sys.stderr)
         return 1
+    names = list(names) or list(COMMANDS)
     with tempfile.TemporaryDirectory() as tmp:
-        generate(Path(tmp), COMMANDS)
-        new = digests(Path(tmp), COMMANDS)
-    moved = mismatches(load_manifest(), new) if MANIFEST.exists() else sorted(new)
+        generate(Path(tmp), names)
+        fresh = digests(Path(tmp), names)
+    old = load_manifest() if MANIFEST.exists() else {}
+    moved = mismatches(old, fresh)
+    kept = {key: value for key, value in old.items() if key.split("/")[0] not in names}
+    new = {**kept, **fresh}
     MANIFEST.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"{MANIFEST.name}: {len(moved)} outputs or fields moved, of {len(new)} outputs")
+    print(f"{MANIFEST.name}: {len(moved)} outputs or fields moved, of {len(fresh)} outputs "
+          f"of {', '.join(names)}; {len(kept)} other entries kept")
     for key in moved:
         print(f"  {key}")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -267,6 +267,50 @@ class TestFenchelYoung:
                 continue
             assert fenchel_young_gap(half_square, EUCLID1, fstar, 0.5, 2.0, q) > 0.0
 
+    def test_batch_matches_single_calls(self, rng):
+        pts = Grid1D(-10.0, 10.0, 20001).points()
+        fstar = sampled_conjugate(half_square, pts)
+        # the 36 triples of ``rdcopt check duality``, then 500 random ones
+        suite = np.meshgrid([-1.0, 0.0, 2.0], [-2.0, 1.0, 3.0], [-2.5, 0.0, 1.0, 4.0],
+                            indexing="ij")
+        p, x, q = (np.concatenate([a.ravel(), rng.uniform(-8.0, 8.0, 500)]) for a in suite)
+        batch = fenchel_young_gap(half_square, EUCLID1, fstar, p, x, q)
+        single = [fenchel_young_gap(half_square, EUCLID1, fstar, *t) for t in zip(p, x, q)]
+        assert all(type(gap) is float for gap in single)
+        assert batch.shape == (536,) and np.array_equal(batch, single)
+        # and the pairing <X, log_p(q)> of the geometry
+        reference = [float(half_square(np.array([qk]))) + float(fstar(np.array([pk]),
+                     np.array([xk]))[0]) - EUCLID1.inner(pk, xk, EUCLID1.log(pk, qk))
+                     for pk, xk, qk in zip(p, x, q)]
+        assert np.array_equal(batch, reference)
+
+    def test_single_triple_gives_a_float(self):
+        pts = Grid1D(-10.0, 10.0, 2001).points()
+        fstar = sampled_conjugate(half_square, pts)
+        for q in (1.5, np.array([1.5])):
+            gap = fenchel_young_gap(half_square, EUCLID1, fstar, 0.0, 1.0, q)
+            assert type(gap) is float
+        assert gap == fenchel_young_gap(half_square, EUCLID1, fstar, [0.0, 0.0], [1.0, 1.0],
+                                        [1.5, -2.0])[0]
+
+    def test_curved_or_wider_geometry_rejected(self):
+        fstar = sampled_conjugate(half_square, Grid1D(-1.0, 1.0, 11).points())
+        for geometry in (Euclidean(2), RosenbrockPlane()):
+            with pytest.raises(ValueError, match="grid conjugate intractable"):
+                fenchel_young_gap(half_square, geometry, fstar, 0.0, 1.0, 0.5)
+
+
+class TestQuartic:
+    def test_products_within_two_ulp_of_pow(self):
+        # g is u^2 u^2 + u^2 in IEEE products, not u**4 + u**2 through libm pow
+        u = Grid1D(-10.0, 10.0, 20001).points()
+        g_cost = quartic_dcproblem().g_cost
+        samples = g_cost(u[:, None])
+        reference = u ** 4 + u ** 2
+        assert np.all(np.abs(samples - reference) <= 2.0 * np.spacing(reference))
+        # one point at a time, as the sub-solves call it, gives the same bits
+        assert [float(g_cost(np.array([v]))) for v in u[::97]] == samples[::97].tolist()
+
 
 def quartic_conjugates(problem, pts):
     return sampled_conjugate(problem.h_cost, pts), sampled_conjugate(problem.g_cost, pts)

@@ -81,3 +81,53 @@ def test_seconds_are_not_gated(outputs, tmp_path):
 
     copy = edit_summary(outputs, tmp_path, "logdet", slow_down)
     assert golden.mismatches(golden.load_manifest(), golden.digests(copy)) == []
+
+
+def stub_generate(out_dir, names=golden.GATE):
+    """Stand-in outputs for ``golden.generate``: no CLI runs."""
+    for name in names:
+        (out_dir / name).mkdir(parents=True)
+        for file in golden.COMMANDS[name][1]:
+            (out_dir / name / file).write_text(f"stub {name}/{file}\n", encoding="utf-8")
+        (out_dir / name / golden.SUMMARY).write_text(
+            json.dumps({"experiment": name, "seconds": 1.0, "stub": True}), encoding="utf-8")
+
+
+@pytest.fixture
+def manifest_copy(tmp_path, monkeypatch):
+    """A copy of golden.json that ``golden.main`` blesses with stubbed outputs."""
+    path = tmp_path / "golden.json"
+    shutil.copyfile(golden.MANIFEST, path)
+    monkeypatch.setattr(golden, "MANIFEST", path)
+    monkeypatch.setattr(golden, "skip_reason", lambda: None)
+    monkeypatch.setattr(golden, "generate", stub_generate)
+    return path
+
+
+def test_blessing_one_command_keeps_every_other_entry(manifest_copy):
+    before = golden.load_manifest()
+    assert golden.main(["duality"]) == 0
+    after = golden.load_manifest()
+    assert after.keys() == before.keys()
+    others = [key for key in before if not key.startswith("duality/")]
+    assert len(others) == len(before) - 2
+    assert all(after[key] == before[key] for key in others)
+    # the kept entries are written with the same bytes
+    assert ({key: json.dumps(after[key]) for key in others}
+            == {key: json.dumps(before[key]) for key in others})
+    assert after["duality/summary.json"] == {"experiment": "duality", "stub": True}
+    assert after["duality/sandwich.csv"] != before["duality/sandwich.csv"]
+
+
+def test_blessing_without_commands_regenerates_all_four(manifest_copy):
+    before = golden.load_manifest()
+    assert golden.main([]) == 0
+    after = golden.load_manifest()
+    assert after.keys() == before.keys()
+    assert all(after[key] != before[key] for key in before)
+
+
+def test_an_unknown_command_blesses_nothing(manifest_copy):
+    text = manifest_copy.read_text(encoding="utf-8")
+    assert golden.main(["dualty"]) == 2
+    assert manifest_copy.read_text(encoding="utf-8") == text

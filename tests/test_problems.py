@@ -599,9 +599,9 @@ def reference_box_linear_subproblem(s, x, lower, upper):
 
 
 def oracle_eigh_matrices(n, m, seed):
-    """The matrices box_linear_subproblem hands to np.linalg.eigh during DCA
-    on ``random_frechet_instance(n, m, seed)``; a (k, n, n) stack counts k."""
-    eigh, oracle = np.linalg.eigh, problems.box_linear_subproblem
+    """The matrices the box oracle hands to np.linalg.eigh during DCA on
+    ``random_frechet_instance(n, m, seed)``; a (k, n, n) stack counts k."""
+    eigh, oracle = np.linalg.eigh, problems._box_oracle
     matrices, inside = [0], [False]
 
     def counted(a, *args, **kwargs):
@@ -616,12 +616,12 @@ def oracle_eigh_matrices(n, m, seed):
         finally:
             inside[0] = False
 
-    np.linalg.eigh, problems.box_linear_subproblem = counted, entered
+    np.linalg.eigh, problems._box_oracle = counted, entered
     try:
         prob, p0 = random_frechet_instance(n, m, seed)
         dca_solve(frechet_dcproblem(prob), p0, None, FRECHET_STOP)
     finally:
-        np.linalg.eigh, problems.box_linear_subproblem = eigh, oracle
+        np.linalg.eigh, problems._box_oracle = eigh, oracle
     return matrices[0]
 
 
@@ -662,15 +662,17 @@ class TestBoxLinearSubproblem:
                 assert np.array_equal(box_linear_subproblem(s, x, lower, upper), expected)
 
     def test_dca_oracle_calls_match_reference(self, monkeypatch):
+        oracle = problems._box_oracle
         for n, m, seed in ((5, 20, 15), (10, 100, 1)):
             calls = []
 
             def recording(s, x, lower, upper):
-                z = box_linear_subproblem(s, x, lower, upper)
+                z = oracle(s, x, lower, upper)
                 calls.append((s, x, lower, upper, z))
                 return z
 
-            monkeypatch.setattr(problems, "box_linear_subproblem", recording)
+            # DCA's oracle calls the checked oracle's core
+            monkeypatch.setattr(problems, "_box_oracle", recording)
             prob, p0 = random_frechet_instance(n, m, seed)
             dca_solve(frechet_dcproblem(prob), p0, None, FRECHET_STOP)
             assert len(calls) >= 2
@@ -795,6 +797,28 @@ class TestFrechetDCParts:
         assert calls["2-D"] > 0
         assert calls["on p"] == 0
         assert prob.geometry.eigendecompositions == 2
+
+    def test_oracle_skips_the_checks_the_problem_made(self, frechet_instance, rng,
+                                                      monkeypatch):
+        # the problem checked its box when it was made, and p^-1/2 is SPD:
+        # the oracle gives the checked oracle's bits without its 4 eigvalsh
+        prob, _ = frechet_instance
+        oracle = frechet_linear_oracle(prob)
+        p, g = random_spd(rng, prob.n), random_sym(rng, prob.n)
+        _, si = prob.geometry.roots(p)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            calls.append(a)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        checked = box_linear_subproblem(si @ g @ si, si, prob.lower, prob.upper)
+        assert len(calls) == 4
+        calls.clear()
+        assert np.array_equal(oracle(p, g), checked)
+        assert calls == []
 
     def test_oracle_matches_constrained_hook(self, frechet_instance):
         prob, p0 = frechet_instance
