@@ -2,8 +2,9 @@
 
 Each runner writes per-iteration trace CSVs (UTF-8, header row, floats with
 17 significant digits) and returns a summary dict, which the CLI writes as
-``summary.json``. Wall-clock timing wraps the solver call only; problem
-construction is excluded. Trace files contain no timing columns, so
+``summary.json``. A run's entry is its ``SolverTrace.summary`` (``steps``,
+``reason`` and the work totals) plus the runner's value fields. Wall-clock
+timing wraps the solver call only; problem construction is excluded. Trace files contain no timing columns, so
 identical seeds and configs reproduce them byte-for-byte; so does a
 summary, once its ``seconds`` fields are dropped.
 """
@@ -77,6 +78,8 @@ class ExperimentConfig:
     m: int = 20
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if not 2 <= self.n_min <= self.n_max <= 80:
             raise ValueError("n range must lie within [2, 80]")
         if self.n < 2 or self.m < 2:
@@ -99,18 +102,6 @@ def _timed(fn, *args, **kwargs):
     return result, time.perf_counter() - t0
 
 
-def _subsolve_stats(trace) -> dict:
-    """Inner work of a smooth DC run: total sub-solver steps and capped
-    sub-solves, and for trust-region sub-solves the total Hessian products
-    and rejected steps."""
-    stats = {"inner_steps": sum(trace.extra["inner_steps"]),
-             "capped_subsolves": len(trace.subsolver_failures)}
-    for key in ("hessian_products", "tr_rejected"):
-        if key in trace.extra:
-            stats[key] = sum(trace.extra[key])
-    return stats
-
-
 LOGDET_SUB = SubSolverSpec(
     kind="trust_region", criterion=StoppingCriterion(max_iter=5000, grad_norm_tol=1e-10))
 LOGDET_STOP = StoppingCriterion(max_iter=100, grad_norm_tol=1e-10)
@@ -131,10 +122,9 @@ def run_dca_vs_dcppa(config: ExperimentConfig) -> dict:
 
     Both start from ``logdet_start(n)``, stop on ``LOGDET_STOP`` and solve
     their subproblems with ``LOGDET_SUB``; DCPPA uses ``logdet_lambda(n)``.
-    Each result row also gives both runs' ``inner_steps`` (trust-region
-    steps), ``capped_subsolves``, ``hessian_products``, ``tr_rejected``
-    (rejected trust-region steps) and ``eigendecompositions`` (SPD cache
-    misses; DCPPA reuses DCA's cache).
+    Each result row gives both runs' entries, keys prefixed ``dca_`` and
+    ``dcppa_``, with ``final_f`` and ``eigendecompositions`` (SPD cache
+    misses; DCPPA reuses DCA's cache); ``inner_steps`` counts trust-region steps.
     """
     target = -0.25
     results = []
@@ -154,17 +144,13 @@ def run_dca_vs_dcppa(config: ExperimentConfig) -> dict:
         except SolverError as exc:
             failures.append({"n": n, "error": str(exc)})
             continue
-        row.update({
-            "dca_seconds": sec_dca, "dcppa_seconds": sec_ppa,
-            "dca_iters": tr_dca.iterations, "dcppa_iters": tr_ppa.iterations,
-            "dca_final_f": tr_dca.f[-1], "dcppa_final_f": tr_ppa.f[-1],
-            "dca_reason": tr_dca.reason, "dcppa_reason": tr_ppa.reason,
-        })
-        for tag, trace, eigs in (("dca", tr_dca, eigs_dca), ("dcppa", tr_ppa, eigs_ppa)):
+        for tag, trace, seconds, eigs in (("dca", tr_dca, sec_dca, eigs_dca),
+                                          ("dcppa", tr_ppa, sec_ppa, eigs_ppa)):
             _write_csv(config.out_dir / f"{tag}_n{n}.csv", ["i", "f", "fabs"],
                        ((i, f, abs(f - target)) for i, f in enumerate(trace.f)))
-            row.update({f"{tag}_{key}": value for key, value in _subsolve_stats(trace).items()})
-            row[f"{tag}_eigendecompositions"] = eigs
+            fields = {**trace.summary(), "seconds": seconds, "final_f": trace.f[-1],
+                      "eigendecompositions": eigs}
+            row.update({f"{tag}_{key}": value for key, value in fields.items()})
         results.append(row)
     return {"experiment": "dca-vs-dcppa", "results": results, "failures": failures}
 
@@ -217,16 +203,13 @@ def run_rosenbrock(config: ExperimentConfig) -> dict:
                    ((i, f) for i, f in enumerate(trace.f)))
         final_point = [float(point[0]), float(point[1])]
         results[name] = {
+            **trace.summary(),
             "seconds": seconds,
-            "iterations": trace.iterations,
             "final_point": final_point,
             "final_cost": trace.f[-1],
             # in plain floats: a BLAS norm's bits depend on the kernel
             "distance_to_solution": math.dist(final_point, solution),
-            "reason": trace.reason,
         }
-        if name.endswith("_dca"):
-            results[name].update(_subsolve_stats(trace))
     return {"experiment": "rosenbrock", "initial_cost": rosenbrock_cost(spec, p0),
             "results": results}
 
@@ -240,19 +223,24 @@ def run_frechet(config: ExperimentConfig) -> dict:
     Both start from the box midpoint of a seeded random instance. DCA uses
     the closed-form box oracle plus the feasibility safeguard and stops on
     ``FRECHET_STOP``; Frank-Wolfe then runs ``FRECHET_STOP`` capped at
-    exactly as many iterations, for a row-aligned comparison.
+    exactly as many steps, for a row-aligned comparison.
     """
     prob, p0 = random_frechet_instance(config.n, config.m, config.seed)
     dc = frechet_dcproblem(prob)
     (p_dca, tr_dca), sec_dca = _timed(dca_solve, dc, p0, None, FRECHET_STOP,
                                       record_points=True)
 
-    fw_steps = max(tr_dca.iterations - 1, 1)
+    def outcome(trace, seconds):
+        summary = trace.summary()
+        return {**summary, "seconds": seconds,
+                "seconds_per_step": seconds / max(summary["steps"], 1), "final_h": -trace.f[-1]}
+
+    dca = outcome(tr_dca, sec_dca)
     oracle = frechet_linear_oracle(prob)
     (p_fw, tr_fw), sec_fw = _timed(
         frank_wolfe_solve, dc.geometry,
         lambda p: -frechet_grad(prob, p), oracle, p0,
-        replace(FRECHET_STOP, max_iter=fw_steps),
+        replace(FRECHET_STOP, max_iter=max(dca["steps"], 1)),
         lambda p: -frechet_variance(prob, p),
         lambda p: box_feasible(p, prob.lower, prob.upper),
         True)
@@ -264,15 +252,10 @@ def run_frechet(config: ExperimentConfig) -> dict:
     _write_csv(config.out_dir / "frechet_dca.csv", ["i", "h", "feas_slack"], rows(tr_dca))
     _write_csv(config.out_dir / "frechet_fw.csv", ["i", "h", "feas_slack"], rows(tr_fw))
 
-    def outcome(trace, seconds):
-        return {"iterations": trace.iterations, "seconds": seconds,
-                "seconds_per_iteration": seconds / max(trace.iterations - 1, 1),
-                "reason": trace.reason, "final_h": -trace.f[-1]}
-
     return {"experiment": "frechet", "n": config.n, "m": config.m, "seed": config.seed,
-            "dca": outcome(tr_dca, sec_dca),
+            "dca": dca,
             "frank_wolfe": {**outcome(tr_fw, sec_fw),
-                            "first_step_sizes": tr_fw.extra["step_size"][:2]}}
+                            "first_step_sizes": tr_fw.step_size[:2]}}
 
 
 DUALITY_START = 2.0

@@ -212,7 +212,8 @@ def primal_dual_sandwich_check(trace: SolverTrace, g: Callable, h: Callable,
     subgradients; only 1-D Euclidean problems are supported (the grid sup
     is intractable elsewhere). ``hstar`` and ``gstar`` are the conjugates
     of h and g as :func:`sampled_conjugate` makes them, each called once
-    on the K iterates and their subgradients.
+    on the K iterates and their subgradients; g and h are each sampled once
+    on the (K, 1) iterates.
     """
     if not isinstance(geometry, Euclidean) or geometry.dim > 1:
         raise ValueError("grid conjugate intractable")
@@ -220,8 +221,8 @@ def primal_dual_sandwich_check(trace: SolverTrace, g: Callable, h: Callable,
         raise ValueError("trace has no recorded points/subgradients")
 
     pts = trace.points
-    primal = [float(g(np.atleast_1d(p))) - float(h(np.atleast_1d(p))) for p in pts]
     p = np.asarray(pts, dtype=float).ravel()
+    primal = (_sample_cost(g, p[:, None]) - _sample_cost(h, p[:, None])).tolist()
     x = np.asarray(trace.subgradients, dtype=float).ravel()
     dual = (hstar(p, x) - gstar(p, x)).tolist()
     rows = [SandwichRow(

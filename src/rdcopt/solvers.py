@@ -143,11 +143,13 @@ class SolverTrace:
     since the solver started.
     Points and DC subgradients are kept only when requested.
     ``subsolver_failures`` lists the outer steps whose sub-solve hit its
-    cap; ``extra`` holds per-step lists of a method, such as the inner
-    steps of each smooth DC sub-solve (``"inner_steps"``), the Hessian
-    products and rejected steps of each trust-region sub-solve
-    (``"hessian_products"``, ``"tr_rejected"``) or the Frank-Wolfe step
-    sizes (``"step_size"``).
+    cap. Each per-step column gets one entry per call of the step map from
+    the loop named, and stays empty in every other loop: ``inner_steps``
+    (sub-solver steps; ``_dc_solve`` on a smooth problem),
+    ``hessian_products`` (``trust_region_solve``, and ``_dc_solve`` with
+    trust-region sub-solves, as does ``tr_rejected``, the rejected steps)
+    and ``step_size`` (``frank_wolfe_solve``). The outer loop calls its step
+    map once per step, and once more on "fixed point" or "sub-solver failed".
     """
 
     def __init__(self, record_points: bool = False):
@@ -158,7 +160,10 @@ class SolverTrace:
         self.points: Optional[list] = [] if record_points else None
         self.subgradients: Optional[list] = [] if record_points else None
         self.subsolver_failures: list[int] = []
-        self.extra: dict[str, list] = {}
+        self.inner_steps: list[int] = []
+        self.hessian_products: list[int] = []
+        self.tr_rejected: list[int] = []
+        self.step_size: list[float] = []
 
     def append(self, f: float, step: float, seconds: float,
                point=None, subgradient=None) -> None:
@@ -169,12 +174,25 @@ class SolverTrace:
             self.points.append(point)
             self.subgradients.append(subgradient)
 
+    def summary(self) -> dict:
+        """``steps`` (the rows after the start) and ``reason``, the total of
+        each count column that holds entries, and for a run with sub-solves
+        ``capped_subsolves``."""
+        out = {"steps": len(self.f) - 1, "reason": self.reason}
+        for name in ("inner_steps", "hessian_products", "tr_rejected"):
+            column = getattr(self, name)
+            if column:
+                out[name] = sum(column)
+        if self.inner_steps:
+            out["capped_subsolves"] = len(self.subsolver_failures)
+        return out
+
+    # the row count under two old names, read by the benchmark in perfbench/
     def __len__(self) -> int:
         return len(self.f)
 
     @property
     def iterations(self) -> int:
-        """Number of recorded rows (the initial point is row 0)."""
         return len(self.f)
 
 
@@ -388,12 +406,11 @@ def trust_region_solve(geometry: Geometry, f: Callable, rgrad: Callable, p0,
     Truncated CG with the kappa-theta rule min(0.5, sqrt(||g||)) ||g|| and
     at most max(dim, 10) steps minimizes the model; the radius follows the
     classic rho-based update. Rejected steps are the rows after the first
-    with zero step distance. ``trace.extra["hessian_products"]`` lists the
-    Hessian products of each step.
+    with zero step distance; ``trace.hessian_products`` gives the Hessian
+    products of each step.
     """
     t0 = time.perf_counter()
     trace = SolverTrace()
-    products = trace.extra["hessian_products"] = []
     p = p0
     fp = _require_finite(float(f(p)), "cost")
     g = rgrad(p)
@@ -410,7 +427,7 @@ def trust_region_solve(geometry: Geometry, f: Callable, rgrad: Callable, p0,
             hvp = hess(p) if hess is not None else _fd_hessian(geometry, rgrad, p, g)
         inner_tol = gn * min(0.5, np.sqrt(gn))
         eta, boundary, cg_products = _truncated_cg(gy, hvp, radius, inner_tol, cg_budget)
-        products.append(cg_products + 1)
+        trace.hessian_products.append(cg_products + 1)
         model_decrease = -(_dot(gy, eta) + 0.5 * _dot(hvp(eta), eta))
         cand = geometry.exp_frame(p, eta)
         f_cand = _require_finite(float(f(cand)), "cost")
@@ -599,10 +616,6 @@ def _dc_solve(problem: DCProblem, p0, sub: Optional[SubSolverSpec],
                          "constrained closed-form hooks solve the plain DC subproblem")
     trace = SolverTrace(record_points)
     if hook is None:
-        inner_steps = trace.extra["inner_steps"] = []
-        if sub.kind == "trust_region":
-            hessian_products = trace.extra["hessian_products"] = []
-            tr_rejected = trace.extra["tr_rejected"] = []
         crit = sub.criterion
         fast = (problem.subproblem_2d is not None and lam is None
                 and sub.kind == "gradient_descent" and crit.grad_change_tol is None)
@@ -612,7 +625,7 @@ def _dc_solve(problem: DCProblem, p0, sub: Optional[SubSolverSpec],
         f = problem.cost(p)
         # an indicator-valued g may be +inf at the start (DCA needs no
         # feasible starting point); everything after the first step is finite
-        if hook is None or trace.iterations or np.isnan(f):
+        if hook is None or trace.f or np.isnan(f):
             _require_finite(f, "cost")
         x = problem.h_rgrad(p)
         # the stopping rule reads grad f when g is smooth, otherwise grad h
@@ -628,17 +641,17 @@ def _dc_solve(problem: DCProblem, p0, sub: Optional[SubSolverSpec],
             cost, grad, hess = _surrogate(problem, p, x, lam)
             if sub.kind == "trust_region":
                 p_next, inner = trust_region_solve(geom, cost, grad, p, crit, hess=hess)
-                hessian_products.append(sum(inner.extra["hessian_products"]))
+                trace.hessian_products.append(sum(inner.hessian_products))
                 # the rejected steps: the rows after the first with zero distance
-                tr_rejected.append(inner.step.count(0.0) - 1)
+                trace.tr_rejected.append(inner.step.count(0.0) - 1)
             else:
                 p_next, inner = gradient_descent(geom, cost, grad, p, sub.armijo, crit)
-            reason, steps = inner.reason, inner.iterations - 1
-        inner_steps.append(steps)
+            reason, steps = inner.reason, len(inner.f) - 1
+        trace.inner_steps.append(steps)
         if reason == "max iterations":
             trace.subsolver_failures.append(k)
             # a trust region that rejected steps and kept p_k failed there
-            if sub.kind == "trust_region" and tr_rejected[-1] and _same_point(p_next, p):
+            if sub.kind == "trust_region" and trace.tr_rejected[-1] and _same_point(p_next, p):
                 trace.reason = "sub-solver failed"
         return p_next
 
@@ -684,7 +697,6 @@ def frank_wolfe_solve(geometry: Geometry, rgrad_f: Callable, linear_oracle: Call
     if feasible is not None and not feasible(p0):
         raise ValueError("Frank-Wolfe requires feasible start")
     trace = SolverTrace(record_points)
-    step_sizes = trace.extra["step_size"] = []
 
     def evaluate(p):
         f = _require_finite(float(cost(p)), "cost") if cost is not None else np.nan
@@ -694,7 +706,7 @@ def frank_wolfe_solve(geometry: Geometry, rgrad_f: Callable, linear_oracle: Call
     def step(k, p, g):
         q = linear_oracle(p, g)
         s_k = 2.0 / (2.0 + k)
-        step_sizes.append(s_k)
+        trace.step_size.append(s_k)
         return geometry.geodesic(p, q, s_k)
 
     return _outer_loop(geometry, p0, evaluate, step, stop, trace)

@@ -99,8 +99,8 @@ def test_criterion_2_iteration_bands():
         _, tr_dca = dca_solve(problem, p0, LOGDET_SUB, LOGDET_STOP, record_points=False)
         _, tr_ppa = dcppa_solve(problem, p0, logdet_lambda(n), LOGDET_SUB, LOGDET_STOP,
                                 record_points=False)
-        dca_steps = tr_dca.iterations - 1
-        ppa_steps = tr_ppa.iterations - 1
+        dca_steps = tr_dca.summary()["steps"]
+        ppa_steps = tr_ppa.summary()["steps"]
         counts.append((n, dca_steps, ppa_steps))
         if not 10 <= dca_steps <= 40:
             failures.append(f"DCA n={n}: {dca_steps} outside [10, 40]")
@@ -129,16 +129,16 @@ def test_criterion_3_rosenbrock(tmp_path):
     rgd = results["riemannian_gd"]
     if rdca["distance_to_solution"] > 1e-6:
         failures.append(f"Riemannian DCA off minimizer by {rdca['distance_to_solution']:.2e}")
-    if rdca["iterations"] - 1 > 10_000:
-        failures.append(f"Riemannian DCA took {rdca['iterations'] - 1} iterations > 10000")
-    if edca["iterations"] - 1 > 150_000:
-        failures.append(f"Euclidean DCA took {edca['iterations'] - 1} iterations > 150000")
-    if not (rdca["iterations"] < edca["iterations"] < rgd["iterations"]):
+    if rdca["steps"] > 10_000:
+        failures.append(f"Riemannian DCA took {rdca['steps']} steps > 10000")
+    if edca["steps"] > 150_000:
+        failures.append(f"Euclidean DCA took {edca['steps']} steps > 150000")
+    if not (rdca["steps"] < edca["steps"] < rgd["steps"]):
         failures.append(
             "ordering violated: "
-            f"{rdca['iterations']} / {edca['iterations']} / {rgd['iterations']}")
-    detail = (f"iterations rdca={rdca['iterations'] - 1}, edca={edca['iterations'] - 1}, "
-              f"rgd={rgd['iterations'] - 1}; |p-(1,1)| = {rdca['distance_to_solution']:.2e}")
+            f"{rdca['steps']} / {edca['steps']} / {rgd['steps']}")
+    detail = (f"steps rdca={rdca['steps']}, edca={edca['steps']}, "
+              f"rgd={rgd['steps']}; |p-(1,1)| = {rdca['distance_to_solution']:.2e}")
     report("criterion 3 (Rosenbrock, a=2e5)", not failures,
            "; ".join(failures) if failures else detail)
 
@@ -162,7 +162,7 @@ def test_criterion_4_frechet(tmp_path):
         failures.append("Frank-Wolfe exceeded DCA's final variance")
     if elapsed > 60.0:
         failures.append(f"runtime {elapsed:.1f}s > 60s")
-    detail = (f"{summary['dca']['iterations'] - 1} DCA steps, reason "
+    detail = (f"{summary['dca']['steps']} DCA steps, reason "
               f"{summary['dca']['reason']!r}, min slack {slack.min():.1e}, {elapsed:.1f}s")
     report("criterion 4 (Frechet maximization, n=5 m=20)", not failures,
            "; ".join(failures) if failures else detail)

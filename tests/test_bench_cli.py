@@ -45,15 +45,15 @@ class TestDcaVsDcppaRunner:
             for tag in ("dca", "dcppa"):
                 header, rows = read_csv(tmp_path / f"{tag}_n{n}.csv")
                 assert header == ["i", "f", "fabs"]
-                # summary iteration counts equal trace row counts
-                assert len(rows) == result[f"{tag}_iters"]
+                # the summary counts the rows after the start
+                assert len(rows) == result[f"{tag}_steps"] + 1
                 fs = np.array([float(r[1]) for r in rows])
                 fabs = np.array([float(r[2]) for r in rows])
                 assert np.all(np.diff(fs) <= 1e-10)  # monotone descent
                 np.testing.assert_allclose(fabs, np.abs(fs + 0.25), rtol=0, atol=0)
                 # every sub-solve takes at least one trust-region step and
                 # converges well inside its 5000-step cap
-                assert result[f"{tag}_inner_steps"] >= result[f"{tag}_iters"] - 1
+                assert result[f"{tag}_inner_steps"] >= result[f"{tag}_steps"]
                 assert result[f"{tag}_capped_subsolves"] == 0
                 # each trust-region step makes at least one CG product and
                 # one for the model decrease
@@ -121,7 +121,7 @@ class TestRosenbrockRunner:
         for name, result in summary["results"].items():
             trace_header, trace_rows = read_csv(tmp_path / f"{name}.csv")
             assert trace_header == ["i", "f"]
-            assert len(trace_rows) == result["iterations"]
+            assert len(trace_rows) == result["steps"] + 1
             fs = np.array([float(r[1]) for r in trace_rows])
             assert fs[0] == pytest.approx(summary["initial_cost"])
             assert np.all(np.diff(fs) <= 1e-10)
@@ -130,7 +130,7 @@ class TestRosenbrockRunner:
         for name in ("euclidean_dca", "riemannian_dca"):
             result = summary["results"][name]
             # one sub-solve per step, plus the one that returns the current point
-            subsolves = result["iterations"] - 1 + (result["reason"] == "fixed point")
+            subsolves = result["steps"] + (result["reason"] == "fixed point")
             assert 0 <= result["capped_subsolves"] <= subsolves
             assert cap * result["capped_subsolves"] <= result["inner_steps"] <= cap * subsolves
         assert "inner_steps" not in summary["results"]["riemannian_gd"]
@@ -157,13 +157,24 @@ class TestFrechetRunner:
         assert summary["frank_wolfe"]["first_step_sizes"] == [1.0, 2.0 / 3.0]
         # row-aligned traces
         _, dca_rows = read_csv(tmp_path / "frechet_dca.csv")
-        assert len(dca_rows) == summary["dca"]["iterations"]
+        assert len(dca_rows) == summary["dca"]["steps"] + 1
 
     def test_rejects_tiny_sizes(self, tmp_path):
         for n, m in ((1, 8), (4, 1)):
             with pytest.raises(ValueError, match="n >= 2 and m >= 2"):
                 ExperimentConfig(out_dir=tmp_path / "out", n=n, m=m, seed=0)
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            ExperimentConfig(out_dir=tmp_path / "out", seed=-1)
         assert not (tmp_path / "out").exists()
+
+    def test_default_seed_counts_steps(self, tmp_path):
+        # seed 42's DCA takes 2 steps (3 rows) and then returns its iterate;
+        # Frank-Wolfe is capped at as many steps
+        summary = run_frechet(ExperimentConfig(out_dir=tmp_path))
+        assert (summary["dca"]["steps"], summary["dca"]["reason"]) == (2, "fixed point")
+        assert (summary["frank_wolfe"]["steps"], summary["frank_wolfe"]["reason"]) == (
+            2, "max iterations")
+        assert "iterations" not in summary["dca"]
 
     def test_trace_determinism(self, tmp_path):
         logdet_traces = tuple(f"{tag}_n{n}.csv" for tag in ("dca", "dcppa") for n in (2, 3, 4))
@@ -218,7 +229,7 @@ class TestCli:
         # the output directory is made
         out = tmp_path / "out"
         for argv in (["bench", "frechet", "--n", "1"], ["bench", "dca-vs-dcppa", "--n-min", "1"],
-                     ["bench", "rosenbrock", "--a", "-1"]):
+                     ["bench", "rosenbrock", "--a", "-1"], ["bench", "frechet", "--seed", "-1"]):
             assert main([*argv, "--out", str(out)]) == 2, argv
             assert capsys.readouterr().err.startswith("rdcopt: error: ")
             assert not out.exists(), argv

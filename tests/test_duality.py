@@ -362,8 +362,8 @@ class TestSandwich:
         report = primal_dual_sandwich_check(trace, g, h, EUCLID1, counted_conj(hstar),
                                             counted_conj(gstar), tolerance=1e-3)
         assert len(report.rows) > 1
-        # one call per iterate for the primal values, one for the grid samples
-        assert calls == {"g": len(trace.points) + 1, "h": len(trace.points) + 1}
+        # one call on the grid samples and one on the stacked iterates
+        assert calls == {"g": 2, "h": 2}
         # all rows' duals from one call per conjugate
         assert conj_calls == [len(trace.points)] * 2
         # the rows are those of one grid conjugate per row, bit for bit
@@ -373,6 +373,9 @@ class TestSandwich:
             tolerance=1e-3)
         assert report.rows == per_row.rows
         assert report.final_gap == per_row.final_gap
+        # and the primal values are those of one cost call per iterate
+        assert [r.primal for r in report.rows] == [
+            float(problem.g_cost(p)) - float(problem.h_cost(p)) for p in trace.points[:-1]]
 
     def test_tampered_conjugate_fails(self):
         problem, trace = quartic_trace()
@@ -420,7 +423,7 @@ class TestDualitySuite:
         sample_cost = rdcopt.duality._sample_cost
 
         def counted(f, pts):
-            sampled.append(f)
+            sampled.append((f, len(pts)))
             return sample_cost(f, pts)
 
         monkeypatch.setattr(rdcopt.duality, "_sample_cost", counted)
@@ -428,9 +431,13 @@ class TestDualitySuite:
             sampled.clear()
             summary = run_duality_checks(ExperimentConfig(out_dir=tmp_path), tamper=tamper)
             assert summary["passed"] is not tamper
-            # x^2/2, the zero cost, g and h: four costs, each sampled once
-            assert len(sampled) == 4
-            assert len({id(f) for f in sampled}) == 4
+            # x^2/2, the zero cost, g and h: four costs, each sampled on the
+            # grid once; the sandwich check samples g and h once more, on the
+            # iterates
+            grid = [f for f, count in sampled if count == 20001]
+            assert len(grid) == 4
+            assert len({id(f) for f in grid}) == 4
+            assert len(sampled) == 6
 
     def test_dca_takes_no_finite_differences(self, tmp_path, monkeypatch):
         # the quartic's sub-solves run on its exact surrogate Hessian

@@ -113,7 +113,7 @@ class TestGradientDescent:
         p, trace = gradient_descent(EUCLID1, f, rgrad, np.array([3.0]), ArmijoParams(),
                                     StoppingCriterion(max_iter=50))
         assert float(p[0]) == 3.0
-        assert trace.iterations == 1
+        assert len(trace.f) == 1
         assert trace.reason == "gradient norm"
 
     def test_strictly_decreasing_costs(self, rng):
@@ -186,7 +186,7 @@ class TestTrustRegion:
         p, trace = trust_region_solve(geom, f, rgrad, np.array([0.15, -0.25, 0.1]),
                                       StoppingCriterion(max_iter=50, grad_norm_tol=1e-10))
         assert np.linalg.norm(p) <= 1e-10
-        assert trace.iterations - 1 <= 3
+        assert trace.summary()["steps"] <= 3
 
     def test_optimal_start_stops_at_gradient_check(self):
         geom = Euclidean(2)
@@ -194,7 +194,7 @@ class TestTrustRegion:
         rgrad = lambda x: np.asarray(x, dtype=float)
         p, trace = trust_region_solve(geom, f, rgrad, np.zeros(2),
                                       StoppingCriterion(max_iter=50, grad_norm_tol=1e-10))
-        assert trace.iterations == 1
+        assert len(trace.f) == 1
         assert trace.reason == "gradient norm"
 
     def test_logdet_subproblem_reaches_inner_tolerance(self):
@@ -224,7 +224,7 @@ class TestTrustRegion:
                                       hess=hess)
         assert trace.reason == "gradient norm"
         assert geom.norm(p, rgrad(p)) < 1e-10
-        assert sum(trace.extra["hessian_products"]) >= 2 * (trace.iterations - 1)
+        assert sum(trace.hessian_products) >= 2 * trace.summary()["steps"]
 
     def test_logdet_subsolves_make_no_metric_calls(self, monkeypatch):
         # CG, the model decrease and the norms run in frame coordinates: inside
@@ -240,7 +240,7 @@ class TestTrustRegion:
         def recorded_tr(*args, **kwargs):
             before = calls[0]
             point, trace = tr(*args, **kwargs)
-            runs.append((calls[0] - before, trace.iterations - 1))
+            runs.append((calls[0] - before, trace.summary()["steps"]))
             return point, trace
 
         monkeypatch.setattr(SPDManifold, "inner", counted_inner)
@@ -261,10 +261,10 @@ class TestTrustRegion:
         rgrad = lambda x: np.array([float(x[0]) / f(x)])
         _, trace = trust_region_solve(geom, f, rgrad, np.array([10.0]),
                                       StoppingCriterion(max_iter=60, grad_norm_tol=1e-6))
-        rejected = [k for k in range(1, trace.iterations) if trace.step[k] == 0.0]
+        rejected = [k for k in range(1, len(trace.f)) if trace.step[k] == 0.0]
         assert rejected
         assert all(trace.f[k] == trace.f[k - 1] for k in rejected)
-        assert len(trace.extra["hessian_products"]) == trace.iterations - 1
+        assert len(trace.hessian_products) == trace.summary()["steps"]
 
     def test_truncated_cg_stops_at_its_budget(self):
         # 20 distinct curvatures take 20 CG steps; a budget of 3 ends inside
@@ -335,7 +335,7 @@ class TestDCA:
         )
         p, trace = dca_solve(problem, p0, None, StoppingCriterion(max_iter=10))
         assert p is p0
-        assert trace.iterations == 1
+        assert len(trace.f) == 1
         assert trace.reason == "fixed point"
 
     def test_monotone_descent(self):
@@ -439,8 +439,8 @@ class TestDCA:
         p, trace = dca_solve(problem, p0, sub, StoppingCriterion(max_iter=10))
         assert np.array_equal(p, p0)
         assert trace.reason == "fixed point"
-        assert trace.iterations == 1
-        assert trace.extra["inner_steps"] == [0]
+        assert len(trace.f) == 1
+        assert trace.inner_steps == [0]
         assert trace.subsolver_failures == []
 
     def test_inner_steps_recorded(self):
@@ -453,7 +453,7 @@ class TestDCA:
             problem = rosenbrock_dcproblem(RosenbrockProblem(), geometry)
             for _, trace in (dca_solve(problem, p0, sub, StoppingCriterion(max_iter=1)),
                              dcppa_solve(problem, p0, 1.0, sub, StoppingCriterion(max_iter=1))):
-                assert trace.extra["inner_steps"] == [50]
+                assert trace.inner_steps == [50]
                 assert trace.subsolver_failures == [0]
 
     def test_trust_region_counts_recorded(self, monkeypatch):
@@ -491,17 +491,17 @@ class TestDCA:
                 products[0] = 0
                 inner.clear()
                 _, trace = solve()
-                assert inner and len(inner) == len(trace.extra["inner_steps"])
-                assert trace.extra["inner_steps"] == [t.iterations - 1 for t in inner]
-                assert trace.extra["tr_rejected"] == [
+                assert inner and len(inner) == len(trace.inner_steps)
+                assert trace.inner_steps == [t.summary()["steps"] for t in inner]
+                assert trace.tr_rejected == [
                     sum(1 for s in t.step[1:] if s == 0.0) for t in inner]
-                assert len(trace.extra["hessian_products"]) == len(inner)
-                assert sum(trace.extra["hessian_products"]) == products[0]
-                assert all(h >= 2 * k for h, k in zip(trace.extra["hessian_products"],
-                                                      trace.extra["inner_steps"]))
+                assert len(trace.hessian_products) == len(inner)
+                assert sum(trace.hessian_products) == products[0]
+                assert all(h >= 2 * k for h, k in zip(trace.hessian_products,
+                                                      trace.inner_steps))
         # the full n = 3 log-det DCA rejects two trust-region steps
         _, trace = dca_solve(logdet, bench.logdet_start(3), LOGDET_SUB, LOGDET_STOP)
-        assert sum(trace.extra["tr_rejected"]) == 2
+        assert sum(trace.tr_rejected) == 2
 
     def test_capped_subsolve_that_keeps_the_iterate_is_no_fixed_point(self):
         # f = (tr p)^2 - 6 det p is unbounded below on SPD(3): DCA from 2I
@@ -510,7 +510,7 @@ class TestDCA:
                                StoppingCriterion(max_iter=50, grad_norm_tol=1e-10))
         _, trace = dca_solve(trdet_dcproblem(TrDetProblem(3)), 2.0 * np.eye(3), capped, LOGDET_STOP)
         assert trace.reason == "sub-solver failed"
-        assert trace.subsolver_failures[-1] == trace.iterations - 1
+        assert trace.subsolver_failures[-1] == trace.summary()["steps"]
         assert trace.f[-1] < -1e20
 
     def test_subsolver_failure_recorded_and_continues(self):
@@ -522,7 +522,7 @@ class TestDCA:
                              dataclasses.replace(ROSENBROCK_STOP, max_iter=10),
                              record_points=False)
         assert trace.subsolver_failures
-        assert trace.iterations > 1
+        assert len(trace.f) > 1
 
 
 class TestDCPPA:
@@ -550,7 +550,7 @@ class TestDCPPA:
         # det p = e^(1/sqrt 2) makes p critical; scaled identity realizes it
         p0 = math.exp(1.0 / (n * math.sqrt(2.0))) * np.eye(n)
         p, trace = dcppa_solve(problem, p0, 0.25, LOGDET_SUB, StoppingCriterion(max_iter=10))
-        assert trace.iterations == 1
+        assert len(trace.f) == 1
         assert trace.reason == "fixed point"
         assert p is p0
 
@@ -583,7 +583,7 @@ class TestFrankWolfe:
         p, trace = frank_wolfe_solve(geom, lambda q: q - target, oracle, p0,
                                      StoppingCriterion(max_iter=5))
         # s_0 = 1 jumps to the oracle point; afterwards it is a fixed point
-        assert trace.extra["step_size"][0] == 1.0
+        assert trace.step_size[0] == 1.0
         np.testing.assert_allclose(p, target)
         assert trace.reason == "fixed point"
 
@@ -593,7 +593,7 @@ class TestFrankWolfe:
         oracle = lambda p, g: p + 1.0
         _, trace = frank_wolfe_solve(geom, lambda q: np.ones(1), oracle, np.zeros(1),
                                      StoppingCriterion(max_iter=4))
-        np.testing.assert_allclose(trace.extra["step_size"][:3], [1.0, 2.0 / 3.0, 0.5])
+        np.testing.assert_allclose(trace.step_size[:3], [1.0, 2.0 / 3.0, 0.5])
 
     def test_infeasible_start_rejected(self):
         geom = Euclidean(1)
@@ -719,7 +719,7 @@ class TestFastPathParity:
         p_fast, outer = dca_solve(problem, p0, SubSolverSpec("gradient_descent", inner),
                                   StoppingCriterion(max_iter=1), record_points=False)
         assert np.array_equal(p_fast, p_generic)
-        assert outer.extra["inner_steps"] == [trace.iterations - 1]
+        assert outer.inner_steps == [trace.summary()["steps"]]
         assert outer.subsolver_failures == []
 
     def test_subproblem_hessian_needs_a_subproblem(self):
@@ -851,7 +851,7 @@ class TestStoppingCriterion:
                                         "dca_solve", "frank_wolfe_solve"])
     def test_gradient_norm_wins_a_tie(self, solver):
         _, trace = half_square_step(solver)
-        assert trace.iterations == 2
+        assert len(trace.f) == 2
         assert trace.step[1] <= TIE.iterate_change_tol
         assert trace.reason == "gradient norm"
 
@@ -863,7 +863,7 @@ class TestStoppingCriterion:
         stop = StoppingCriterion(max_iter=100, grad_norm_tol=1e-10, iterate_change_tol=1e-3)
         _, trace = trust_region_solve(EUCLID1, f, rgrad, np.array([0.1]), stop)
         assert trace.step[1] == 0.0 and trace.f[1] == trace.f[0]
-        assert trace.iterations > 2
+        assert len(trace.f) > 2
         assert not (trace.reason == "iterate change" and trace.step[-1] == 0.0)
 
     def test_validation(self):
@@ -877,8 +877,88 @@ class TestStoppingCriterion:
         _, trace = dca_solve(problem, bench.logdet_start(2), LOGDET_SUB,
                              StoppingCriterion(max_iter=3))
         assert trace.reason == "max iterations"
-        assert trace.iterations == 4  # initial row plus three steps
+        assert len(trace.f) == 4  # initial row plus three steps
 
 
 def spd_logdet_of(p):
     return float(np.sum(np.log(np.linalg.eigvalsh(p))))
+
+
+COUNTS = ("inner_steps", "hessian_products", "tr_rejected")
+COLUMNS = (*COUNTS, "step_size")
+
+
+def check_columns(trace, filled):
+    """Each column in ``filled`` has one entry per call of the step map, every
+    other column is empty, and the summary totals the filled count columns."""
+    summary = trace.summary()
+    assert summary["steps"] == len(trace.f) - 1
+    assert summary["reason"] == trace.reason
+    # a step map that returns the current iterate adds a call and no row
+    calls = summary["steps"] + (trace.reason in ("fixed point", "sub-solver failed"))
+    for name in COLUMNS:
+        assert len(getattr(trace, name)) == (calls if name in filled else 0), name
+    totals = {name: sum(getattr(trace, name)) for name in COUNTS if name in filled}
+    if "inner_steps" in filled:
+        totals["capped_subsolves"] = len(trace.subsolver_failures)
+    assert summary == {"steps": summary["steps"], "reason": trace.reason, **totals}
+
+
+class TestStepColumns:
+    def test_dca_fast_path(self, monkeypatch):
+        # the 2-D float loop on the plane, its sub-solves capped at 20 steps
+        monkeypatch.setattr(solvers, "gradient_descent", None)  # the fast path only
+        sub = SubSolverSpec("gradient_descent",
+                            StoppingCriterion(max_iter=20, grad_norm_tol=1e-16))
+        _, trace = dca_solve(rosenbrock_dcproblem(RosenbrockProblem(), "rb"),
+                             np.array(ROSENBROCK_START), sub, StoppingCriterion(max_iter=5))
+        check_columns(trace, {"inner_steps"})
+        assert trace.inner_steps == [20] * 5
+        assert trace.summary()["capped_subsolves"] == 5
+
+    @pytest.mark.parametrize("lam", [None, 1.0 / 6.0], ids=["dca", "dcppa"])
+    def test_trust_region_subsolves(self, lam):
+        problem = logdet_dcproblem(LogDetProblem(3))
+        p0 = bench.logdet_start(3)
+        _, trace = (dca_solve(problem, p0, LOGDET_SUB, LOGDET_STOP) if lam is None
+                    else dcppa_solve(problem, p0, lam, LOGDET_SUB, LOGDET_STOP))
+        assert trace.reason == "gradient norm"
+        check_columns(trace, {"inner_steps", "hessian_products", "tr_rejected"})
+
+    def test_fixed_point_adds_a_call(self):
+        # a critical start: one sub-solve that returns p_0, and no step
+        problem = logdet_dcproblem(LogDetProblem(2))
+        p0 = math.exp(1.0 / (2.0 * math.sqrt(2.0))) * np.eye(2)
+        _, trace = dcppa_solve(problem, p0, 0.25, LOGDET_SUB, StoppingCriterion(max_iter=10))
+        assert (trace.reason, len(trace.inner_steps)) == ("fixed point", 1)
+        check_columns(trace, {"inner_steps", "hessian_products", "tr_rejected"})
+
+    def test_dca_generic_gradient_descent(self):
+        sub = SubSolverSpec("gradient_descent",
+                            StoppingCriterion(max_iter=200, grad_norm_tol=1e-10))
+        _, trace = dca_solve(quartic_dcproblem(), np.array([2.0]), sub,
+                             StoppingCriterion(max_iter=20, grad_norm_tol=1e-8))
+        assert trace.summary()["steps"] > 1
+        check_columns(trace, {"inner_steps"})
+
+    def test_frechet_frank_wolfe_and_oracle_dca(self):
+        # seed 0's instance: DCA's closed-form oracle fills no column
+        prob, p0 = problems.random_frechet_instance(5, 20, 0)
+        dc = problems.frechet_dcproblem(prob)
+        _, tr_dca = dca_solve(dc, p0, None, bench.FRECHET_STOP)
+        check_columns(tr_dca, set())
+        _, tr_fw = frank_wolfe_solve(
+            dc.geometry, lambda p: -problems.frechet_grad(prob, p),
+            problems.frechet_linear_oracle(prob), p0,
+            dataclasses.replace(bench.FRECHET_STOP, max_iter=tr_dca.summary()["steps"]))
+        check_columns(tr_fw, {"step_size"})
+        assert tr_fw.step_size == [2.0 / (2.0 + k) for k in range(len(tr_fw.step_size))]
+
+    def test_trust_region_alone(self):
+        # sqrt(1 + x^2) from x = 10 rejects steps; each step makes its products
+        f = lambda x: math.sqrt(1.0 + float(x[0]) ** 2)
+        rgrad = lambda x: np.array([float(x[0]) / f(x)])
+        _, trace = trust_region_solve(EUCLID1, f, rgrad, np.array([10.0]),
+                                      StoppingCriterion(max_iter=60, grad_norm_tol=1e-6))
+        check_columns(trace, {"hessian_products"})
+        assert all(products >= 2 for products in trace.hessian_products)
