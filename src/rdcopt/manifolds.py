@@ -123,9 +123,6 @@ class Euclidean(Geometry):
     def log(self, p, q):
         return np.asarray(q, dtype=float) - p
 
-    def dist(self, p, q) -> float:
-        return float(np.linalg.norm(np.asarray(q, dtype=float) - p))
-
     def transport(self, p, q, x):
         return np.asarray(x, dtype=float)
 
@@ -144,7 +141,9 @@ class Euclidean(Geometry):
 # trial (or finite-difference) point and the outer DC iterate at a time, and at
 # the whitened matrices p^-1/2 q p^-1/2 between them. On one n = 5 log-det
 # DCA + DCPPA pair with exact Hessians in frame coordinates, six entries make
-# 398 eigendecompositions, eight 397 and ten 390, as before the frame.
+# 398 eigendecompositions, eight 397 and ten 390, as before the frame. Each
+# point's entry also remembers the whitened matrix it last met, so a DCPPA
+# sub-solve whitens each trial point against the outer iterate once.
 _CACHED = 10
 
 
@@ -156,14 +155,15 @@ def _read_only(arrays: tuple) -> tuple:
 
 class _Factored:
     """One cached symmetric matrix: its eigendecomposition ``eig``, and
-    ``roots`` = (p^{1/2}, p^{-1/2}) and ``logdet``, each None until first
-    used. Every array is read-only."""
+    ``roots`` = (p^{1/2}, p^{-1/2}), ``logdet`` and ``whitened`` = (key of
+    q, eigendecomposition of p^{-1/2} q p^{-1/2}) for the q last whitened
+    by this point, each None until first used. Every array is read-only."""
 
-    __slots__ = ("eig", "roots", "logdet")
+    __slots__ = ("eig", "roots", "logdet", "whitened")
 
     def __init__(self, eig: EigDecomp):
         self.eig = _read_only(eig)
-        self.roots = self.logdet = None
+        self.roots = self.logdet = self.whitened = None
 
 
 class SPDManifold(Geometry):
@@ -179,8 +179,11 @@ class SPDManifold(Geometry):
     the input: the eigendecomposition (``eigendecompositions`` counts the
     misses) and, for points, p^{1/2}, p^{-1/2} and log det p. So the
     operations of a solver and of a problem's closures at one iterate
-    factor it once. Every result is bit for bit that of the uncached
-    computation.
+    factor it once. A point's entry also keeps the eigendecomposition of
+    p^{-1/2} q p^{-1/2} for the q it last whitened, keyed by q's bytes:
+    ``log``, ``dist``, ``transport``, ``half_sq_dist_hessian`` and
+    ``adjoint_log_diff`` of one pair whiten it once between them. Every
+    result is bit for bit that of the uncached computation.
     """
 
     def __init__(self, n: int):
@@ -195,6 +198,8 @@ class SPDManifold(Geometry):
         # to the caller's array cannot match the copy taken here
         key = a.shape, a.tobytes()
         cache = self._cache
+        if cache and cache[0][0] == key:
+            return cache[0][1]
         for i, (k, entry) in enumerate(cache):
             if k == key:
                 if i:
@@ -208,6 +213,16 @@ class SPDManifold(Geometry):
 
     def _eig(self, a) -> EigDecomp:
         return self._factored(a).eig
+
+    def _whitened(self, p, q) -> EigDecomp:
+        """The eigendecomposition of p^{-1/2} q p^{-1/2}: from p's entry when q
+        is the matrix p last whitened, otherwise through the cache."""
+        entry = self._factored(p)
+        q = np.asarray(q, dtype=float)
+        key = q.shape, q.tobytes()
+        if entry.whitened is None or entry.whitened[0] != key:
+            entry.whitened = key, self._eig(self.to_frame(p, q))
+        return entry.whitened[1]
 
     def roots(self, p) -> tuple[np.ndarray, np.ndarray]:
         """(p^{1/2}, p^{-1/2}), read-only."""
@@ -246,11 +261,11 @@ class SPDManifold(Geometry):
         return self.from_frame(p, sym_apply(self._eig(y), np.exp))
 
     def log(self, p, q):
-        return self.from_frame(p, sym_apply(self._eig(self.to_frame(p, q)), np.log))
+        return self.from_frame(p, sym_apply(self._whitened(p, q), np.log))
 
     def dist(self, p, q) -> float:
         # ||logm(p^-1/2 q p^-1/2)||_F from the eigenvalues directly
-        w, _ = self._eig(self.to_frame(p, q))
+        w, _ = self._whitened(p, q)
         if w[0] <= 0.0:
             raise ValueError("spectrum outside domain")
         return float(np.sqrt(np.sum(np.log(w) ** 2)))
@@ -258,7 +273,7 @@ class SPDManifold(Geometry):
     def transport(self, p, q, x):
         # E X E^T with E = (q p^-1)^{1/2} = p^{1/2}(p^{-1/2} q p^{-1/2})^{1/2} p^{-1/2}
         s, si = self.roots(p)
-        mid = sym_apply(self._eig(self.to_frame(p, q)), np.sqrt)
+        mid = sym_apply(self._whitened(p, q), np.sqrt)
         e = s @ mid @ si
         return symmetrize(e @ x @ e.T)
 
@@ -269,11 +284,11 @@ class SPDManifold(Geometry):
         """With p^{-1/2} y p^{-1/2} = Q diag(mu) Q^T and l = log mu, the
         Hessian scales Y, written in the basis Q, entrywise by g(l_i - l_j)
         with g(t) = (t/2) coth(t/2) and g(0) = 1: the Jacobi fields along
-        the geodesic from p to y on a symmetric space. The factors come from
-        the cache, where ``dist`` and ``log`` at p leave them. Self-adjoint;
-        the identity at y = p.
+        the geodesic from p to y on a symmetric space. The factors are those
+        ``dist`` and ``log`` of the pair (p, y) read. Self-adjoint; the
+        identity at y = p.
         """
-        mu, q = self._eig(self.to_frame(p, y))
+        mu, q = self._whitened(p, y)
         if mu[0] <= 0.0:
             raise ValueError("spectrum outside domain")
         lw = np.log(mu)
@@ -290,7 +305,7 @@ class SPDManifold(Geometry):
         # Euclidean gradient q^-1/2 Dlogm(M)[Xhat] q^-1/2 by Daleckii-Krein,
         # then converted with p G p.
         _, qi = self.roots(q)
-        egrad = qi @ sym_dlog(self._eig(self.to_frame(q, p)), self.to_frame(q, x)) @ qi
+        egrad = qi @ sym_dlog(self._whitened(q, p), self.to_frame(q, x)) @ qi
         return self.egrad_to_rgrad(p, egrad)
 
 

@@ -58,7 +58,7 @@ def sym_eig(a: np.ndarray) -> EigDecomp:
     Raises ValueError on non-finite entries.
     """
     a = symmetrize(a)
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("non-finite matrix")
     w, q = np.linalg.eigh(a)
     return EigDecomp(w, q)

@@ -39,7 +39,6 @@ __all__ = [
     "power",
     "LogDetProblem",
     "logdet_dcproblem",
-    "logdet_subproblem",
     "TrDetProblem",
     "trdet_dcproblem",
     "RosenbrockProblem",
@@ -164,25 +163,22 @@ def _det_grad(geom: SPDManifold, phi: ScalarFunction, p: np.ndarray) -> np.ndarr
     return (phi.d1(t) * t) * p
 
 
-def logdet_subproblem(spec: LogDetProblem, q: np.ndarray):
-    """Cost and Riemannian gradient of the DC surrogate at the iterate q.
+def _logdet_surrogate(geom: SPDManifold, spec: LogDetProblem, q: np.ndarray):
+    """Cost and Riemannian gradient of the DC surrogate at the iterate q,
+    with log det read through ``geom``.
 
     psi(p) = phi1(det p) - c (log det p - log det q) with
     c = phi2'(det q) det q; grad psi(p) = (phi1'(det p) det p - c) p. The
     surrogate is geodesically convex because -log det has zero Hessian.
     """
-    return _logdet_surrogate(SPDManifold(spec.n), spec, q)
-
-
-def _logdet_surrogate(geom: SPDManifold, spec: LogDetProblem, q: np.ndarray):
-    """:func:`logdet_subproblem` with log det read through ``geom``."""
     tq = _det(geom, q)
     c = spec.phi2.d1(tq) * tq
     log_det_q = geom.logdet(q)
     phi1 = spec.phi1
 
     def cost(p):
-        return phi1.value(_det(geom, p)) - c * (geom.logdet(p) - log_det_q)
+        s = geom.logdet(p)
+        return phi1.value(math.exp(s)) - c * (s - log_det_q)
 
     def rgrad(p):
         t = _det(geom, p)
@@ -441,8 +437,8 @@ def _whitened_points(prob: FrechetBoxProblem, p) -> EigDecomp:
     """The stacked eigendecomposition of p^{-1/2} q_j p^{-1/2}, j = 1..m, from
     the factor cache of ``prob.geometry``: the variance and its gradient at
     one iterate share it."""
-    _, si = prob.geometry.roots(p)
-    return prob.geometry._eig(symmetrize(si @ prob.points @ si))
+    geom = prob.geometry
+    return geom._eig(geom.to_frame(p, prob.points))
 
 
 def frechet_variance(prob: FrechetBoxProblem, p) -> float:
@@ -463,8 +459,7 @@ def frechet_grad(prob: FrechetBoxProblem, p) -> np.ndarray:
     acc = np.zeros_like(np.asarray(p, dtype=float))
     for mu, log_q in zip(prob.weights, logs):
         acc += mu * log_q
-    s, _ = prob.geometry.roots(p)
-    return -2.0 * symmetrize(s @ acc @ s)
+    return -2.0 * prob.geometry.from_frame(p, acc)
 
 
 def box_slack(p, lower, upper) -> float:
@@ -475,7 +470,13 @@ def box_slack(p, lower, upper) -> float:
 
 
 def box_feasible(p, lower, upper) -> bool:
-    return box_slack(p, lower, upper) >= 0.0
+    """``box_slack(p, lower, upper) >= 0``, deciding a violated upper bound
+    from its eigenvalues alone."""
+    hi = np.linalg.eigvalsh(symmetrize(np.asarray(upper) - p))[0]
+    if hi < 0.0:
+        return False
+    lo = np.linalg.eigvalsh(symmetrize(np.asarray(p) - lower))[0]
+    return min(lo, hi) >= 0.0
 
 
 # projected-gradient iterations per start of the box oracle
@@ -620,24 +621,22 @@ def _box_projected_gradient(d, lh, b_sqrt, starts):
     return v, f
 
 
-_SAFEGUARD_SCHEDULE = (0.0,) + tuple(1e-12 * 10.0 ** j for j in range(13))
+_SAFEGUARD_SCHEDULE = tuple(1e-12 * 10.0 ** j for j in range(12))
 
 
 def feasibility_safeguard(p_prev, q_star, lower, upper, geometry: SPDManifold):
     """Pull an almost-feasible subproblem solution back into the box.
 
-    Walks the geodesic of ``geometry`` from q_star toward the (feasible)
-    previous iterate with the schedule {0} u {1e-12 * 10^j}, capped at 1,
-    returning the first point whose Loewner slacks are nonnegative. t = 0
-    returns q_star untouched; t = 1 is p_prev itself, so the search always
-    succeeds.
+    Returns q_star if its Loewner slacks are nonnegative. Otherwise walks
+    the geodesic of ``geometry`` from q_star toward the (feasible) previous
+    iterate with the steps t = 1e-12 * 10^j, j = 0..11, and returns the
+    first point whose slacks are nonnegative, or p_prev itself, so the
+    search always succeeds.
     """
     if box_feasible(q_star, lower, upper):
         return q_star
     direction = geometry.log(p_prev, q_star)
-    for t in _SAFEGUARD_SCHEDULE[1:]:
-        if t >= 1.0:
-            break
+    for t in _SAFEGUARD_SCHEDULE:
         cand = geometry.exp(p_prev, (1.0 - t) * direction)
         if box_feasible(cand, lower, upper):
             return cand
@@ -650,10 +649,11 @@ def frechet_linear_oracle(prob: FrechetBoxProblem):
     <G, log_p(q)>_p = tr((p^{-1/2} G p^{-1/2}) log(p^{-1/2} q p^{-1/2})), so
     the box subproblem applies with s = p^{-1/2} G p^{-1/2}, x = p^{-1/2}.
     """
+    geom = prob.geometry
 
     def oracle(p, grad_vec):
-        _, si = prob.geometry.roots(p)  # SPD; prob checked the box when it was made
-        return _box_oracle(symmetrize(si @ grad_vec @ si), symmetrize(si), prob.lower, prob.upper)
+        _, si = geom.roots(p)  # SPD; prob checked the box when it was made
+        return _box_oracle(geom.to_frame(p, grad_vec), symmetrize(si), prob.lower, prob.upper)
 
     return oracle
 
@@ -667,9 +667,16 @@ def frechet_dcproblem(prob: FrechetBoxProblem) -> DCProblem:
     feasibility.
     """
     oracle = frechet_linear_oracle(prob)
+    last = [None, None]  # the bytes of the point tested last, and its verdict
+
+    def feasible(p):
+        key = np.asarray(p, dtype=float).tobytes()
+        if key != last[0]:
+            last[:] = key, box_feasible(p, prob.lower, prob.upper)
+        return last[1]
 
     def g_cost(p):
-        return 0.0 if box_feasible(p, prob.lower, prob.upper) else np.inf
+        return 0.0 if feasible(p) else np.inf
 
     midpoint = symmetrize(0.5 * (np.asarray(prob.lower) + np.asarray(prob.upper)))
 
@@ -677,9 +684,13 @@ def frechet_dcproblem(prob: FrechetBoxProblem) -> DCProblem:
         z = oracle(p, -x)
         # the safeguard walks toward the previous iterate; from an infeasible
         # start (DCA allows one) it anchors at the strictly feasible box
-        # midpoint instead
-        anchor = p if box_feasible(p, prob.lower, prob.upper) else midpoint
-        return feasibility_safeguard(anchor, z, prob.lower, prob.upper, prob.geometry)
+        # midpoint instead; g_cost has just tested p
+        anchor = p if feasible(p) else midpoint
+        out = feasibility_safeguard(anchor, z, prob.lower, prob.upper, prob.geometry)
+        if out is not midpoint:
+            # the safeguard found it feasible, or it is p: g_cost need not test it
+            last[:] = np.asarray(out, dtype=float).tobytes(), True
+        return out
 
     return DCProblem(
         geometry=prob.geometry,

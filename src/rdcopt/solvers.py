@@ -83,6 +83,7 @@ _FD_STEP_SCALE = 1e-8
 # without it, steps whose true decrease is below one ulp of f are
 # rejected forever and the solver stalls above tight gradient tolerances
 _TR_RHO_REGULARIZATION = 1e3
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -250,7 +251,10 @@ def _require_finite(value: float, what: str) -> float:
 
 
 def _same_point(a, b) -> bool:
-    return a is b or np.array_equal(np.asarray(a), np.asarray(b))
+    if a is b:
+        return True
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and bool((a == b).all())
 
 
 def armijo_linesearch(geometry: Geometry, f: Callable, p, direction,
@@ -380,7 +384,7 @@ def _truncated_cg(g, hvp, radius: float, tol: float, max_iter: int):
         ee = ee + 2.0 * alpha * ed + alpha * alpha * dd
         r = r + alpha * hd
         r2_new = _dot(r, r)
-        if np.sqrt(r2_new) <= tol:
+        if math.sqrt(r2_new) <= tol:
             return eta, False, k
         d = -r + (r2_new / r2) * d
         r2 = r2_new
@@ -389,7 +393,7 @@ def _truncated_cg(g, hvp, radius: float, tol: float, max_iter: int):
 
 def _boundary_tau(dd: float, ed: float, ee: float, radius: float) -> float:
     disc = max(ed * ed - dd * (ee - radius * radius), 0.0)
-    return (-ed + np.sqrt(disc)) / dd
+    return (-ed + math.sqrt(disc)) / dd
 
 
 def trust_region_solve(geometry: Geometry, f: Callable, rgrad: Callable, p0,
@@ -425,17 +429,17 @@ def trust_region_solve(geometry: Geometry, f: Callable, rgrad: Callable, p0,
     while trace.reason is None:
         if hvp is None:
             hvp = hess(p) if hess is not None else _fd_hessian(geometry, rgrad, p, g)
-        inner_tol = gn * min(0.5, np.sqrt(gn))
+        inner_tol = gn * min(0.5, math.sqrt(gn))
         eta, boundary, cg_products = _truncated_cg(gy, hvp, radius, inner_tol, cg_budget)
         trace.hessian_products.append(cg_products + 1)
         model_decrease = -(_dot(gy, eta) + 0.5 * _dot(hvp(eta), eta))
         cand = geometry.exp_frame(p, eta)
         f_cand = _require_finite(float(f(cand)), "cost")
-        reg = _TR_RHO_REGULARIZATION * np.finfo(float).eps * max(1.0, abs(fp))
+        reg = _TR_RHO_REGULARIZATION * _EPS * max(1.0, abs(fp))
         if model_decrease + reg > 0.0:
             rho = (fp - f_cand + reg) / (model_decrease + reg)
         else:
-            rho = -np.inf
+            rho = -math.inf
         steps += 1
         step_dist = None  # a rejected step keeps p
         if rho >= _TR_ACCEPT_RATIO:

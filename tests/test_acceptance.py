@@ -32,7 +32,6 @@ from rdcopt.problems import (
     frechet_grad,
     frechet_variance,
     logdet_dcproblem,
-    logdet_subproblem,
     random_frechet_instance,
     rosenbrock_dcproblem,
     trdet_dcproblem,
@@ -200,7 +199,7 @@ def _gradient_suite_cases():
     prob, _ = random_frechet_instance(3, 6, seed=9)
 
     sub_q = random_spd(rng, 3, 1.2)
-    psi_cost, psi_grad = logdet_subproblem(LogDetProblem(3), sub_q)
+    psi_cost, psi_grad = logdet_dcproblem(LogDetProblem(3)).subproblem(sub_q, None)
     phi_cost, phi_egrad = rosenbrock_subproblem(rb_spec, np.array([0.4, -0.2]))
     euclid2 = Euclidean(2)
 

@@ -501,6 +501,35 @@ class TestSPDFactorCache:
         # p, p^-1/2 q p^-1/2 and p^-1/2 x p^-1/2, each decomposed once
         assert m.eigendecompositions == len(calls) == 3
 
+    def test_whitened_memo_gives_the_cached_decomposition(self, rng, monkeypatch):
+        m = SPDManifold(4)
+        p, q, r = (random_spd(rng, 4) for _ in range(3))
+        x = random_sym(rng, 4)
+        for other in (q, r, q):
+            memo = m._whitened(p, other)
+            assert memo is m._eig(m.to_frame(p, other))
+            assert all(not a.flags.writeable for a in memo)
+        # every pair operation reads the memo without whitening again
+        frames = []
+        to_frame = SPDManifold.to_frame
+        monkeypatch.setattr(SPDManifold, "to_frame",
+                            lambda self, a, b: frames.append(1) or to_frame(self, a, b))
+        m.dist(p, q)
+        m.log(p, q)
+        m.transport(p, q, x)
+        m.half_sq_dist_hessian(p, q)
+        assert frames == []
+        # the memo outlives the whitened matrix's own cache entry
+        for _ in range(_CACHED):
+            m.inner(random_spd(rng, 4), x, x)
+            m.logdet(p)
+        assert to_frame(m, p, q).tobytes() not in {key for (_, key), _ in m._cache}
+        before = m.eigendecompositions
+        memo = m._whitened(p, q)
+        assert frames == [] and m.eigendecompositions == before
+        fresh = sym_eig(to_frame(m, p, q))
+        assert all(np.array_equal(a, b) and not a.flags.writeable for a, b in zip(memo, fresh))
+
 
 class TestRosenbrockPlane:
     def test_metric_examples(self, rng):

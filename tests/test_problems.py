@@ -33,7 +33,6 @@ from rdcopt.problems import (
     frechet_variance,
     log_power,
     logdet_dcproblem,
-    logdet_subproblem,
     random_frechet_instance,
     rosenbrock_cost,
     rosenbrock_dcproblem,
@@ -210,7 +209,7 @@ class TestLogDetProblem:
     def test_subproblem_value_at_iterate(self, rng):
         spec = LogDetProblem(3)
         q = random_spd(rng, 3)
-        cost, _ = logdet_subproblem(spec, q)
+        cost, _ = logdet_dcproblem(spec).subproblem(q, None)
         det_q = math.exp(spd_logdet(q))
         assert cost(q) == pytest.approx(spec.phi1.value(det_q), rel=1e-12)
 
@@ -218,7 +217,7 @@ class TestLogDetProblem:
         spec = LogDetProblem(3)
         geom = SPDManifold(3)
         q = random_spd(rng, 3)
-        cost, rgrad = logdet_subproblem(spec, q)
+        cost, rgrad = logdet_dcproblem(spec).subproblem(q, None)
         for _ in range(3):
             p = random_spd(rng, 3)
             check_gradient(geom, cost, rgrad, p, sample_directions(geom, rng, p, 3))
@@ -261,7 +260,7 @@ class TestLogDetProblem:
         spec = LogDetProblem(3)
         geom = SPDManifold(3)
         q = random_spd(rng, 3, scale=1.5)
-        cost, rgrad = logdet_subproblem(spec, q)
+        cost, rgrad = logdet_dcproblem(spec).subproblem(q, None)
         p_hat, trace = trust_region_solve(
             geom, cost, rgrad, q, LOGDET_SUB.criterion)
         assert trace.reason == "gradient norm"
@@ -736,6 +735,55 @@ class TestSafeguard:
         p_prev = np.eye(2)
         out = feasibility_safeguard(p_prev, p_prev, lower, upper, SPDManifold(2))
         assert out is p_prev
+
+
+class TestBoxFeasible:
+    @pytest.mark.parametrize("diag, decompositions", [
+        ((2.0, 2.0, 2.0), 2),  # inside
+        ((4.0, 2.0, 2.0), 1),  # above upper
+        ((0.5, 2.0, 2.0), 2),  # below lower
+        ((4.0, 0.5, 2.0), 1),  # both
+    ], ids=["neither", "upper", "lower", "both"])
+    def test_matches_slack_sign(self, monkeypatch, rng, diag, decompositions):
+        lower, upper = np.eye(3), 3.0 * np.eye(3)
+        # the same point in a random basis, so the bounds do not commute with it
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        p = symmetrize(q @ np.diag(diag) @ q.T)
+        want = box_slack(p, lower, upper) >= 0.0
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+        assert box_feasible(p, lower, upper) == want
+        # a violated upper bound decides without decomposing p - lower
+        assert len(calls) == decompositions
+
+    def test_matches_slack_sign_at_round_off(self):
+        # oracle answers sit on the box boundary, some outside it by round-off
+        # and the safeguard's answers just inside it
+        verdicts = []
+        for seed in range(6):
+            prob, p0 = random_frechet_instance(5, 20, seed)
+            box = prob.lower, prob.upper
+            z = frechet_linear_oracle(prob)(p0, -frechet_grad(prob, p0))
+            for point in (z, feasibility_safeguard(p0, z, *box, prob.geometry)):
+                verdicts.append(box_feasible(point, *box))
+                assert verdicts[-1] == (box_slack(point, *box) >= 0.0)
+        assert set(verdicts) == {True, False}
+
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_dc_run_tests_each_point_once(self, monkeypatch, seed):
+        # g_cost tests the start; the hook anchors its safeguard there without
+        # a second test, and g_cost reads the safeguard's verdict on its answer
+        prob, p0 = random_frechet_instance(5, 20, seed)
+        dc = frechet_dcproblem(prob)
+        tested = []
+        feasible = problems.box_feasible
+        monkeypatch.setattr(problems, "box_feasible",
+                            lambda p, lo, up: tested.append(p.tobytes()) or feasible(p, lo, up))
+        _, trace = dca_solve(dc, p0, None, FRECHET_STOP)
+        assert trace.summary()["steps"] >= 2
+        assert tested[0] == p0.tobytes()
+        assert len(set(tested)) == len(tested)
 
 
 class TestRandomInstance:

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 from array import array
@@ -567,6 +568,40 @@ class TestDCPPA:
         p = logdet_start(rng, n, 0.4)
         check_hessian(problem.geometry, grad, tangent_map(problem.geometry, p, hess(p)), p,
                       [random_sym(rng, n) for _ in range(3)] + [p])
+
+    def test_step_whitens_each_trial_point_once(self, monkeypatch):
+        # the proximal cost, gradient and Hessian at a point z all read the
+        # whitened p_k^{-1/2}-frame of the pair (z, p_k); it is made once
+        n = 5
+        problem = logdet_dcproblem(LogDetProblem(n))
+        p0 = bench.logdet_start(n)
+        whitened = collections.Counter()
+        to_frame = SPDManifold.to_frame
+
+        def counted(self, p, x):
+            if np.array_equal(x, p0):
+                whitened[np.asarray(p).tobytes()] += 1
+            return to_frame(self, p, x)
+
+        monkeypatch.setattr(SPDManifold, "to_frame", counted)
+        _, trace = dcppa_solve(problem, p0, bench.logdet_lambda(n), LOGDET_SUB,
+                               StoppingCriterion(max_iter=1), record_points=False)
+        assert trace.summary()["steps"] == 1
+        assert trace.inner_steps[0] >= 2
+        assert len(whitened) >= trace.inner_steps[0]
+        assert max(whitened.values()) == 1
+
+    @pytest.mark.parametrize("n, dca, dcppa", [(5, 119, 271), (20, 146, 310), (60, 163, 338)])
+    def test_eigendecompositions_of_a_logdet_pair(self, n, dca, dcppa):
+        # DCA, then DCPPA on the same problem and factor cache, as
+        # `rdcopt bench dca-vs-dcppa` runs them
+        problem = logdet_dcproblem(LogDetProblem(n))
+        geom, p0 = problem.geometry, bench.logdet_start(n)
+        dca_solve(problem, p0, LOGDET_SUB, LOGDET_STOP, record_points=False)
+        assert geom.eigendecompositions == dca
+        dcppa_solve(problem, p0, bench.logdet_lambda(n), LOGDET_SUB, LOGDET_STOP,
+                    record_points=False)
+        assert geom.eigendecompositions - dca == dcppa
 
 
 class TestFrankWolfe:
