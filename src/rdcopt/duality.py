@@ -113,22 +113,21 @@ def sampled_conjugate(f: Callable, points) -> Callable:
     round-off meet a covector equal to their slope (then the two can be a
     few ulps apart).
 
-    The hull drops the strict concave corners of the kept samples, one O(N)
-    pass after another, until none is left. That is exact for any samples:
-    one pass for convex ones, such as the components of a DC split, and
-    about 300 for 20,001 samples of x^4 - x^2. Points not strictly increasing
-    are sorted first, keeping the smallest sample at each point.
+    The points must be strictly increasing, as :meth:`Grid1D.points` gives
+    them; any other points raise ``ValueError``. The hull drops the strict
+    concave corners of the samples, one O(N) pass after another, until none
+    is left. That is exact for any samples: one pass for convex ones, such as
+    the components of a DC split, and about 300 for 20,001 samples of
+    x^4 - x^2.
     """
     pts = _as_point_array(points)
     if pts.shape[1] != 1:
         raise ValueError("grid conjugate intractable")
     # copies, so that later writes to the caller's points or samples cannot reach conj
-    xs, s = pts[:, 0].copy(), _sample_cost(f, pts).copy()
+    xs = pts[:, 0].copy()
     if not np.all(xs[1:] > xs[:-1]):
-        order = np.lexsort((s, xs))
-        xs, s = xs[order], s[order]
-        first = np.r_[True, xs[1:] != xs[:-1]]
-        xs, s = xs[first], s[first]
+        raise ValueError("points must be strictly increasing")
+    s = _sample_cost(f, pts).copy()
     while True:
         slopes = np.diff(s)
         slopes /= np.diff(xs)

@@ -94,13 +94,10 @@ class Geometry:
 
         This is the adjoint of the differential of ``p -> log_q(p)`` applied
         to the tangent ``x`` at q; it is what the generic DC subproblem
-        gradient needs.
+        gradient needs. The plane does not give it: every plane problem
+        gives its subproblem in closed form.
         """
         raise NotImplementedError
-
-    def point_norm(self, p) -> float:
-        """Ambient size of a point, used to scale finite-difference steps."""
-        return float(np.linalg.norm(np.asarray(p).ravel()))
 
 
 class Euclidean(Geometry):
@@ -321,13 +318,6 @@ class RosenbrockPlane(Geometry):
 
     dim = 2
 
-    def metric_tensor(self, p) -> tuple[np.ndarray, np.ndarray]:
-        """(G_p, G_p^{-1}); det G_p = 1 for every p."""
-        p1 = float(p[0])
-        g = np.array([[1.0 + 4.0 * p1 * p1, -2.0 * p1], [-2.0 * p1, 1.0]])
-        ginv = np.array([[1.0, 2.0 * p1], [2.0 * p1, 1.0 + 4.0 * p1 * p1]])
-        return g, ginv
-
     def inner(self, p, x, y) -> float:
         p1 = float(p[0])
         x1, x2 = float(x[0]), float(x[1])
@@ -371,12 +361,3 @@ class RosenbrockPlane(Geometry):
         # flat: the frame coordinates C x are those of the flat chart, where
         # the Hessian is the identity
         return lambda v: v
-
-    def adjoint_log_diff(self, q, p, x):
-        # ell(p) = alpha u + beta w with (alpha, beta) = G_q x,
-        # u = p1 - q1, w = p2 - q2 - u^2
-        gq, _ = self.metric_tensor(q)
-        alpha, beta = gq @ np.asarray(x, dtype=float)
-        u = float(p[0]) - float(q[0])
-        egrad = np.array([alpha - 2.0 * beta * u, beta])
-        return self.egrad_to_rgrad(p, egrad)

@@ -1,15 +1,15 @@
-"""Concrete DC problem families used by the benchmarks.
+"""The DC problem families of the paper's experiments and duality checks.
 
 * log-det costs ``phi1(det p) - phi2(det p)`` on the SPD cone, whose DC
   subproblem has the closed scalar structure
   ``psi(p) = phi1(det p) - phi2'(det q) det q (log det p - log det q)``;
-* trace/det costs ``phi1(tr p) - phi2(det p)``;
 * the Rosenbrock function split as ``g - h`` with
   ``g = a(x1^2-x2)^2 + 2(x1-b)^2`` and ``h = (x1-b)^2``, on flat space or on
   the valley-adapted plane metric;
 * box-constrained maximization of the Frechet variance on the SPD cone,
   with its linear subproblem over a Loewner interval solved to optimality
-  and a feasibility safeguard for round-off violations.
+  and a feasibility safeguard for round-off violations;
+* the 1-D quartic ``(x^4 + x^2) - 2x^2`` of the duality checks.
 """
 
 from __future__ import annotations
@@ -36,11 +36,8 @@ from .solvers import DCProblem
 __all__ = [
     "ScalarFunction",
     "log_power",
-    "power",
     "LogDetProblem",
     "logdet_dcproblem",
-    "TrDetProblem",
-    "trdet_dcproblem",
     "RosenbrockProblem",
     "rosenbrock_cost",
     "rosenbrock_grad",
@@ -83,15 +80,6 @@ def log_power(k: int) -> ScalarFunction:
         return (k * (k - 1) * u ** (k - 2) - k * u ** (k - 1)) / (t * t)
 
     return ScalarFunction(value, d1, d2)
-
-
-def power(a: float, b: float) -> ScalarFunction:
-    """phi(t) = a t^b on t > 0."""
-    return ScalarFunction(
-        lambda t: a * t ** b,
-        lambda t: a * b * t ** (b - 1),
-        lambda t: a * b * (b - 1) * t ** (b - 2),
-    )
 
 
 _SAMPLE_T = np.logspace(-3.0, 6.0, 40)
@@ -205,64 +193,6 @@ def _logdet_surrogate_hessian(geom: SPDManifold, phi1: ScalarFunction, p: np.nda
         return (curvature * float(np.trace(y))) * eye
 
     return apply
-
-
-@dataclass(frozen=True)
-class TrDetProblem:
-    """min phi1(tr p) - phi2(det p) over SPD matrices of size n.
-
-    Defaults to phi1 = t^2, phi2 = 2n t, for which the identity is a
-    critical point (phi1'(tr I) I = phi2'(det I) det I I).
-    """
-
-    n: int
-    phi1: ScalarFunction = field(default_factory=lambda: power(1.0, 2.0))
-    phi2: ScalarFunction | None = None  # None: 2n t, which depends on n
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be positive")
-        if self.phi2 is None:
-            object.__setattr__(self, "phi2", power(2.0 * self.n, 1.0))
-        if any(self.phi1.d1(t) < -1e-12 or self.phi1.d2(t) < -1e-12 for t in _SAMPLE_T):
-            raise ValueError("phi1 must be nondecreasing and convex")
-        if _det_convexity_defect(self.phi2) < -1e-9:
-            raise ValueError("phi2 violates the det-convexity condition")
-
-
-def trdet_dcproblem(spec: TrDetProblem) -> DCProblem:
-    """DCProblem for the trace/det family.
-
-    grad g(p) = phi1'(tr p) p^2, grad h(p) = (phi2'(det p) det p) p; the DC
-    surrogate mirrors the log-det one with phi1(tr p) as the convex part.
-    """
-    geom = SPDManifold(spec.n)
-    phi1, phi2 = spec.phi1, spec.phi2
-
-    def g_rgrad(p):
-        return phi1.d1(float(np.trace(p))) * symmetrize(p @ p)
-
-    def subproblem(q, x):
-        tq = _det(geom, q)
-        c = phi2.d1(tq) * tq
-        log_det_q = geom.logdet(q)
-
-        def cost(p):
-            return phi1.value(float(np.trace(p))) - c * (geom.logdet(p) - log_det_q)
-
-        def rgrad(p):
-            return g_rgrad(p) - c * p
-
-        return cost, rgrad
-
-    return DCProblem(
-        geometry=geom,
-        g_cost=lambda p: phi1.value(float(np.trace(p))),
-        h_cost=lambda p: phi2.value(_det(geom, p)),
-        g_rgrad=g_rgrad,
-        h_rgrad=lambda p: _det_grad(geom, phi2, p),
-        subproblem=subproblem,
-    )
 
 
 @dataclass(frozen=True)
@@ -419,10 +349,6 @@ class FrechetBoxProblem:
             raise ValueError("weights must sum to one")
         _assert_box(self.lower, self.upper)
         object.__setattr__(self, "geometry", SPDManifold(pts.shape[1]))
-
-    @property
-    def n(self) -> int:
-        return self.points.shape[1]
 
 
 def _assert_box(lower, upper):

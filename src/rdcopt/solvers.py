@@ -338,16 +338,21 @@ def fd_hessian_apply(geometry: Geometry, rgrad: Callable, p, x,
     xnorm = geometry.norm(p, x)
     if xnorm == 0.0:
         return np.zeros_like(np.asarray(x, dtype=float))
-    h = step if step is not None else _FD_STEP_SCALE * (1.0 + geometry.point_norm(p))
+    h = step if step is not None else _fd_step(p)
     q = geometry.exp(p, (h / xnorm) * x)
     gq = geometry.transport(q, p, rgrad(q))
     gp = rgrad(p) if rgrad_p is None else rgrad_p
     return (gq - gp) * (xnorm / h)
 
 
+def _fd_step(p) -> float:
+    """The default finite-difference step, 1e-8 (1 + ||p||), ||p|| the ambient norm."""
+    return _FD_STEP_SCALE * (1.0 + float(np.linalg.norm(np.ravel(p))))
+
+
 def _fd_hessian(geometry: Geometry, rgrad: Callable, p, g):
     """:func:`fd_hessian_apply` at p, with the default step, in frame coordinates."""
-    step = _FD_STEP_SCALE * (1.0 + geometry.point_norm(p))
+    step = _fd_step(p)
     return lambda y: geometry.to_frame(p, fd_hessian_apply(
         geometry, rgrad, p, geometry.from_frame(p, y), step=step, rgrad_p=g))
 

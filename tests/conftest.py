@@ -21,7 +21,7 @@ def random_sym(rng, n, scale=1.0):
 
 def fd_slope(geometry, f, p, v, step=None):
     """Central-difference directional derivative of f along exp_p(t v)."""
-    h = step if step is not None else 1e-6 * (1.0 + geometry.point_norm(p))
+    h = step if step is not None else 1e-6 * (1.0 + np.linalg.norm(np.ravel(p)))
     return (f(geometry.exp(p, h * v)) - f(geometry.exp(p, -h * v))) / (2.0 * h)
 
 

@@ -26,7 +26,6 @@ from rdcopt.matfun import spd_logdet, symmetrize
 from rdcopt.problems import (
     LogDetProblem,
     RosenbrockProblem,
-    TrDetProblem,
     box_linear_subproblem,
     box_slack,
     frechet_grad,
@@ -34,13 +33,13 @@ from rdcopt.problems import (
     logdet_dcproblem,
     random_frechet_instance,
     rosenbrock_dcproblem,
-    trdet_dcproblem,
 )
 from rdcopt.solvers import StoppingCriterion, dca_solve, dcppa_solve, strongly_convexify
 
 import golden
 from conftest import fd_slope, random_spd, random_sym, sample_directions
 from test_problems import box_objective, brute_force_box_optimum, rosenbrock_subproblem
+from trdet import TrDetProblem, trdet_dcproblem
 
 
 def logdet_branch_target(p0: np.ndarray) -> float:

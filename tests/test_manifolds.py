@@ -39,7 +39,15 @@ def _pair(geometry, rng):
     return sample_point(geometry, rng), sample_point(geometry, rng)
 
 
-@pytest.mark.parametrize("geometry", GEOMETRIES, ids=lambda g: type(g).__name__)
+def pytest_generate_tests(metafunc):
+    # each shared contract runs on every geometry but the plane's adjoint_log_diff,
+    # which it does not give: every plane problem gives its subproblem in closed form
+    if metafunc.cls is TestSharedContracts:
+        adjoint = metafunc.function.__name__ == "test_adjoint_log_diff_matches_fd"
+        metafunc.parametrize("geometry", GEOMETRIES[:2] if adjoint else GEOMETRIES,
+                             ids=lambda g: type(g).__name__)
+
+
 class TestSharedContracts:
     def test_dist_equals_norm_of_log(self, geometry, rng):
         for _ in range(10):
@@ -115,7 +123,7 @@ class TestSharedContracts:
             # exp_frame is exp of the tangent with those coordinates
             q = geometry.exp(p, 0.5 * x)
             assert geometry.dist(geometry.exp_frame(p, 0.5 * y), q) <= 1e-12 * (
-                1.0 + geometry.point_norm(q))
+                1.0 + np.linalg.norm(np.ravel(q)))
 
     def test_half_sq_dist_hessian_matches_gradient_differences(self, geometry, rng):
         # grad d^2(., y)/2 = -log_.(y)
@@ -534,15 +542,21 @@ class TestSPDFactorCache:
 class TestRosenbrockPlane:
     def test_metric_examples(self, rng):
         m = RosenbrockPlane()
-        g, ginv = m.metric_tensor(np.array([0.0, 3.7]))
+        e = np.eye(2)
+
+        def metric_tensor(p):  # (G_p from inner, G_p^-1 from egrad_to_rgrad)
+            return (np.array([[m.inner(p, a, b) for b in e] for a in e]),
+                    np.column_stack([m.egrad_to_rgrad(p, a) for a in e]))
+
+        g, ginv = metric_tensor(np.array([0.0, 3.7]))
         np.testing.assert_allclose(g, np.eye(2))
         np.testing.assert_allclose(ginv, np.eye(2))
-        g, ginv = m.metric_tensor(np.array([1.0, 0.0]))
+        g, ginv = metric_tensor(np.array([1.0, 0.0]))
         np.testing.assert_allclose(g, [[5.0, -2.0], [-2.0, 1.0]])
         np.testing.assert_allclose(ginv, [[1.0, 2.0], [2.0, 5.0]])
         for _ in range(10):
             p = rng.standard_normal(2) * 3
-            g, ginv = m.metric_tensor(p)
+            g, ginv = metric_tensor(p)
             assert np.linalg.det(g) == pytest.approx(1.0, abs=1e-12)
             np.testing.assert_allclose(g @ ginv, np.eye(2), atol=1e-12)
 

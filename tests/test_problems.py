@@ -22,7 +22,6 @@ from rdcopt.problems import (
     LogDetProblem,
     RosenbrockProblem,
     ScalarFunction,
-    TrDetProblem,
     box_feasible,
     box_linear_subproblem,
     box_slack,
@@ -37,7 +36,6 @@ from rdcopt.problems import (
     rosenbrock_cost,
     rosenbrock_dcproblem,
     rosenbrock_grad,
-    trdet_dcproblem,
 )
 from rdcopt.solvers import (
     StoppingCriterion,
@@ -57,6 +55,7 @@ from conftest import (
     sample_directions,
     tangent_map,
 )
+from trdet import TrDetProblem, trdet_dcproblem
 
 
 
@@ -415,7 +414,7 @@ class TestRosenbrock:
 
 def _weighted_log_sum(prob, factor, inverse_points):
     """sum_j mu_j log(factor q_j factor), or with q_j^{-1} when ``inverse_points``."""
-    acc = np.zeros((prob.n, prob.n))
+    acc = np.zeros((prob.geometry.n, prob.geometry.n))
     for mu, q in zip(prob.weights, prob.points):
         data = np.linalg.inv(q) if inverse_points else q
         w, v = sym_eig(symmetrize(factor @ data @ factor))
@@ -476,7 +475,7 @@ class TestFrechetProblem:
     def test_gradient_forms_agree(self, frechet_instance, rng):
         prob, _ = frechet_instance
         for _ in range(5):
-            p = random_spd(rng, prob.n)
+            p = random_spd(rng, prob.geometry.n)
             g1 = frechet_grad(prob, p)
             g2 = frechet_grad_alt(prob, p)
             assert np.abs(g1 - g2).max() <= 1e-9 * (1.0 + np.abs(g1).max())
@@ -486,9 +485,9 @@ class TestFrechetProblem:
 
     def test_gradient_is_weighted_log_mean(self, frechet_instance, rng):
         prob, _ = frechet_instance
-        geom = SPDManifold(prob.n)
+        geom = SPDManifold(prob.geometry.n)
         for _ in range(3):
-            p = random_spd(rng, prob.n)
+            p = random_spd(rng, prob.geometry.n)
             expected = -2.0 * sum(mu * geom.log(p, q)
                                   for mu, q in zip(prob.weights, prob.points))
             np.testing.assert_allclose(frechet_grad(prob, p), expected, atol=1e-9)
@@ -506,10 +505,10 @@ class TestFrechetProblem:
     def test_subproblem_matrix_pairing_identity(self, frechet_instance, rng):
         # <-grad h(p), log_p(z)>_p = tr(s log(p^-1/2 z p^-1/2))
         prob, _ = frechet_instance
-        geom = SPDManifold(prob.n)
+        geom = SPDManifold(prob.geometry.n)
         for _ in range(5):
-            p = random_spd(rng, prob.n)
-            z = random_spd(rng, prob.n)
+            p = random_spd(rng, prob.geometry.n)
+            z = random_spd(rng, prob.geometry.n)
             lhs = geom.inner(p, -frechet_grad(prob, p), geom.log(p, z))
             s = frechet_subproblem_matrix(prob, p)
             _, si = spd_sqrt_inv_sqrt(p)
@@ -822,7 +821,7 @@ class TestFrechetDCParts:
         prob, _ = frechet_instance
         assert frechet_dcproblem(prob).geometry is prob.geometry
         oracle = frechet_linear_oracle(prob)
-        p, g = random_spd(rng, prob.n), random_sym(rng, prob.n)
+        p, g = random_spd(rng, prob.geometry.n), random_sym(rng, prob.geometry.n)
         frechet_variance(prob, p)
         # p, and the stack of the whitened points p^-1/2 q_j p^-1/2
         assert prob.geometry.eigendecompositions == 2
@@ -852,7 +851,7 @@ class TestFrechetDCParts:
         # the oracle gives the checked oracle's bits without its 4 eigvalsh
         prob, _ = frechet_instance
         oracle = frechet_linear_oracle(prob)
-        p, g = random_spd(rng, prob.n), random_sym(rng, prob.n)
+        p, g = random_spd(rng, prob.geometry.n), random_sym(rng, prob.geometry.n)
         _, si = prob.geometry.roots(p)
         calls = []
         eigvalsh = np.linalg.eigvalsh

@@ -19,14 +19,12 @@ from rdcopt.manifolds import Euclidean, RosenbrockPlane, SPDManifold
 from rdcopt.problems import (
     LogDetProblem,
     RosenbrockProblem,
-    TrDetProblem,
     logdet_dcproblem,
     quartic_dcproblem,
     rosenbrock_cost,
     rosenbrock_dcproblem,
     rosenbrock_grad,
     rosenbrock_kernel,
-    trdet_dcproblem,
 )
 from rdcopt.solvers import (
     ArmijoParams,
@@ -48,6 +46,7 @@ from rdcopt.solvers import (
 
 from conftest import check_hessian, random_spd, random_sym, tangent_map
 from test_problems import rosenbrock_subproblem
+from trdet import TrDetProblem, trdet_dcproblem
 
 
 EUCLID1 = Euclidean(1)
