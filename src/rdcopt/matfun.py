@@ -28,6 +28,8 @@ __all__ = [
 # A matrix counts as SPD iff min eigenvalue > SPD_RTOL * max(1, max eigenvalue):
 # tolerates eigensolver round-off, rejects genuinely singular inputs.
 SPD_RTOL = 1e-12
+# dsyevd rescales (and so rounds) unless sqrt(safmin/eps) <= max |entry| <= 1/that
+_UNSCALED = (2.0 ** -485, 2.0 ** 485)
 
 
 class EigDecomp(NamedTuple):
@@ -56,10 +58,24 @@ def sym_eig(a: np.ndarray) -> EigDecomp:
     call; each slice gets the bits a call on it alone would give.
     Deterministic for identical input (LAPACK dsyevd via numpy).
     Raises ValueError on non-finite entries.
+
+    A scalar matrix c I with 2^-485 <= |c| <= 2^485 (every point and
+    gradient of the log-det experiment) gets (c, ..., c) and I, the bits
+    ``np.linalg.eigh`` gives, without LAPACK. The zero matrix (its
+    eigenvalues come back -0.0), c I outside that range (rescaled), other
+    diagonals (ties are not in stable-sort order) and stacks go to LAPACK.
     """
     a = symmetrize(a)
     if not np.isfinite(a).all():
         raise ValueError("non-finite matrix")
+    n = len(a)
+    c = a.item(0) if a.ndim == 2 and n else 0.0
+    # c I: c in both corners (one read turns most others away), n nonzero
+    # entries, all of them c on the diagonal
+    if (_UNSCALED[0] <= abs(c) <= _UNSCALED[1] and a.item(-1) == c
+            and np.count_nonzero(a) == n and (a.diagonal() == c).all()):
+        # fresh arrays: the SPD factor cache marks what it keeps read-only
+        return EigDecomp(np.full(n, c), np.eye(n))
     w, q = np.linalg.eigh(a)
     return EigDecomp(w, q)
 

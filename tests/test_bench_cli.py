@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rdcopt import bench, cli
+from rdcopt import bench, cli, manifolds
 from rdcopt.bench import (
     ROSENBROCK_STOP,
     ROSENBROCK_SUB,
@@ -63,10 +63,11 @@ class TestDcaVsDcppaRunner:
             assert abs(result["dcppa_final_f"] + 0.25) <= 1e-8
 
     def test_eigendecompositions_per_run(self, tmp_path, monkeypatch):
-        # every eigh of a log-det run goes through the geometry's factor cache
+        # every eigendecomposition of a log-det run goes through the geometry's
+        # factor cache; spied at sym_eig, since a scalar one calls no LAPACK
         calls = []
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+        sym_eig = manifolds.sym_eig
+        monkeypatch.setattr(manifolds, "sym_eig", lambda a: calls.append(1) or sym_eig(a))
         summary = run_dca_vs_dcppa(ExperimentConfig(out_dir=tmp_path, n_min=3, n_max=4))
         for result in summary["results"]:
             assert result["dca_eigendecompositions"] > 0
