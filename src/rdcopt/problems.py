@@ -430,10 +430,10 @@ def box_linear_subproblem(s: np.ndarray, x: np.ndarray, lower: np.ndarray,
     P^T P = Uh - Lh (exact whenever everything commutes, e.g. diagonal data)
     seeds a deterministic multi-start projected-gradient refinement, which
     is required because the corner alone is not optimal for non-commuting
-    instances. The six starts run in lockstep as one (6, n, n) stack, and
-    the backtracking trials of all of them are evaluated in batches of 2, 4,
-    8, ... per start (see ``_box_projected_gradient``), with the iterates a
-    run of each start on its own would give. The first start, in start
+    instances. Each of the six starts backtracks on its own schedule of 2,
+    4, 8, ... trials, and one stack per round holds the trials of all of
+    them (see ``_box_projected_gradient``), with the iterates a run of each
+    start on its own would give. The first start, in start
     order, with the least objective gives the result. The returned z is
     feasible up to eigensolver round-off.
 
@@ -480,18 +480,18 @@ def _box_oracle(s, x, lower, upper):
 def _box_projected_gradient(d, lh, b_sqrt, starts):
     """Projected gradient on v in [0, I] for tr(D log(Lh + B^{1/2} v B^{1/2})).
 
-    All starts of the exactly symmetric (k, n, n) stack ``starts`` run in
-    lockstep, each with the arithmetic of a run on its own. An iteration
-    takes one stacked gradient at the starts still running, from the
-    eigendecompositions the objective has already made. Each start then
-    backtracks from t = min(4 t, 1e8) through t/4, t/16, ... while t > 1e-18
-    and stops at its first trial with f_new < f - 1e-15 (1 + |f|); a start
-    with no such trial, or after _BOX_MAX_ITER iterations, stops for good.
-    The trials of all searching starts are evaluated together, 2 per start,
-    then 4, 8, ..., each chunk cut to the most trials any of its starts has
-    left above the floor: most iterations accept at the first or second
-    trial, while a start's last, failing search runs through all of its
-    trials, about 28. Returns each start's final point and objective value.
+    Each start of the exactly symmetric (k, n, n) stack ``starts`` keeps its
+    own state and the arithmetic of a run on its own. An iteration takes a
+    gradient from the eigendecomposition the objective has already made,
+    then backtracks from t = min(4 t, 1e8) through t/4, t/16, ... while
+    t > 1e-18 and accepts the first trial with f_new < f - 1e-15 (1 + |f|);
+    a start with no such trial, or after _BOX_MAX_ITER iterations, stops
+    for good. A start tries its trials in chunks of 2, 4, 8, ..., cut at its
+    floor: most iterations accept at the first or second trial, while a
+    last, failing search runs through all of its trials, about 28. A round
+    takes one stacked gradient at the starts that are new or have just
+    accepted, then evaluates the next chunk of every searching start in one
+    stack. Returns each start's final point and objective value.
     """
 
     def objective(v):
@@ -505,46 +505,46 @@ def _box_projected_gradient(d, lh, b_sqrt, starts):
 
     v = _clip01(starts)
     d_mat = np.diag(d)
+    g = np.empty_like(v)
+    t, its, size = np.ones(len(v)), np.zeros(len(v), dtype=int), np.zeros(len(v), dtype=int)
+    # ``fresh``: the starts that take a gradient next, new or just accepted
+    fresh, searching = np.arange(len(v)), np.zeros(len(v), dtype=bool)
     # log of a spectrum that is not positive: that trial's f is inf
     with np.errstate(divide="ignore", invalid="ignore"):
         f, w, q = objective(v)
-        t = np.ones(len(v))
-        running = np.arange(len(v))
-        for _ in range(_BOX_MAX_ITER):
-            if running.size == 0:
-                break
-            g = symmetrize(b_sqrt @ sym_dlog(EigDecomp(w[running], q[running]), d_mat) @ b_sqrt)
-            t[running] = np.minimum(4.0 * t[running], 1e8)
-            improved = np.zeros(running.size, dtype=bool)
-            searching = np.arange(running.size)  # positions in ``running``
-            size = 2
-            while searching.size:
-                idx = running[searching]
-                steps = t[idx, None] * _QUARTERS[:size]
-                live = steps > 1e-18
-                # cut the chunk to the most trials a start has left above the floor
-                size = int(np.count_nonzero(live.any(axis=0)))
-                steps, live = steps[:, :size], live[:, :size]
-                # v - t g is exactly symmetric: v and g come out of symmetrize
-                trial = _clip01(v[idx, None] - steps[..., None, None] * g[searching, None])
-                f_trial, w_trial, q_trial = objective(trial)
-                ok = live & (f_trial < (f[idx] - 1e-15 * (1.0 + np.abs(f[idx])))[:, None])
-                accepted = ok.any(axis=1)
-                if accepted.any():
-                    hit = np.nonzero(accepted)[0]
-                    first = ok.argmax(axis=1)[hit]
-                    won = idx[hit]
-                    v[won], w[won], q[won] = (trial[hit, first], w_trial[hit, first],
-                                              q_trial[hit, first])
-                    f[won], t[won] = f_trial[hit, first], steps[hit, first]
-                    improved[searching[hit]] = True
-                    searching = searching[~accepted]
-                    idx = idx[~accepted]
-                t[idx] *= _QUARTERS[size]
-                searching = searching[t[idx] > 1e-18]
-                size *= 2
-            running = running[improved]
-    return v, f
+        while True:
+            fresh = fresh[its[fresh] < _BOX_MAX_ITER]
+            if fresh.size:
+                g[fresh] = symmetrize(b_sqrt @ sym_dlog(EigDecomp(w[fresh], q[fresh]), d_mat)
+                                      @ b_sqrt)
+                t[fresh] = np.minimum(4.0 * t[fresh], 1e8)
+                its[fresh] += 1
+                size[fresh] = 2
+                searching[fresh] = True
+            idx = np.flatnonzero(searching)
+            if idx.size == 0:
+                return v, f
+            # each searching start's next chunk, cut at its floor, end to end
+            steps = t[idx, None] * _QUARTERS[:size[idx].max()]
+            live = (steps > 1e-18) & (np.arange(steps.shape[1]) < size[idx, None])
+            counts = np.count_nonzero(live, axis=1)
+            owner, steps = np.repeat(idx, counts), steps[live]
+            # v - t g is exactly symmetric: v and g come out of symmetrize
+            trial = _clip01(v[owner] - steps[:, None, None] * g[owner])
+            f_trial, w_trial, q_trial = objective(trial)
+            hit = np.flatnonzero(f_trial < f[owner] - 1e-15 * (1.0 + np.abs(f[owner])))
+            # a start that passes no trial moves past its chunk
+            t[idx] *= _QUARTERS[counts]
+            size[idx] *= 2
+            # each start's first passing trial: ``owner`` is sorted
+            won = owner[hit]
+            first = np.ones(hit.size, dtype=bool)
+            first[1:] = won[1:] != won[:-1]
+            fresh, first = won[first], hit[first]
+            v[fresh], w[fresh], q[fresh] = trial[first], w_trial[first], q_trial[first]
+            f[fresh], t[fresh] = f_trial[first], steps[first]
+            searching[fresh] = False
+            searching &= t > 1e-18
 
 
 _SAFEGUARD_SCHEDULE = tuple(1e-12 * 10.0 ** j for j in range(12))

@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 from rdcopt import problems
-from rdcopt.bench import FRECHET_STOP, LOGDET_SUB, ROSENBROCK_START, logdet_start
+from rdcopt.bench import (
+    FRECHET_STOP,
+    LOGDET_SUB,
+    ROSENBROCK_START,
+    ExperimentConfig,
+    logdet_start,
+    run_frechet,
+)
 from rdcopt.manifolds import SPDManifold
 from rdcopt.matfun import (
     spd_logdet,
@@ -596,14 +603,16 @@ def reference_box_linear_subproblem(s, x, lower, upper):
     return symmetrize(x_inv @ q @ zh @ q.T @ x_inv), iterations
 
 
-def oracle_eigh_matrices(n, m, seed):
-    """The matrices the box oracle hands to np.linalg.eigh during DCA on
-    ``random_frechet_instance(n, m, seed)``; a (k, n, n) stack counts k."""
+def oracle_eigh_work(n, m, seed):
+    """The ``np.linalg.eigh`` calls the box oracle makes during DCA on
+    ``random_frechet_instance(n, m, seed)``, and the matrices it hands them;
+    a (k, n, n) stack counts one call and k matrices."""
     eigh, oracle = np.linalg.eigh, problems._box_oracle
-    matrices, inside = [0], [False]
+    calls, matrices, inside = [0], [0], [False]
 
     def counted(a, *args, **kwargs):
         if inside[0]:
+            calls[0] += 1
             matrices[0] += math.prod(np.shape(a)[:-2])
         return eigh(a, *args, **kwargs)
 
@@ -620,7 +629,7 @@ def oracle_eigh_matrices(n, m, seed):
         dca_solve(frechet_dcproblem(prob), p0, None, FRECHET_STOP)
     finally:
         np.linalg.eigh, problems._box_oracle = eigh, oracle
-    return matrices[0]
+    return calls[0], matrices[0]
 
 
 class TestBoxLinearSubproblem:
@@ -659,9 +668,11 @@ class TestBoxLinearSubproblem:
                 expected, _ = reference_box_linear_subproblem(s, x, lower, upper)
                 assert np.array_equal(box_linear_subproblem(s, x, lower, upper), expected)
 
-    def test_dca_oracle_calls_match_reference(self, monkeypatch):
+    def test_dca_oracle_calls_match_reference(self, monkeypatch, tmp_path):
         oracle = problems._box_oracle
-        for n, m, seed in ((5, 20, 15), (10, 100, 1)):
+        # seed 42 at (5, 20) is the CLI's default instance, which DCA leaves
+        # on a false "fixed point"
+        for n, m, seed in ((5, 20, 15), (10, 100, 1), (5, 20, 42)):
             calls = []
 
             def recording(s, x, lower, upper):
@@ -669,14 +680,18 @@ class TestBoxLinearSubproblem:
                 calls.append((s, x, lower, upper, z))
                 return z
 
-            # DCA's oracle calls the checked oracle's core
+            # both solvers' oracles call the checked oracle's core; run them
+            # as `rdcopt bench frechet` does, DCA then Frank-Wolfe
             monkeypatch.setattr(problems, "_box_oracle", recording)
-            prob, p0 = random_frechet_instance(n, m, seed)
-            dca_solve(frechet_dcproblem(prob), p0, None, FRECHET_STOP)
-            assert len(calls) >= 2
-            longest = []
+            summary = run_frechet(ExperimentConfig(out_dir=tmp_path, seed=seed, n=n, m=m))
+            assert len(calls) >= summary["dca"]["steps"] + summary["frank_wolfe"]["steps"]
+            # Frank-Wolfe's first call repeats DCA's: check each input once
+            checked, longest = {}, []
             for s, x, lower, upper, z in calls:
-                expected, its = reference_box_linear_subproblem(s, x, lower, upper)
+                key = b"".join(a.tobytes() for a in (s, x, lower, upper))
+                if key not in checked:
+                    checked[key] = reference_box_linear_subproblem(s, x, lower, upper)
+                expected, its = checked[key]
                 assert np.array_equal(z, expected)
                 longest.append(max(its))
             if seed == 15:
@@ -690,11 +705,12 @@ class TestBoxLinearSubproblem:
             pytest.skip(reason)
         run = subprocess.run(
             [sys.executable, "-c", "import test_problems as t; "
-             "print(t.oracle_eigh_matrices(5, 20, 15), t.oracle_eigh_matrices(5, 20, 0))"],
+             "print(*t.oracle_eigh_work(5, 20, 15), *t.oracle_eigh_work(5, 20, 0))"],
             env=golden.pinned_env(), capture_output=True, text=True, check=True)
-        # 8342 and 1394 when the last, failing search of a start evaluated
-        # whole chunks of 2, 4, 8, ... trials, past the 1e-18 floor
-        assert run.stdout.split() == ["8200", "1056"]
+        # (690, 8200) and (84, 1056) when the starts ran in lockstep: each
+        # iteration took its own gradient call, then chunks until every start
+        # was done, each chunk cut to the most trials any start had left
+        assert run.stdout.split() == ["666", "8184", "54", "1004"]
 
     def test_deterministic(self, rng):
         s = random_sym(rng, 3)
