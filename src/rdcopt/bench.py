@@ -21,6 +21,7 @@ import numpy as np
 from .duality import (Grid1D, fenchel_young_gap, primal_dual_sandwich_check, sampled_conjugate,
                       toland_dual_value)
 from .manifolds import Euclidean
+from .matfun import work_ledger
 from .problems import (
     LogDetProblem,
     RosenbrockProblem,
@@ -123,8 +124,10 @@ def run_dca_vs_dcppa(config: ExperimentConfig) -> dict:
     Both start from ``logdet_start(n)``, stop on ``LOGDET_STOP`` and solve
     their subproblems with ``LOGDET_SUB``; DCPPA uses ``logdet_lambda(n)``.
     Each result row gives both runs' entries, keys prefixed ``dca_`` and
-    ``dcppa_``, with ``final_f`` and ``eigendecompositions`` (SPD cache
-    misses; DCPPA reuses DCA's cache); ``inner_steps`` counts trust-region steps.
+    ``dcppa_``, with ``final_f`` and ``eigendecompositions``: the run's
+    ``eigh`` calls plus ``scalar`` answers in the ``matfun`` work ledger,
+    each of them a miss of the SPD factor cache (DCPPA reuses DCA's cache);
+    ``inner_steps`` counts trust-region steps.
     """
     target = -0.25
     results = []
@@ -133,23 +136,24 @@ def run_dca_vs_dcppa(config: ExperimentConfig) -> dict:
         problem = logdet_dcproblem(LogDetProblem(n))
         p0 = logdet_start(n)
         row = {"n": n, "d": n * (n + 1) // 2}
+        before = work_ledger()
         try:
             (p_dca, tr_dca), sec_dca = _timed(
                 dca_solve, problem, p0, LOGDET_SUB, LOGDET_STOP, record_points=False)
-            eigs_dca = problem.geometry.eigendecompositions
+            between = work_ledger()
             (p_ppa, tr_ppa), sec_ppa = _timed(
                 dcppa_solve, problem, p0, logdet_lambda(n), LOGDET_SUB, LOGDET_STOP,
                 record_points=False)
-            eigs_ppa = problem.geometry.eigendecompositions - eigs_dca
+            after = work_ledger()
         except SolverError as exc:
             failures.append({"n": n, "error": str(exc)})
             continue
-        for tag, trace, seconds, eigs in (("dca", tr_dca, sec_dca, eigs_dca),
-                                          ("dcppa", tr_ppa, sec_ppa, eigs_ppa)):
+        for tag, trace, seconds, work in (("dca", tr_dca, sec_dca, between - before),
+                                          ("dcppa", tr_ppa, sec_ppa, after - between)):
             _write_csv(config.out_dir / f"{tag}_n{n}.csv", ["i", "f", "fabs"],
                        ((i, f, abs(f - target)) for i, f in enumerate(trace.f)))
             fields = {**trace.summary(), "seconds": seconds, "final_f": trace.f[-1],
-                      "eigendecompositions": eigs}
+                      "eigendecompositions": work["eigh.calls"] + work["scalar"]}
             row.update({f"{tag}_{key}": value for key, value in fields.items()})
         results.append(row)
     return {"experiment": "dca-vs-dcppa", "results": results, "failures": failures}

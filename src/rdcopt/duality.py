@@ -40,8 +40,8 @@ class Grid1D:
     count: int
 
     def __post_init__(self):
-        if not self.lower < self.upper:
-            raise ValueError("grid needs lower < upper")
+        if not -np.inf < self.lower < self.upper < np.inf:
+            raise ValueError("grid needs finite lower < upper")
         if self.count < 2:
             raise ValueError("grid needs at least two points")
 

@@ -173,20 +173,21 @@ class SPDManifold(Geometry):
 
     Each instance keeps the last ``_CACHED`` symmetric matrices it
     factored, points and whitened matrices alike, keyed by the bytes of
-    the input: the eigendecomposition (``eigendecompositions`` counts the
-    misses) and, for points, p^{1/2}, p^{-1/2} and log det p. So the
-    operations of a solver and of a problem's closures at one iterate
-    factor it once. A point's entry also keeps the eigendecomposition of
-    p^{-1/2} q p^{-1/2} for the q it last whitened, keyed by q's bytes:
-    ``log``, ``dist``, ``transport``, ``half_sq_dist_hessian`` and
-    ``adjoint_log_diff`` of one pair whiten it once between them. Every
-    result is bit for bit that of the uncached computation.
+    the input: the eigendecomposition and, for points, p^{1/2}, p^{-1/2}
+    and log det p. So the operations of a solver and of a problem's
+    closures at one iterate factor it once. Each miss is one ``sym_eig``,
+    which the ``matfun`` work ledger counts as an ``eigh`` call, or as a
+    ``scalar`` answer for c I. A point's entry also keeps the
+    eigendecomposition of p^{-1/2} q p^{-1/2} for the q it last whitened,
+    keyed by q's bytes: ``log``, ``dist``, ``transport``,
+    ``half_sq_dist_hessian`` and ``adjoint_log_diff`` of one pair whiten it
+    once between them. Every result is bit for bit that of the uncached
+    computation.
     """
 
     def __init__(self, n: int):
         self.n = int(n)
         self.dim = self.n * (self.n + 1) // 2
-        self.eigendecompositions = 0
         self._cache: list = []  # (key, _Factored), most recent first
 
     def _factored(self, a) -> _Factored:
@@ -202,7 +203,6 @@ class SPDManifold(Geometry):
                 if i:
                     cache.insert(0, cache.pop(i))
                 return entry
-        self.eigendecompositions += 1
         entry = _Factored(sym_eig(a))
         cache.insert(0, (key, entry))
         del cache[_CACHED:]

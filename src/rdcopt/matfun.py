@@ -4,10 +4,15 @@ Everything the SPD-cone geometry needs is built from one primitive: the
 eigendecomposition of a real symmetric matrix. Matrix functions (exp, log,
 sqrt, powers) are applied on the spectrum and the result is re-symmetrized
 so that round-off asymmetry cannot accumulate across solver iterations.
+
+Every LAPACK call of the package is made here, through ``_lapack``, and
+entered in one work ledger that :func:`work_ledger` reads.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -23,6 +28,7 @@ __all__ = [
     "assert_spd",
     "spd_sqrt_inv_sqrt",
     "spd_logdet",
+    "work_ledger",
 ]
 
 # A matrix counts as SPD iff min eigenvalue > SPD_RTOL * max(1, max eigenvalue):
@@ -30,6 +36,31 @@ __all__ = [
 SPD_RTOL = 1e-12
 # dsyevd rescales (and so rounds) unless sqrt(safmin/eps) <= max |entry| <= 1/that
 _UNSCALED = (2.0 ** -485, 2.0 ** 485)
+
+# The work ledger: [calls, matrices] per LAPACK operation, a (k, n, n) stack
+# being one call and k matrices, and the c I that sym_eig answers without
+# LAPACK; lists and an int, since a Counter item's increment costs 0.2 us more
+_WORK = {op: [0, 0] for op in ("eigh", "eigvalsh", "inv", "cholesky")}
+_scalar_answers = 0
+
+
+def work_ledger() -> Counter:
+    """A snapshot of the work ledger: "<op>.calls" and "<op>.matrices" per
+    LAPACK operation, and "scalar". ``later - earlier`` is the work between
+    two snapshots (a key with no work reads 0)."""
+    snapshot = Counter(scalar=_scalar_answers)
+    for op, (calls, matrices) in _WORK.items():
+        snapshot[op + ".calls"], snapshot[op + ".matrices"] = calls, matrices
+    return snapshot
+
+
+def _lapack(op: str, a: np.ndarray):
+    """``np.linalg.<op>(a)``, entered in the work ledger. The function is looked
+    up at call time, so a wrapper set on ``numpy.linalg`` sees the call."""
+    work = _WORK[op]
+    work[0] += 1
+    work[1] += math.prod(a.shape[:-2])
+    return getattr(np.linalg, op)(a)
 
 
 class EigDecomp(NamedTuple):
@@ -65,6 +96,7 @@ def sym_eig(a: np.ndarray) -> EigDecomp:
     eigenvalues come back -0.0), c I outside that range (rescaled), other
     diagonals (ties are not in stable-sort order) and stacks go to LAPACK.
     """
+    global _scalar_answers
     a = symmetrize(a)
     if not np.isfinite(a).all():
         raise ValueError("non-finite matrix")
@@ -74,9 +106,10 @@ def sym_eig(a: np.ndarray) -> EigDecomp:
     # entries, all of them c on the diagonal
     if (_UNSCALED[0] <= abs(c) <= _UNSCALED[1] and a.item(-1) == c
             and np.count_nonzero(a) == n and (a.diagonal() == c).all()):
+        _scalar_answers += 1
         # fresh arrays: the SPD factor cache marks what it keeps read-only
         return EigDecomp(np.full(n, c), np.eye(n))
-    w, q = np.linalg.eigh(a)
+    w, q = _lapack("eigh", a)
     return EigDecomp(w, q)
 
 
@@ -132,7 +165,7 @@ def spd_cholesky(a: np.ndarray) -> np.ndarray:
     """
     a = symmetrize(a)
     try:
-        lower = np.linalg.cholesky(a)
+        lower = _lapack("cholesky", a)
     except np.linalg.LinAlgError as exc:
         raise ValueError("not positive definite") from exc
     return lower.T
@@ -147,7 +180,7 @@ def is_spd(a: np.ndarray) -> bool:
         return False
     if not np.allclose(a, a.T, rtol=0.0, atol=1e-10 * (1.0 + np.abs(a).max())):
         return False
-    w = np.linalg.eigvalsh(symmetrize(a))
+    w = _lapack("eigvalsh", symmetrize(a))
     return bool(w[0] > SPD_RTOL * max(1.0, w[-1]))
 
 

@@ -24,6 +24,7 @@ from .manifolds import Euclidean, RosenbrockPlane, SPDManifold
 from .matfun import (
     SPD_RTOL,
     EigDecomp,
+    _lapack,
     assert_spd,
     spd_cholesky,
     spd_sqrt_inv_sqrt,
@@ -203,8 +204,8 @@ class RosenbrockProblem:
     b: float = 1.0
 
     def __post_init__(self):
-        if not (self.a > 0 and self.b > 0):
-            raise ValueError("a and b must be positive")
+        if not (0 < self.a < math.inf and 0 < self.b < math.inf):
+            raise ValueError("a and b must be positive and finite")
 
 
 def rosenbrock_cost(spec: RosenbrockProblem, p) -> float:
@@ -354,7 +355,7 @@ class FrechetBoxProblem:
 def _assert_box(lower, upper):
     assert_spd(lower, "lower bound")
     assert_spd(upper, "upper bound")
-    w = np.linalg.eigvalsh(symmetrize(np.asarray(upper) - np.asarray(lower)))
+    w = _lapack("eigvalsh", symmetrize(np.asarray(upper) - np.asarray(lower)))
     if w[0] <= SPD_RTOL * max(1.0, w[-1]):
         raise ValueError("degenerate box")
 
@@ -390,18 +391,18 @@ def frechet_grad(prob: FrechetBoxProblem, p) -> np.ndarray:
 
 def box_slack(p, lower, upper) -> float:
     """min eigenvalue slack of the two Loewner constraints (negative when violated)."""
-    lo = np.linalg.eigvalsh(symmetrize(np.asarray(p) - lower))[0]
-    hi = np.linalg.eigvalsh(symmetrize(np.asarray(upper) - p))[0]
+    lo = _lapack("eigvalsh", symmetrize(np.asarray(p) - lower))[0]
+    hi = _lapack("eigvalsh", symmetrize(np.asarray(upper) - p))[0]
     return float(min(lo, hi))
 
 
 def box_feasible(p, lower, upper) -> bool:
     """``box_slack(p, lower, upper) >= 0``, deciding a violated upper bound
     from its eigenvalues alone."""
-    hi = np.linalg.eigvalsh(symmetrize(np.asarray(upper) - p))[0]
+    hi = _lapack("eigvalsh", symmetrize(np.asarray(upper) - p))[0]
     if hi < 0.0:
         return False
-    lo = np.linalg.eigvalsh(symmetrize(np.asarray(p) - lower))[0]
+    lo = _lapack("eigvalsh", symmetrize(np.asarray(p) - lower))[0]
     return min(lo, hi) >= 0.0
 
 
@@ -416,7 +417,7 @@ _QUARTERS = 0.25 ** np.arange(64)
 def _clip01(v: np.ndarray) -> np.ndarray:
     """Spectral projection of each matrix of an exactly symmetric (k, n, n)
     stack onto [0, I]."""
-    w, q = np.linalg.eigh(v)
+    w, q = _lapack("eigh", v)
     return symmetrize((q * np.clip(w, 0.0, 1.0)[..., None, :]) @ q.swapaxes(-1, -2))
 
 
@@ -473,7 +474,7 @@ def _box_oracle(s, x, lower, upper):
 
     v, f = _box_projected_gradient(d, lh, b_sqrt, starts)
     zh = symmetrize(lh + b_sqrt @ v[np.argmin(f)] @ b_sqrt)
-    x_inv = np.linalg.inv(x)
+    x_inv = _lapack("inv", x)
     return symmetrize(x_inv @ q @ zh @ q.T @ x_inv)
 
 
@@ -497,7 +498,7 @@ def _box_projected_gradient(d, lh, b_sqrt, starts):
     def objective(v):
         # tr(D log z) at each z = Lh + B^{1/2} v B^{1/2} (inf where z is not
         # PD), with the eigendecomposition of z, which the gradient reuses
-        w, q = np.linalg.eigh(symmetrize(lh + b_sqrt @ v @ b_sqrt))
+        w, q = _lapack("eigh", symmetrize(lh + b_sqrt @ v @ b_sqrt))
         logs = (q * np.log(w)[..., None, :]) @ q.swapaxes(-1, -2)
         f = np.sum(d * np.diagonal(logs, axis1=-2, axis2=-1), axis=-1)
         f[w[..., 0] <= 0.0] = np.inf
@@ -647,8 +648,8 @@ def random_frechet_instance(n: int, m: int, seed: int):
     weights = rng.uniform(0.0, 1.0, size=m)
     weights = weights / weights.sum()
     arith = symmetrize(np.einsum("j,jkl->kl", weights, points))
-    harm = symmetrize(np.linalg.inv(
-        np.einsum("j,jkl->kl", weights, np.linalg.inv(points))))
+    harm = symmetrize(_lapack("inv", np.einsum("j,jkl->kl", weights,
+                                               _lapack("inv", points))))
     p0 = symmetrize(0.5 * (harm + arith))
     prob = FrechetBoxProblem(points=points, weights=weights, lower=harm, upper=arith)
     return prob, p0

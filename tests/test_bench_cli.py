@@ -4,12 +4,13 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rdcopt import bench, cli, manifolds
+from rdcopt import bench, cli
 from rdcopt.bench import (
     ROSENBROCK_STOP,
     ROSENBROCK_SUB,
@@ -21,6 +22,7 @@ from rdcopt.bench import (
     run_rosenbrock,
 )
 from rdcopt.cli import build_parser, main
+from rdcopt.matfun import work_ledger
 
 
 def read_csv(path):
@@ -62,19 +64,17 @@ class TestDcaVsDcppaRunner:
             assert abs(result["dca_final_f"] + 0.25) <= 1e-8
             assert abs(result["dcppa_final_f"] + 0.25) <= 1e-8
 
-    def test_eigendecompositions_per_run(self, tmp_path, monkeypatch):
-        # every eigendecomposition of a log-det run goes through the geometry's
-        # factor cache; spied at sym_eig, since a scalar one calls no LAPACK
-        calls = []
-        sym_eig = manifolds.sym_eig
-        monkeypatch.setattr(manifolds, "sym_eig", lambda a: calls.append(1) or sym_eig(a))
+    def test_eigendecompositions_per_run(self, tmp_path):
+        # the runs' fields hold all of the command's ledger work: every
+        # decomposition of a log-det run is a scalar answer of sym_eig
+        before = work_ledger()
         summary = run_dca_vs_dcppa(ExperimentConfig(out_dir=tmp_path, n_min=3, n_max=4))
         for result in summary["results"]:
             assert result["dca_eigendecompositions"] > 0
             assert result["dcppa_eigendecompositions"] > 0
-        assert len(calls) == sum(result[f"{tag}_eigendecompositions"]
-                                 for result in summary["results"]
-                                 for tag in ("dca", "dcppa"))
+        assert work_ledger() - before == Counter(scalar=sum(
+            result[f"{tag}_eigendecompositions"]
+            for result in summary["results"] for tag in ("dca", "dcppa")))
 
     def test_out_of_range_rejected(self, tmp_path):
         # the config rejects the range before it makes the output directory
@@ -230,7 +230,8 @@ class TestCli:
         # the output directory is made
         out = tmp_path / "out"
         for argv in (["bench", "frechet", "--n", "1"], ["bench", "dca-vs-dcppa", "--n-min", "1"],
-                     ["bench", "rosenbrock", "--a", "-1"], ["bench", "frechet", "--seed", "-1"]):
+                     ["bench", "rosenbrock", "--a", "-1"], ["bench", "rosenbrock", "--a", "inf"],
+                     ["bench", "frechet", "--seed", "-1"]):
             assert main([*argv, "--out", str(out)]) == 2, argv
             assert capsys.readouterr().err.startswith("rdcopt: error: ")
             assert not out.exists(), argv

@@ -52,6 +52,9 @@ class TestGrid1D:
             Grid1D(1.0, 0.0, 10)
         with pytest.raises(ValueError):
             Grid1D(0.0, 1.0, 1)
+        for lower, upper in ((-10.0, np.inf), (-np.inf, 10.0), (np.nan, 10.0)):
+            with pytest.raises(ValueError, match="finite"):
+                Grid1D(lower, upper, 5)
 
     def test_points_and_spacing(self):
         grid = Grid1D(-1.0, 1.0, 5)

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from rdcopt.matfun import (
     sym_dlog,
     sym_eig,
     symmetrize,
+    work_ledger,
 )
 from rdcopt.problems import LogDetProblem, logdet_dcproblem
 
@@ -319,9 +321,9 @@ class TestSPD:
         m = SPDManifold(5)
         p, y = random_spd(rng, 5), random_spd(rng, 5)
         m.dist(p, y)
-        before = m.eigendecompositions
+        before = work_ledger()
         m.half_sq_dist_hessian(p, y)(random_sym(rng, 5))
-        assert m.eigendecompositions == before
+        assert work_ledger() == before
 
 
 # The SPD operations composed from matfun with no cache: the reference that
@@ -442,33 +444,25 @@ class TestSPDFactorCache:
             got, want = op(p, x)
             assert np.array_equal(got, want)
 
-    def test_signed_zeros_do_not_share_an_entry(self, monkeypatch):
-        counts = {"eigh": 0}
-        eigh = np.linalg.eigh
-
-        def counted(*args):
-            counts["eigh"] += 1
-            return eigh(*args)
-
-        monkeypatch.setattr(np.linalg, "eigh", counted)
+    def test_signed_zeros_do_not_share_an_entry(self):
+        start = work_ledger()["eigh.calls"]
         m = SPDManifold(2)
         plus = np.array([[2.0, 0.0], [0.0, 1.0]])
         minus = np.array([[2.0, -0.0], [-0.0, 1.0]])
         assert np.array_equal(plus, minus)
         m.logdet(plus)
         m.logdet(plus)
-        assert counts["eigh"] == 1
+        assert work_ledger()["eigh.calls"] == start + 1
         m.logdet(minus)
-        assert counts["eigh"] == 2
+        assert work_ledger()["eigh.calls"] == start + 2
         # inner at a point decomposes it once, for its p^{-1/2}
         m = SPDManifold(2)
         m.inner(plus, plus, plus)
         m.inner(plus, minus, minus)
-        assert counts["eigh"] == 3
+        assert work_ledger()["eigh.calls"] == start + 3
         m.inner(minus, plus, plus)
         m.inner(minus, minus, minus)
-        assert counts["eigh"] == 4
-        assert m.eigendecompositions == 2
+        assert work_ledger()["eigh.calls"] == start + 4
 
     def test_cache_stays_bounded(self, rng):
         m = SPDManifold(3)
@@ -494,10 +488,8 @@ class TestSPDFactorCache:
         for got, want in zip(m.roots(p), spd_sqrt_inv_sqrt(p)):
             assert np.array_equal(got, want)
 
-    def test_counts_each_decomposition_once(self, rng, monkeypatch):
-        calls = []
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+    def test_counts_each_decomposition_once(self, rng):
+        before = work_ledger()
         m = SPDManifold(3)
         p, q = random_spd(rng, 3), random_spd(rng, 3)
         x = random_sym(rng, 3)
@@ -507,7 +499,7 @@ class TestSPDFactorCache:
             m.dist(p, q)
             m.exp(p, x)
         # p, p^-1/2 q p^-1/2 and p^-1/2 x p^-1/2, each decomposed once
-        assert m.eigendecompositions == len(calls) == 3
+        assert work_ledger() - before == Counter({"eigh.calls": 3, "eigh.matrices": 3})
 
     def test_whitened_memo_gives_the_cached_decomposition(self, rng, monkeypatch):
         m = SPDManifold(4)
@@ -532,11 +524,15 @@ class TestSPDFactorCache:
             m.inner(random_spd(rng, 4), x, x)
             m.logdet(p)
         assert to_frame(m, p, q).tobytes() not in {key for (_, key), _ in m._cache}
-        before = m.eigendecompositions
+        before = work_ledger()
         memo = m._whitened(p, q)
-        assert frames == [] and m.eigendecompositions == before
+        assert frames == [] and work_ledger() == before
         fresh = sym_eig(to_frame(m, p, q))
         assert all(np.array_equal(a, b) and not a.flags.writeable for a, b in zip(memo, fresh))
+        # the adjoint log differential of the pair reads the memo too
+        before = work_ledger()
+        m.adjoint_log_diff(p, q, x)
+        assert work_ledger() == before
 
 
 class TestRosenbrockPlane:

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from rdcopt.matfun import (
     sym_dlog,
     sym_eig,
     symmetrize,
+    work_ledger,
 )
 
 from conftest import random_spd, random_sym
@@ -86,42 +88,41 @@ class TestSymEig:
             w_rot, _ = sym_eig(symmetrize(q @ a @ q.T))
             np.testing.assert_allclose(w_a, w_rot, atol=1e-10)
 
-    @staticmethod
-    def eigh_calls(monkeypatch) -> list:
-        calls = []
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
-        return calls
-
     @pytest.mark.parametrize("off", [0.0, -0.0])
     @pytest.mark.parametrize("c", [5e-324, 1e-300, 1e-3, math.log(5), -2.0, 1e160, 1e300])
     @pytest.mark.parametrize("n", [1, 2, 5, 20, 60])
-    def test_scalar_matrix_has_the_bits_of_lapack(self, n, c, off, monkeypatch):
+    def test_scalar_matrix_has_the_bits_of_lapack(self, n, c, off):
         # c I with 2^-485 <= |c| <= 2^485 is answered without LAPACK; outside
         # that range LAPACK rescales it (for n >= 2, 1e-300 I and 1e300 I get
         # eigenvalues that are not c), so it still goes there
         a = np.full((n, n), off)
         np.fill_diagonal(a, c)
         w_lapack, q_lapack = np.linalg.eigh(a)
-        calls = self.eigh_calls(monkeypatch)
+        before = work_ledger()
         w, q = sym_eig(a)
         # bytes, not values: sign bits count
         assert w.tobytes() == w_lapack.tobytes()
         assert q.tobytes() == q_lapack.tobytes()
-        assert len(calls) == (0 if 2.0 ** -485 <= abs(c) <= 2.0 ** 485 else 1)
+        if 2.0 ** -485 <= abs(c) <= 2.0 ** 485:
+            assert work_ledger() - before == Counter(scalar=1)
+        else:
+            assert work_ledger() - before == Counter({"eigh.calls": 1, "eigh.matrices": 1})
         assert w.flags.writeable and q.flags.writeable
 
-    def test_near_scalar_input_goes_to_lapack(self, monkeypatch):
+    def test_near_scalar_input_goes_to_lapack(self):
         n = 5
         tiny_off = 2.0 * np.eye(n)
         tiny_off[0, 1] = 1e-300
         stack = np.stack([2.0 * np.eye(n), 3.0 * np.eye(n)])
         inputs = [np.zeros((n, n)), np.diag([2.0, 2.0, 1.0]), tiny_off, stack]
         expected = [np.linalg.eigh(symmetrize(a)) for a in inputs]
-        calls = self.eigh_calls(monkeypatch)
-        for k, (a, (w_lapack, q_lapack)) in enumerate(zip(inputs, expected), 1):
+        for a, (w_lapack, q_lapack) in zip(inputs, expected):
+            before = work_ledger()
             w, q = sym_eig(a)
-            assert len(calls) == k
+            # a (k, n, n) stack is one call and k matrices
+            matrices = len(a) if a.ndim == 3 else 1
+            assert work_ledger() - before == Counter({"eigh.calls": 1,
+                                                      "eigh.matrices": matrices})
             assert w.tobytes() == w_lapack.tobytes()
             assert q.tobytes() == q_lapack.tobytes()
 

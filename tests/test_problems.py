@@ -2,6 +2,7 @@ import dataclasses
 import math
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from rdcopt.matfun import (
     sym_dlog,
     sym_eig,
     symmetrize,
+    work_ledger,
 )
 from rdcopt.problems import (
     FrechetBoxProblem,
@@ -604,32 +606,24 @@ def reference_box_linear_subproblem(s, x, lower, upper):
 
 
 def oracle_eigh_work(n, m, seed):
-    """The ``np.linalg.eigh`` calls the box oracle makes during DCA on
-    ``random_frechet_instance(n, m, seed)``, and the matrices it hands them;
-    a (k, n, n) stack counts one call and k matrices."""
-    eigh, oracle = np.linalg.eigh, problems._box_oracle
-    calls, matrices, inside = [0], [0], [False]
+    """The ``eigh`` calls and matrices in the work ledger that the box oracle
+    makes during DCA on ``random_frechet_instance(n, m, seed)``."""
+    oracle, work = problems._box_oracle, Counter()
 
-    def counted(a, *args, **kwargs):
-        if inside[0]:
-            calls[0] += 1
-            matrices[0] += math.prod(np.shape(a)[:-2])
-        return eigh(a, *args, **kwargs)
-
-    def entered(*args):
-        inside[0] = True
+    def counted(*args):
+        before = work_ledger()
         try:
             return oracle(*args)
         finally:
-            inside[0] = False
+            work.update(work_ledger() - before)
 
-    np.linalg.eigh, problems._box_oracle = counted, entered
+    problems._box_oracle = counted
     try:
         prob, p0 = random_frechet_instance(n, m, seed)
         dca_solve(frechet_dcproblem(prob), p0, None, FRECHET_STOP)
     finally:
-        np.linalg.eigh, problems._box_oracle = eigh, oracle
-    return calls[0], matrices[0]
+        problems._box_oracle = oracle
+    return work["eigh.calls"], work["eigh.matrices"]
 
 
 class TestBoxLinearSubproblem:
@@ -759,18 +753,16 @@ class TestBoxFeasible:
         ((0.5, 2.0, 2.0), 2),  # below lower
         ((4.0, 0.5, 2.0), 1),  # both
     ], ids=["neither", "upper", "lower", "both"])
-    def test_matches_slack_sign(self, monkeypatch, rng, diag, decompositions):
+    def test_matches_slack_sign(self, rng, diag, decompositions):
         lower, upper = np.eye(3), 3.0 * np.eye(3)
         # the same point in a random basis, so the bounds do not commute with it
         q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         p = symmetrize(q @ np.diag(diag) @ q.T)
         want = box_slack(p, lower, upper) >= 0.0
-        calls = []
-        eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+        before = work_ledger()
         assert box_feasible(p, lower, upper) == want
         # a violated upper bound decides without decomposing p - lower
-        assert len(calls) == decompositions
+        assert (work_ledger() - before)["eigvalsh.calls"] == decompositions
 
     def test_matches_slack_sign_at_round_off(self):
         # oracle answers sit on the box boundary, some outside it by round-off
@@ -838,50 +830,42 @@ class TestFrechetDCParts:
         assert frechet_dcproblem(prob).geometry is prob.geometry
         oracle = frechet_linear_oracle(prob)
         p, g = random_spd(rng, prob.geometry.n), random_sym(rng, prob.geometry.n)
+        before = work_ledger()
         frechet_variance(prob, p)
         # p, and the stack of the whitened points p^-1/2 q_j p^-1/2
-        assert prob.geometry.eigendecompositions == 2
-        calls = {"any": 0, "2-D": 0, "on p": 0}
-        eigh = np.linalg.eigh
-
-        def counted(a, *args, **kwargs):
-            calls["any"] += 1
-            if np.ndim(a) == 2:
-                calls["2-D"] += 1
-                calls["on p"] += np.array_equal(a, p)
-            return eigh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counted)
+        assert work_ledger() - before == Counter({"eigh.calls": 2,
+                                                  "eigh.matrices": 1 + len(prob.points)})
+        before = work_ledger()
         frechet_grad(prob, p)
         # the gradient at the variance's point reads both from the cache
-        assert calls["any"] == 0
+        assert work_ledger() == before
+        on_p = []
+        eigh = np.linalg.eigh
+
+        def spied(a, *args, **kwargs):
+            on_p.append(np.array_equal(a, p))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", spied)
         oracle(p, g)
         # the oracle decomposes its own matrices, but p only through the cache
-        assert calls["2-D"] > 0
-        assert calls["on p"] == 0
-        assert prob.geometry.eigendecompositions == 2
+        assert (work_ledger() - before)["eigh.calls"] > 0
+        assert not any(on_p)
+        assert len(prob.geometry._cache) == 2
 
-    def test_oracle_skips_the_checks_the_problem_made(self, frechet_instance, rng,
-                                                      monkeypatch):
+    def test_oracle_skips_the_checks_the_problem_made(self, frechet_instance, rng):
         # the problem checked its box when it was made, and p^-1/2 is SPD:
         # the oracle gives the checked oracle's bits without its 4 eigvalsh
         prob, _ = frechet_instance
         oracle = frechet_linear_oracle(prob)
         p, g = random_spd(rng, prob.geometry.n), random_sym(rng, prob.geometry.n)
         _, si = prob.geometry.roots(p)
-        calls = []
-        eigvalsh = np.linalg.eigvalsh
-
-        def counted(a, *args, **kwargs):
-            calls.append(a)
-            return eigvalsh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        before = work_ledger()
         checked = box_linear_subproblem(si @ g @ si, si, prob.lower, prob.upper)
-        assert len(calls) == 4
-        calls.clear()
+        assert (work_ledger() - before)["eigvalsh.calls"] == 4
+        before = work_ledger()
         assert np.array_equal(oracle(p, g), checked)
-        assert calls == []
+        assert (work_ledger() - before)["eigvalsh.calls"] == 0
 
     def test_oracle_matches_constrained_hook(self, frechet_instance):
         prob, p0 = frechet_instance
