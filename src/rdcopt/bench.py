@@ -225,7 +225,8 @@ def run_frechet(config: ExperimentConfig) -> dict:
     """Box-constrained Frechet-variance maximization: DCA vs Frank-Wolfe.
 
     Both start from the box midpoint of a seeded random instance. DCA uses
-    the closed-form box oracle plus the feasibility safeguard and stops on
+    the box oracle (spectral corners refined by a six-start projected
+    gradient) plus the feasibility safeguard and stops on
     ``FRECHET_STOP``; Frank-Wolfe then runs ``FRECHET_STOP`` capped at
     exactly as many steps, for a row-aligned comparison.
     """

@@ -344,8 +344,10 @@ class FrechetBoxProblem:
         object.__setattr__(self, "weights", wts)
         if pts.ndim != 3 or pts.shape[1] != pts.shape[2]:
             raise ValueError("points must be an (m, n, n) array")
-        if wts.shape != (pts.shape[0],) or np.any(wts < 0):
-            raise ValueError("weights must be nonnegative, one per point")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("points must be finite")
+        if wts.shape != (pts.shape[0],) or not np.all(np.isfinite(wts) & (wts >= 0)):
+            raise ValueError("weights must be finite and nonnegative, one per point")
         if abs(float(wts.sum()) - 1.0) > 1e-12:
             raise ValueError("weights must sum to one")
         _assert_box(self.lower, self.upper)
@@ -408,11 +410,6 @@ def box_feasible(p, lower, upper) -> bool:
 
 # projected-gradient iterations per start of the box oracle
 _BOX_MAX_ITER = 300
-# 0.25**j, the backtracking factors of one search: a search from the largest
-# step, 1e8, reaches the 1e-18 floor after 44 trials. Each is exact in binary
-# floating point, as is the t *= 0.25 of a run one trial at a time.
-_QUARTERS = 0.25 ** np.arange(64)
-
 
 def _clip01(v: np.ndarray) -> np.ndarray:
     """Spectral projection of each matrix of an exactly symmetric (k, n, n)
@@ -507,45 +504,45 @@ def _box_projected_gradient(d, lh, b_sqrt, starts):
     v = _clip01(starts)
     d_mat = np.diag(d)
     g = np.empty_like(v)
-    t, its, size = np.ones(len(v)), np.zeros(len(v), dtype=int), np.zeros(len(v), dtype=int)
-    # ``fresh``: the starts that take a gradient next, new or just accepted
-    fresh, searching = np.arange(len(v)), np.zeros(len(v), dtype=bool)
+    k = len(v)
+    # each start's schedule in Python numbers: its step (each t * 0.25**j is
+    # exact), iterations and next chunk size, 0 while it does not search;
+    # ``fresh``: the starts that take a gradient next
+    t, its, size, fresh = [1.0] * k, [0] * k, [0] * k, list(range(k))
     # log of a spectrum that is not positive: that trial's f is inf
     with np.errstate(divide="ignore", invalid="ignore"):
         f, w, q = objective(v)
+        f = f.tolist()
         while True:
-            fresh = fresh[its[fresh] < _BOX_MAX_ITER]
-            if fresh.size:
+            fresh = [i for i in fresh if its[i] < _BOX_MAX_ITER]
+            if fresh:
                 g[fresh] = symmetrize(b_sqrt @ sym_dlog(EigDecomp(w[fresh], q[fresh]), d_mat)
                                       @ b_sqrt)
-                t[fresh] = np.minimum(4.0 * t[fresh], 1e8)
-                its[fresh] += 1
-                size[fresh] = 2
-                searching[fresh] = True
-            idx = np.flatnonzero(searching)
-            if idx.size == 0:
-                return v, f
-            # each searching start's next chunk, cut at its floor, end to end
-            steps = t[idx, None] * _QUARTERS[:size[idx].max()]
-            live = (steps > 1e-18) & (np.arange(steps.shape[1]) < size[idx, None])
-            counts = np.count_nonzero(live, axis=1)
-            owner, steps = np.repeat(idx, counts), steps[live]
-            # v - t g is exactly symmetric: v and g come out of symmetrize
-            trial = _clip01(v[owner] - steps[:, None, None] * g[owner])
-            f_trial, w_trial, q_trial = objective(trial)
-            hit = np.flatnonzero(f_trial < f[owner] - 1e-15 * (1.0 + np.abs(f[owner])))
+            for i in fresh:
+                t[i], its[i], size[i] = min(4.0 * t[i], 1e8), its[i] + 1, 2
+            # each searching start's next chunk, cut at its floor, end to end;
             # a start that passes no trial moves past its chunk
-            t[idx] *= _QUARTERS[counts]
-            size[idx] *= 2
-            # each start's first passing trial: ``owner`` is sorted
-            won = owner[hit]
-            first = np.ones(hit.size, dtype=bool)
-            first[1:] = won[1:] != won[:-1]
-            fresh, first = won[first], hit[first]
-            v[fresh], w[fresh], q[fresh] = trial[first], w_trial[first], q_trial[first]
-            f[fresh], t[fresh] = f_trial[first], steps[first]
-            searching[fresh] = False
-            searching &= t > 1e-18
+            owner, steps = [], []
+            for i in range(k):
+                step, end = t[i], len(steps) + size[i]
+                while step > 1e-18 and len(steps) < end:
+                    owner.append(i)
+                    steps.append(step)
+                    step *= 0.25
+                t[i], size[i] = step, 2 * size[i] if step > 1e-18 else 0
+            if not owner:
+                return v, np.array(f)
+            # v - t g is exactly symmetric: v and g come out of symmetrize
+            trial = _clip01(v[owner] - np.array(steps)[:, None, None] * g[owner])
+            f_trial, w_trial, q_trial = objective(trial)
+            fresh, first = [], []  # the starts that pass, at their first passing trial
+            for j, (i, f_new) in enumerate(zip(owner, f_trial.tolist())):
+                if i not in fresh and f_new < f[i] - 1e-15 * (1.0 + abs(f[i])):
+                    fresh.append(i)
+                    first.append(j)
+                    f[i], t[i], size[i] = f_new, steps[j], 0
+            if fresh:
+                v[fresh], w[fresh], q[fresh] = trial[first], w_trial[first], q_trial[first]
 
 
 _SAFEGUARD_SCHEDULE = tuple(1e-12 * 10.0 ** j for j in range(12))
@@ -589,9 +586,9 @@ def frechet_dcproblem(prob: FrechetBoxProblem) -> DCProblem:
     """DC formulation: f = indicator(box) - variance.
 
     g is the indicator of the box, so the DC subproblem is the constrained
-    linear problem min over the box of <-grad h(p_k), log_{p_k} p>; it is
-    solved in closed form by the box oracle and safeguarded back to
-    feasibility.
+    linear problem min over the box of <-grad h(p_k), log_{p_k} p>; the box
+    oracle solves it by a six-start projected gradient from spectral
+    corners, and the safeguard pulls the answer back to feasibility.
     """
     oracle = frechet_linear_oracle(prob)
     last = [None, None]  # the bytes of the point tested last, and its verdict

@@ -19,6 +19,7 @@ hook when g is an indicator function.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from array import array
 from dataclasses import dataclass, field
@@ -64,9 +65,10 @@ class ArmijoParams:
     max_backtracks: int = 60
 
     def __post_init__(self):
-        if not (self.initial_step > 0 and 0 < self.contraction < 1):
+        if not (0 < self.initial_step < math.inf and 0 < self.contraction < 1):
             raise ValueError("invalid line-search parameters")
-        if not (0 < self.sufficient_decrease < 1 and self.max_backtracks >= 1):
+        if not (0 < self.sufficient_decrease < 1
+                and isinstance(self.max_backtracks, numbers.Integral) and self.max_backtracks >= 1):
             raise ValueError("invalid line-search parameters")
 
 
@@ -100,8 +102,8 @@ class StoppingCriterion:
     grad_change_tol: Optional[float] = None
 
     def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be positive")
+        if not (isinstance(self.max_iter, numbers.Integral) and self.max_iter >= 1):
+            raise ValueError("max_iter must be a positive integer")
         for tol in (self.grad_norm_tol, self.iterate_change_tol, self.grad_change_tol):
             if tol is not None and not tol > 0:
                 raise ValueError("tolerances must be positive")

@@ -564,10 +564,11 @@ def _reference_projected_gradient(d, lh, b_sqrt, v0, objective, max_iter=300):
     return v, f, iterations
 
 
-def reference_box_linear_subproblem(s, x, lower, upper):
-    """The box oracle with its six starts run one after another, one matrix at a time.
+def reference_box_runs(s, x, lower, upper):
+    """The box oracle's six starts run one after another, one matrix at a time.
 
-    Returns the oracle's point and the iterations each start ran.
+    Returns each start's final (v, f, iterations), and the map from a v to
+    the oracle's point.
     """
     s = symmetrize(s)
     x = symmetrize(x)
@@ -594,15 +595,24 @@ def reference_box_linear_subproblem(s, x, lower, upper):
     def objective(v):
         return _reference_tr_d_log(d, symmetrize(lh + b_sqrt @ v @ b_sqrt))
 
-    best_v, best_f, iterations = None, np.inf, []
-    for v0 in starts:
-        v, f, its = _reference_projected_gradient(d, lh, b_sqrt, v0, objective)
-        iterations.append(its)
-        if f < best_f:
-            best_v, best_f = v, f
-    zh = symmetrize(lh + b_sqrt @ best_v @ b_sqrt)
     x_inv = np.linalg.inv(x)
-    return symmetrize(x_inv @ q @ zh @ q.T @ x_inv), iterations
+
+    def to_z(v):
+        zh = symmetrize(lh + b_sqrt @ v @ b_sqrt)
+        return symmetrize(x_inv @ q @ zh @ q.T @ x_inv)
+
+    return [_reference_projected_gradient(d, lh, b_sqrt, v0, objective) for v0 in starts], to_z
+
+
+def reference_box_linear_subproblem(s, x, lower, upper):
+    """The box oracle run as :func:`reference_box_runs` does.
+
+    Returns the oracle's point, from the first start with the least
+    objective, and the iterations each start ran.
+    """
+    runs, to_z = reference_box_runs(s, x, lower, upper)
+    best_v, _, _ = min(runs, key=lambda run: run[1])
+    return to_z(best_v), [its for _, _, its in runs]
 
 
 def oracle_eigh_work(n, m, seed):
@@ -661,6 +671,29 @@ class TestBoxLinearSubproblem:
                 upper = symmetrize(lower + random_spd(rng, n))
                 expected, _ = reference_box_linear_subproblem(s, x, lower, upper)
                 assert np.array_equal(box_linear_subproblem(s, x, lower, upper), expected)
+
+    def test_every_start_matches_per_start_reference(self, monkeypatch, rng):
+        # the oracle's point shows only the winning start: compare each
+        # start's final v and f, so that a slip in a losing start shows too
+        runs, inner = [], problems._box_projected_gradient
+
+        def recording(*args):
+            runs.append(inner(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(problems, "_box_projected_gradient", recording)
+        for n in (2, 3, 5, 10):
+            for _ in range(4):
+                s = random_sym(rng, n)
+                x = random_spd(rng, n)
+                lower = random_spd(rng, n, 0.5)
+                upper = symmetrize(lower + random_spd(rng, n))
+                box_linear_subproblem(s, x, lower, upper)
+                v, f = runs.pop()
+                expected, _ = reference_box_runs(s, x, lower, upper)
+                assert len(expected) == len(v) == len(f) == 6
+                for i, (v_ref, f_ref, _) in enumerate(expected):
+                    assert np.array_equal(v[i], v_ref) and f[i] == f_ref, (n, i)
 
     def test_dca_oracle_calls_match_reference(self, monkeypatch, tmp_path):
         oracle = problems._box_oracle
@@ -799,9 +832,15 @@ class TestRandomInstance:
         box = {"lower": prob.lower, "upper": prob.upper}
         with pytest.raises(ValueError, match=r"\(m, n, n\)"):
             FrechetBoxProblem(points=prob.points[:, :, :1], weights=prob.weights, **box)
-        for weights in (np.array([1.5, -0.5, 0.0]), np.array([0.5, 0.5])):
-            with pytest.raises(ValueError, match="nonnegative, one per point"):
+        for weights in (np.array([1.5, -0.5, 0.0]), np.array([0.5, 0.5]),
+                        np.array([np.nan, 0.5, 0.5]), np.array([np.inf, 0.5, 0.5])):
+            with pytest.raises(ValueError, match="finite and nonnegative, one per point"):
                 FrechetBoxProblem(points=prob.points, weights=weights, **box)
+        for bad in (np.nan, np.inf):
+            points = prob.points.copy()
+            points[1, 0, 1] = points[1, 1, 0] = bad
+            with pytest.raises(ValueError, match="points must be finite"):
+                FrechetBoxProblem(points=points, weights=prob.weights, **box)
         with pytest.raises(ValueError, match="sum to one"):
             FrechetBoxProblem(points=prob.points, weights=np.full(3, 0.3), **box)
 

@@ -90,7 +90,9 @@ class TestArmijo:
                               ArmijoParams(max_backtracks=5), slope=-1.0)
 
     @pytest.mark.parametrize("bad", [{"initial_step": 0.0}, {"contraction": 1.0},
-                                     {"sufficient_decrease": 1.0}, {"max_backtracks": 0}])
+                                     {"sufficient_decrease": 1.0}, {"max_backtracks": 0},
+                                     {"max_backtracks": 1.5}, {"max_backtracks": 2.0},
+                                     {"initial_step": math.inf}, {"initial_step": math.nan}])
     def test_invalid_parameters(self, bad):
         with pytest.raises(ValueError, match="line-search parameters"):
             ArmijoParams(**bad)
@@ -913,8 +915,10 @@ class TestStoppingCriterion:
         assert not (trace.reason == "iterate change" and trace.step[-1] == 0.0)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            StoppingCriterion(max_iter=0)
+        for max_iter in (0, 1.5, 2.0):
+            with pytest.raises(ValueError, match="max_iter must be a positive integer"):
+                StoppingCriterion(max_iter=max_iter)
+        assert StoppingCriterion(max_iter=np.int64(3)).max_iter == 3
         with pytest.raises(ValueError):
             StoppingCriterion(max_iter=10, grad_norm_tol=-1.0)
 
