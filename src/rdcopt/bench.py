@@ -178,16 +178,16 @@ def run_rosenbrock(config: ExperimentConfig) -> dict:
     ``ROSENBROCK_STOP``, except the Euclidean gradient descent, which stops
     on ``rosenbrock_gd_stop(config.long_run)``; DC subproblems run
     ``ROSENBROCK_SUB``. All four descend in plain floats, the gradient
-    descents on ``rosenbrock_kernel``'s cost. The DC results also give
-    ``inner_steps`` (gradient-descent steps over all sub-solves) and
-    ``capped_subsolves`` (sub-solves that hit ``ROSENBROCK_SUB``'s cap).
+    descents on ``rosenbrock_kernel``'s cost and Euclidean gradient. The DC
+    results also give ``inner_steps`` (gradient-descent steps over all
+    sub-solves) and ``capped_subsolves`` (sub-solves at ``ROSENBROCK_SUB``'s cap).
     """
     spec = RosenbrockProblem(config.a, config.b)
     p0 = np.array(ROSENBROCK_START)
 
     def gradient_descent_2d(plane, stop):
         trace = SolverTrace()  # its cost column only: the CSV and summary read no other
-        point, trace.reason, _ = _descend_2d(plane, *rosenbrock_kernel(spec, plane), p0,
+        point, trace.reason, _ = _descend_2d(plane, *rosenbrock_kernel(spec), p0,
                                              ROSENBROCK_SUB.armijo, stop, trace.f)
         return point, trace
 

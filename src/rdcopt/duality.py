@@ -10,6 +10,7 @@ low-dimensional Euclidean instances where a grid sup is trustworthy.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -42,8 +43,8 @@ class Grid1D:
     def __post_init__(self):
         if not -np.inf < self.lower < self.upper < np.inf:
             raise ValueError("grid needs finite lower < upper")
-        if self.count < 2:
-            raise ValueError("grid needs at least two points")
+        if not (isinstance(self.count, numbers.Integral) and self.count >= 2):
+            raise ValueError("grid needs an integer count of at least two points")
 
     @property
     def spacing(self) -> float:

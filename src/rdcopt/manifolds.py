@@ -16,6 +16,7 @@ after :meth:`Geometry.transport`.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -104,6 +105,8 @@ class Euclidean(Geometry):
     """Flat R^d with the dot-product metric."""
 
     def __init__(self, dim: int):
+        if not (isinstance(dim, numbers.Integral) and dim >= 1):
+            raise ValueError("dim must be a positive integer")
         self.dim = int(dim)
 
     def inner(self, p, x, y) -> float:
@@ -186,6 +189,8 @@ class SPDManifold(Geometry):
     """
 
     def __init__(self, n: int):
+        if not (isinstance(n, numbers.Integral) and n >= 1):
+            raise ValueError("n must be a positive integer")
         self.n = int(n)
         self.dim = self.n * (self.n + 1) // 2
         self._cache: list = []  # (key, _Factored), most recent first

@@ -211,9 +211,9 @@ class DCProblem:
     built generically from the geometry's adjoint log differential.
 
     On the two 2-D geometries (``Euclidean(2)`` and ``RosenbrockPlane``)
-    ``subproblem_2d(q, X) -> (cost, rgrad)`` may give the same surrogate in
-    plain floats: ``cost(x1, x2)`` returns a float and ``rgrad(x1, x2)`` the
-    Riemannian gradient as a float pair. Gradient-descent DCA sub-solves
+    ``subproblem_2d(q, X) -> (cost, egrad)`` may give the same surrogate in
+    plain floats: ``cost(x1, x2)`` returns a float and ``egrad(x1, x2)`` the
+    Euclidean gradient as a float pair. Gradient-descent DCA sub-solves
     without a gradient-change tolerance then run on it directly.
 
     A problem with ``subproblem`` may also give
@@ -260,28 +260,26 @@ def _same_point(a, b) -> bool:
 
 
 def armijo_linesearch(geometry: Geometry, f: Callable, p, direction,
-                      params: ArmijoParams, *, slope: float,
-                      f_at_p: Optional[float] = None,
-                      initial_step: Optional[float] = None):
+                      params: ArmijoParams, *, slope: float, f_at_p: float,
+                      initial_step: float):
     """Backtracking line search along exp_p(t * direction).
 
     Returns ``(t, point, value)`` for the largest t = t0 * beta^m satisfying
-    f(exp_p(t d)) <= f(p) + c t <grad f(p), d>_p. ``slope`` is that inner
-    product; it must be negative (descent direction) or LineSearchError is
-    raised, as it is when the backtrack budget runs out. ``initial_step``
-    overrides t0 from the parameters (used by callers that warm-start the
-    search from the previously accepted step).
+    f(exp_p(t d)) <= f(p) + c t <grad f(p), d>_p, with f(p) = ``f_at_p`` and
+    t0 = ``initial_step`` (gradient descent warm-starts it from the
+    previously accepted step). ``slope`` is that inner product; it must be
+    negative (descent direction) or LineSearchError is raised, as it is
+    when the backtrack budget runs out.
     """
     if not slope < 0:
         raise LineSearchError("not a descent direction")
-    f0 = float(f(p)) if f_at_p is None else f_at_p
-    t = params.initial_step if initial_step is None else initial_step
+    t = initial_step
     c = params.sufficient_decrease
     exp = geometry.exp
     for _ in range(params.max_backtracks + 1):
         cand = exp(p, t * direction)
         fc = float(f(cand))
-        if fc <= f0 + c * t * slope:
+        if fc <= f_at_p + c * t * slope:
             return t, cand, fc
         t *= params.contraction
     raise LineSearchError("line search exhausted its backtrack budget")
@@ -519,22 +517,22 @@ def _surrogate(problem: DCProblem, p_k, x_k, lam: Optional[float]):
     return cost, grad, hess
 
 
-def _descend_2d(plane: bool, cost, rgrad, start, params: ArmijoParams,
+def _descend_2d(plane: bool, cost, egrad, start, params: ArmijoParams,
                 stop: StoppingCriterion, costs: Optional[array] = None):
     """:func:`gradient_descent` in plain floats on the two 2-D geometries,
     without the gradient-change clause.
 
-    ``cost(x1, x2)`` returns a float and ``rgrad(x1, x2)`` the Riemannian
-    gradient r as a float pair (on the plane too), so the step is
-    exp_x(-t r) and the squared norm is <r, r>_G, with the same arithmetic
-    as the geometry's own ``exp`` and ``inner``: the iterates, costs,
-    reasons and errors equal gradient_descent's. ``costs``, if given,
-    receives each row's cost, as gradient_descent's ``trace.f`` does. With
-    no trace, no arrays and no conversions, an accepted step on the
-    Rosenbrock surrogate (one gradient, about three costs) takes a median
-    2.2-3.7 us, against 5.4-9.1 us through the array closures (CPython
-    3.11, 2-vCPU Xeon host); the Rosenbrock DC runs take millions of them.
-    Returns ``(point, reason, steps)``.
+    ``cost(x1, x2)`` returns a float and ``egrad(x1, x2)`` the Euclidean
+    gradient e as a float pair. The step is exp_x(-t r) with r = e, or
+    r = G^-1 e on the plane, and the squared norm is <r, r>_G, with the
+    arithmetic of the geometry's ``egrad_to_rgrad``, ``exp`` and ``inner``:
+    the iterates, costs, reasons and errors equal gradient_descent's.
+    ``costs``, if given, receives each row's cost, as gradient_descent's
+    ``trace.f`` does. With no trace, no arrays and no conversions, an
+    accepted step on the Rosenbrock surrogate (one gradient, about three
+    costs) takes a median 2.2-3.7 us, against 5.4-9.1 us through the array
+    closures (CPython 3.11, 2-vCPU Xeon host); the Rosenbrock DC runs take
+    millions of them. Returns ``(point, reason, steps)``.
     """
     x1, x2 = float(start[0]), float(start[1])
     beta = params.contraction
@@ -551,8 +549,9 @@ def _descend_2d(plane: bool, cost, rgrad, start, params: ArmijoParams,
             raise SolverError(f"non-finite cost: {f!r}")
         if costs is not None:
             costs.append(f)
-        r1, r2 = rgrad(x1, x2)
+        r1, r2 = egrad(x1, x2)
         if plane:
+            r1, r2 = r1 + 2.0 * x1 * r2, 2.0 * x1 * r1 + (1.0 + 4.0 * x1 * x1) * r2  # G^-1 e
             n2 = (1.0 + 4.0 * x1 * x1) * r1 * r1 - 2.0 * x1 * (r1 * r2 + r2 * r1) + r2 * r2
         else:
             n2 = r1 * r1 + r2 * r2
@@ -692,25 +691,26 @@ def dcppa_solve(problem: DCProblem, p0, lam: float, sub: Optional[SubSolverSpec]
 
 
 def frank_wolfe_solve(geometry: Geometry, rgrad_f: Callable, linear_oracle: Callable,
-                      p0, stop: StoppingCriterion, cost: Optional[Callable] = None,
+                      p0, stop: StoppingCriterion, cost: Callable,
                       feasible: Optional[Callable] = None,
                       record_points: bool = True):
     """Riemannian Frank-Wolfe with the diminishing steps s_k = 2/(2+k).
 
-    ``linear_oracle(p, G) -> point`` must return a minimizer of
-    <G, log_p(q)> over the constraint set; iterates move along the geodesic
-    toward the oracle point, so on a geodesically convex set they stay
-    feasible up to the oracle's round-off, and no further: an oracle point
-    slightly outside the set carries the next iterate with it (rows 1 and 2
-    of ``frechet_fw.csv`` of ``rdcopt bench frechet --seed 42`` have slack
-    -4.4e-14 and -1.0e-14; ROADMAP open item 4). The start must be feasible.
+    ``cost(p)`` gives each row's f; ``linear_oracle(p, G) -> point`` must
+    return a minimizer of <G, log_p(q)> over the constraint set. Iterates
+    move along the geodesic toward the oracle point, so on a geodesically
+    convex set they stay feasible up to the oracle's round-off, and no
+    further: an oracle point slightly outside the set carries the next
+    iterate with it (rows 1 and 2 of ``frechet_fw.csv`` of ``rdcopt bench
+    frechet --seed 42`` have slack -4.4e-14 and -1.0e-14; ROADMAP open item
+    4). The start must be feasible.
     """
     if feasible is not None and not feasible(p0):
         raise ValueError("Frank-Wolfe requires feasible start")
     trace = SolverTrace(record_points)
 
     def evaluate(p):
-        f = _require_finite(float(cost(p)), "cost") if cost is not None else np.nan
+        f = _require_finite(float(cost(p)), "cost")
         g = rgrad_f(p)
         return f, g, g
 

@@ -151,6 +151,15 @@ class TestSharedContracts:
                 assert abs(analytic - numeric) <= 1e-5 * (1.0 + abs(analytic))
 
 
+def test_sizes_are_positive_integers():
+    # int() would truncate a fractional size; a size below one has no space
+    for geometry in (Euclidean, SPDManifold):
+        for size in (0, -2, 2.9, 2.0):
+            with pytest.raises(ValueError, match="positive integer"):
+                geometry(size)
+    assert (SPDManifold(np.int64(3)).n, Euclidean(np.int64(2)).dim) == (3, 2)
+
+
 class TestSPD:
     def test_exp_is_exp_frame_of_the_whitened_tangent(self, rng):
         # bit for bit: the trust region steps through exp_frame

@@ -183,6 +183,13 @@ class TestScalarFunctions:
 
 
 class TestLogDetProblem:
+    def test_size_is_a_positive_integer(self):
+        # 2.5 would silently become SPD(2)
+        for n in (0, -1, 2.5, 2.0):
+            with pytest.raises(ValueError, match="positive integer"):
+                LogDetProblem(n)
+        assert logdet_dcproblem(LogDetProblem(np.int64(3))).geometry.n == 3
+
     def test_identity_point(self):
         problem = logdet_dcproblem(LogDetProblem(3))
         eye = np.eye(3)
@@ -875,9 +882,19 @@ class TestFrechetDCParts:
         assert work_ledger() - before == Counter({"eigh.calls": 2,
                                                   "eigh.matrices": 1 + len(prob.points)})
         before = work_ledger()
+        whitened = []
+        to_frame = SPDManifold.to_frame
+
+        def spied_frame(self, p, x):
+            whitened.append(x)
+            return to_frame(self, p, x)
+
+        monkeypatch.setattr(SPDManifold, "to_frame", spied_frame)
         frechet_grad(prob, p)
-        # the gradient at the variance's point reads both from the cache
+        # the gradient at the variance's point reads both from the cache, and
+        # the whitened stack from p's pair memo, without whitening it again
         assert work_ledger() == before
+        assert whitened == []
         on_p = []
         eigh = np.linalg.eigh
 

@@ -67,27 +67,30 @@ class TestArmijo:
     def test_quadratic_full_step(self):
         f = lambda x: 0.5 * float(x[0]) ** 2
         t, point, value = armijo_linesearch(
-            EUCLID1, f, np.array([1.0]), np.array([-1.0]), ArmijoParams(), slope=-1.0)
+            EUCLID1, f, np.array([1.0]), np.array([-1.0]), ArmijoParams(), slope=-1.0,
+            f_at_p=0.5, initial_step=1.0)
         assert t == 1.0
         assert value == 0.0
 
     def test_linear_function_accepts_initial_step(self):
         f = lambda x: -float(x[0])
         t, _, _ = armijo_linesearch(
-            EUCLID1, f, np.zeros(1), np.ones(1), ArmijoParams(initial_step=0.7), slope=-1.0)
+            EUCLID1, f, np.zeros(1), np.ones(1), ArmijoParams(), slope=-1.0, f_at_p=0.0,
+            initial_step=0.7)
         assert t == 0.7
 
     def test_ascent_direction_rejected(self):
         f = lambda x: 0.5 * float(x[0]) ** 2
         with pytest.raises(LineSearchError):
             armijo_linesearch(EUCLID1, f, np.array([1.0]), np.array([1.0]),
-                              ArmijoParams(), slope=1.0)
+                              ArmijoParams(), slope=1.0, f_at_p=0.5, initial_step=1.0)
 
     def test_budget_exhaustion(self):
         f = lambda x: abs(float(x[0]))  # no sufficient decrease from the kink
         with pytest.raises(LineSearchError):
             armijo_linesearch(EUCLID1, f, np.zeros(1), np.ones(1),
-                              ArmijoParams(max_backtracks=5), slope=-1.0)
+                              ArmijoParams(max_backtracks=5), slope=-1.0, f_at_p=0.0,
+                              initial_step=1.0)
 
     @pytest.mark.parametrize("bad", [{"initial_step": 0.0}, {"contraction": 1.0},
                                      {"sufficient_decrease": 1.0}, {"max_backtracks": 0},
@@ -625,7 +628,8 @@ class TestFrankWolfe:
 
         p0 = np.array([1.0, 1.0])
         p, trace = frank_wolfe_solve(geom, lambda q: q - target, oracle, p0,
-                                     StoppingCriterion(max_iter=5))
+                                     StoppingCriterion(max_iter=5),
+                                     lambda q: 0.5 * float(np.sum((q - target) ** 2)))
         # s_0 = 1 jumps to the oracle point; afterwards it is a fixed point
         assert trace.step_size[0] == 1.0
         np.testing.assert_allclose(p, target)
@@ -636,14 +640,15 @@ class TestFrankWolfe:
         # oracle always returns a moving target so steps keep being taken
         oracle = lambda p, g: p + 1.0
         _, trace = frank_wolfe_solve(geom, lambda q: np.ones(1), oracle, np.zeros(1),
-                                     StoppingCriterion(max_iter=4))
+                                     StoppingCriterion(max_iter=4), lambda q: float(q[0]))
         np.testing.assert_allclose(trace.step_size[:3], [1.0, 2.0 / 3.0, 0.5])
 
     def test_infeasible_start_rejected(self):
         geom = Euclidean(1)
         with pytest.raises(ValueError, match="feasible start"):
             frank_wolfe_solve(geom, lambda q: np.ones(1), lambda p, g: p, np.zeros(1),
-                              StoppingCriterion(max_iter=3), feasible=lambda p: False)
+                              StoppingCriterion(max_iter=3), lambda q: float(q[0]),
+                              feasible=lambda p: False)
 
 
 class TestStronglyConvexify:
@@ -739,18 +744,18 @@ class TestFastPathParity:
                 ArmijoParams(), inner)
             assert trace.reason == "max iterations"
             assert np.array_equal(p_fast, p_generic)
-        # the plain-float kernel, its array adapters and the unfused formulas
-        # give the same values
+        # the plain-float kernel gives the unfused formulas' cost and
+        # Euclidean gradient, its array adapters their Riemannian gradient
         for q in rng.uniform(-1.5, 1.5, size=(3, 2)):
             x = problem.h_rgrad(q)
-            cost_2d, rgrad_2d = problem.subproblem_2d(q, x)
+            cost_2d, egrad_2d = problem.subproblem_2d(q, x)
             cost, rgrad = problem.subproblem(q, x)
             ref_cost, ref_egrad = rosenbrock_subproblem(spec, q)
             for z in rng.uniform(-1.5, 1.5, size=(4, 2)):
-                kernel = (cost_2d(float(z[0]), float(z[1])),
-                          *rgrad_2d(float(z[0]), float(z[1])))
-                assert kernel == (cost(z), *rgrad(z))
-                assert kernel == (ref_cost(z), *geom.egrad_to_rgrad(z, ref_egrad(z)))
+                x1, x2 = float(z[0]), float(z[1])
+                assert (cost_2d(x1, x2), *egrad_2d(x1, x2)) == (ref_cost(z), *ref_egrad(z))
+                assert (cost(z), *rgrad(z)) == (ref_cost(z),
+                                                *geom.egrad_to_rgrad(z, ref_egrad(z)))
 
     @pytest.mark.parametrize("geometry", ["euclidean", "rb"])
     def test_iterate_change_tolerance_takes_the_fast_path(self, geometry, monkeypatch):
@@ -804,7 +809,7 @@ def descend_both(plane: bool, stop: StoppingCriterion):
         geom, lambda p: rosenbrock_cost(spec, p),
         lambda p: geom.egrad_to_rgrad(p, rosenbrock_grad(spec, p)), p0, ArmijoParams(), stop)
     costs = array("d")
-    point, reason, steps = solvers._descend_2d(plane, *rosenbrock_kernel(spec, plane), p0,
+    point, reason, steps = solvers._descend_2d(plane, *rosenbrock_kernel(spec), p0,
                                                ArmijoParams(), stop, costs)
     assert steps == len(costs) - 1
     return (p, np.asarray(trace.f), trace.reason), (point, np.asarray(costs), reason)
@@ -833,21 +838,22 @@ class TestFloatDescent:
             assert np.array_equal(generic[1], fast[1])
             assert np.array_equal(generic[0], fast[0])
 
-    @pytest.mark.parametrize("plane", [False, True])
-    def test_kernel_is_the_rosenbrock_cost(self, plane, rng):
+    def test_kernel_is_the_rosenbrock_cost(self, rng):
         # k = 1, c = 0 gives the bits of rosenbrock_cost and rosenbrock_grad,
         # signed zeros included
         spec = RosenbrockProblem()
-        geom = RosenbrockPlane() if plane else Euclidean(2)
-        cost, rgrad = rosenbrock_kernel(spec, plane)
+        cost, egrad = rosenbrock_kernel(spec)
         points = [*rng.uniform(-1.5, 1.5, size=(50, 2)),
                   (1.0, 1.0), (1.0, 0.0), (0.0, 0.0), (-0.0, 0.0), (-0.5, 0.25)]
         for z in points:
             x1, x2 = float(z[0]), float(z[1])
             p = np.array([x1, x2])
-            ref = (rosenbrock_cost(spec, p), *geom.egrad_to_rgrad(p, rosenbrock_grad(spec, p)))
-            assert ([float(v).hex() for v in (cost(x1, x2), *rgrad(x1, x2))]
+            ref = (rosenbrock_cost(spec, p), *rosenbrock_grad(spec, p))
+            assert ([float(v).hex() for v in (cost(x1, x2), *egrad(x1, x2))]
                     == [float(v).hex() for v in ref])
+        # k and c are keyword-only: a stale plane flag raises, not binds to k
+        with pytest.raises(TypeError):
+            rosenbrock_kernel(spec, True)
 
     @pytest.mark.parametrize("cost, start", [
         (lambda x1, x2: math.inf, (0.0, 0.0)),  # at the start
@@ -1000,7 +1006,8 @@ class TestStepColumns:
         _, tr_fw = frank_wolfe_solve(
             dc.geometry, lambda p: -problems.frechet_grad(prob, p),
             problems.frechet_linear_oracle(prob), p0,
-            dataclasses.replace(bench.FRECHET_STOP, max_iter=tr_dca.summary()["steps"]))
+            dataclasses.replace(bench.FRECHET_STOP, max_iter=tr_dca.summary()["steps"]),
+            lambda p: -problems.frechet_variance(prob, p))
         check_columns(tr_fw, {"step_size"})
         assert tr_fw.step_size == [2.0 / (2.0 + k) for k in range(len(tr_fw.step_size))]
 
