@@ -838,11 +838,16 @@ class TestFloatDescent:
             assert np.array_equal(generic[1], fast[1])
             assert np.array_equal(generic[0], fast[0])
 
-    def test_kernel_is_the_rosenbrock_cost(self, rng):
+    @pytest.mark.parametrize("plane", [False, True])
+    def test_kernel_is_the_rosenbrock_cost(self, plane, rng):
         # k = 1, c = 0 gives the bits of rosenbrock_cost and rosenbrock_grad,
-        # signed zeros included
+        # signed zeros included; on either geometry the float loop's first
+        # step from each point, G^-1 included on the plane, is
+        # gradient_descent's
         spec = RosenbrockProblem()
+        geom = RosenbrockPlane() if plane else Euclidean(2)
         cost, egrad = rosenbrock_kernel(spec)
+        one = StoppingCriterion(max_iter=1)
         points = [*rng.uniform(-1.5, 1.5, size=(50, 2)),
                   (1.0, 1.0), (1.0, 0.0), (0.0, 0.0), (-0.0, 0.0), (-0.5, 0.25)]
         for z in points:
@@ -851,9 +856,15 @@ class TestFloatDescent:
             ref = (rosenbrock_cost(spec, p), *rosenbrock_grad(spec, p))
             assert ([float(v).hex() for v in (cost(x1, x2), *egrad(x1, x2))]
                     == [float(v).hex() for v in ref])
+            fast, _, _ = solvers._descend_2d(plane, cost, egrad, p, ArmijoParams(), one)
+            generic, _ = gradient_descent(
+                geom, lambda q: rosenbrock_cost(spec, q),
+                lambda q: geom.egrad_to_rgrad(q, rosenbrock_grad(spec, q)), p,
+                ArmijoParams(), one)
+            assert [float(v).hex() for v in fast] == [float(v).hex() for v in generic]
         # k and c are keyword-only: a stale plane flag raises, not binds to k
         with pytest.raises(TypeError):
-            rosenbrock_kernel(spec, True)
+            rosenbrock_kernel(spec, plane)
 
     @pytest.mark.parametrize("cost, start", [
         (lambda x1, x2: math.inf, (0.0, 0.0)),  # at the start
