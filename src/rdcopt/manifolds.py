@@ -22,6 +22,7 @@ import numpy as np
 
 from .matfun import (
     EigDecomp,
+    _Diagonal,
     spd_logdet,
     spd_sqrt_inv_sqrt,
     sym_apply,
@@ -157,13 +158,37 @@ class _Factored:
     """One cached symmetric matrix: its eigendecomposition ``eig``, and
     ``roots`` = (p^{1/2}, p^{-1/2}), ``logdet`` and ``whitened`` = (key of
     q, eigendecomposition of p^{-1/2} q p^{-1/2}) for the q last whitened
-    by this point, each None until first used. Every array is read-only."""
+    by this point, each None until first used. Every array is read-only.
 
-    __slots__ = ("eig", "roots", "logdet", "whitened")
+    When the eigenvector matrix Q is exactly I (c I, or a diagonal that
+    LAPACK leaves in place), ``eig`` is marked ``_Diagonal``, decided once
+    per entry, and ``scales`` holds the diagonals of the roots once they
+    are made: every product with Q or a root is then an entrywise scaling
+    (see ``_sandwich``). ``scales`` is None otherwise.
+    """
+
+    __slots__ = ("eig", "roots", "scales", "logdet", "whitened")
 
     def __init__(self, eig: EigDecomp):
+        q = eig.eigenvectors
+        # one pass over q: n nonzero entries, and n ones on the diagonal
+        if q.ndim == 2 and np.count_nonzero(q) == len(q) and (q.diagonal() == 1.0).all():
+            eig = _Diagonal(*eig)
         self.eig = _read_only(eig)
-        self.roots = self.logdet = self.whitened = None
+        self.roots = self.scales = self.logdet = self.whitened = None
+
+
+def _sandwich(entry: _Factored, x, k: int):
+    """r x r for the root r = ``entry.roots[k]``, unsymmetrized. A diagonal
+    root scales entries, with the bits of the dense product: BLAS sums each
+    entry from +0, so it is (d_i x_ij + 0) d_j + 0 for d = diag(r), and as
+    d > 0 the inner + 0 changes no bit. Finite x is assumed: the dense
+    product spreads a non-finite entry over its row and column (0 * inf)."""
+    if entry.scales is not None:
+        d = entry.scales[k]
+        return d[:, None] * x * d + 0.0
+    r = entry.roots[k]
+    return r @ x @ r
 
 
 class SPDManifold(Geometry):
@@ -186,6 +211,14 @@ class SPDManifold(Geometry):
     ``half_sq_dist_hessian`` and ``adjoint_log_diff`` of one pair whiten it
     once between them. Every result is bit for bit that of the uncached
     computation.
+
+    An entry whose eigenvector matrix is exactly I (c I, as every matrix
+    of the log-det experiment is, or a diagonal LAPACK leaves in place)
+    takes the diagonal route: ``roots``, ``inner``, ``to_frame``,
+    ``from_frame``, the spectral maps of ``exp_frame``, ``log`` and
+    ``transport``, and the ``half_sq_dist_hessian`` map scale entries where
+    the dense route multiplies by I or a diagonal root, with its bits for
+    finite tangents. Any other matrix keeps the dense route.
     """
 
     def __init__(self, n: int):
@@ -226,12 +259,18 @@ class SPDManifold(Geometry):
             entry.whitened = key, self._eig(self.to_frame(p, q))
         return entry.whitened[1]
 
-    def roots(self, p) -> tuple[np.ndarray, np.ndarray]:
-        """(p^{1/2}, p^{-1/2}), read-only."""
+    def _rooted(self, p) -> _Factored:
+        """p's entry, with its roots (and their diagonals, for a diagonal p)."""
         entry = self._factored(p)
         if entry.roots is None:
             entry.roots = _read_only(spd_sqrt_inv_sqrt(entry.eig))
-        return entry.roots
+            if type(entry.eig) is _Diagonal:
+                entry.scales = tuple(r.diagonal() for r in entry.roots)
+        return entry
+
+    def roots(self, p) -> tuple[np.ndarray, np.ndarray]:
+        """(p^{1/2}, p^{-1/2}), read-only."""
+        return self._rooted(p).roots
 
     def logdet(self, p) -> float:
         """log det p, from the cached eigenvalues of p."""
@@ -242,19 +281,17 @@ class SPDManifold(Geometry):
 
     def inner(self, p, x, y) -> float:
         # <p^-1/2 X p^-1/2, p^-1/2 Y p^-1/2>_F: exactly symmetric, >= 0 for Y = X
-        _, si = self.roots(p)
-        a = si @ x @ si
-        b = a if y is x else si @ y @ si
+        entry = self._rooted(p)
+        a = _sandwich(entry, x, 1)
+        b = a if y is x else _sandwich(entry, y, 1)
         return float(np.sum(a * b))
 
     def to_frame(self, p, x):
         # the whitened tangent p^-1/2 X p^-1/2, where the metric is Frobenius
-        _, si = self.roots(p)
-        return symmetrize(si @ x @ si)
+        return symmetrize(_sandwich(self._rooted(p), x, 1))
 
     def from_frame(self, p, y):
-        s, _ = self.roots(p)
-        return symmetrize(s @ y @ s)
+        return symmetrize(_sandwich(self._rooted(p), y, 0))
 
     def exp(self, p, x):
         return self.exp_frame(p, self.to_frame(p, x))
@@ -274,8 +311,15 @@ class SPDManifold(Geometry):
 
     def transport(self, p, q, x):
         # E X E^T with E = (q p^-1)^{1/2} = p^{1/2}(p^{-1/2} q p^{-1/2})^{1/2} p^{-1/2}
-        s, si = self.roots(p)
-        mid = sym_apply(self._whitened(p, q), np.sqrt)
+        entry = self._rooted(p)
+        whitened = self._whitened(p, q)
+        mid = sym_apply(whitened, np.sqrt)
+        if entry.scales is not None and type(whitened) is _Diagonal:
+            # E is diagonal too: diag((s_i mid_ii) si_i), as s @ mid @ si sums it
+            s, si = entry.scales
+            e = s * mid.diagonal() * si
+            return symmetrize(e[:, None] * x * e + 0.0)
+        s, si = entry.roots
         e = s @ mid @ si
         return symmetrize(e @ x @ e.T)
 
@@ -290,12 +334,20 @@ class SPDManifold(Geometry):
         ``dist`` and ``log`` of the pair (p, y) read. Self-adjoint; the
         identity at y = p.
         """
-        mu, q = self._whitened(p, y)
+        whitened = self._whitened(p, y)
+        mu, q = whitened
         if mu[0] <= 0.0:
             raise ValueError("spectrum outside domain")
         lw = np.log(mu)
         half = 0.5 * (lw[:, None] - lw[None, :])
         gain = np.divide(half, np.tanh(half), out=np.ones_like(half), where=half != 0.0)
+        if type(whitened) is _Diagonal:
+            # Q = I: each product with it adds + 0, and gain >= 1 keeps the
+            # inner one from changing a bit
+            def apply(v):
+                return symmetrize(gain * v + 0.0)
+
+            return apply
 
         def apply(v):
             return symmetrize(q @ (gain * (q.T @ v @ q)) @ q.T)

@@ -70,6 +70,22 @@ class EigDecomp(NamedTuple):
     eigenvectors: np.ndarray
 
 
+class _Diagonal(EigDecomp):
+    """An ``EigDecomp`` whose Q is exactly I, as the SPD factor cache marks
+    it: ``sym_apply`` and ``spd_sqrt_inv_sqrt`` then build their diagonal
+    results without multiplying by Q, with the bits of the dense route."""
+
+    __slots__ = ()
+
+
+def _diagonal(v: np.ndarray) -> np.ndarray:
+    """Q diag(v) Q^T for Q = I, symmetrized, with the bits of the product:
+    BLAS sums each entry from +0, so the diagonal is v + 0 and the rest +0,
+    which ``symmetrize`` leaves at (v + v)/2 and +0."""
+    v = v + 0.0
+    return np.diag(0.5 * (v + v))
+
+
 def symmetrize(m: np.ndarray) -> np.ndarray:
     """Return (M + M^T)/2, for one matrix or a stack of shape (..., n, n).
 
@@ -82,31 +98,47 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.swapaxes(-1, -2))
 
 
+def _scalar(a: np.ndarray):
+    """c if the square matrix a is c I with 2^-485 <= |c| <= 2^485, else None."""
+    n = len(a)
+    c = a.item(0) if n else 0.0
+    # c in both corners (one read turns most others away), n nonzero
+    # entries, all of them c on the diagonal
+    if (_UNSCALED[0] <= abs(c) <= _UNSCALED[1] and a.item(-1) == c
+            and np.count_nonzero(a) == n and (a.diagonal() == c).all()):
+        return c
+    return None
+
+
 def sym_eig(a: np.ndarray) -> EigDecomp:
     """Eigendecomposition of a symmetric matrix, eigenvalues ascending.
 
     A stack of shape (..., n, n) is decomposed matrix by matrix in one
     call; each slice gets the bits a call on it alone would give.
     Deterministic for identical input (LAPACK dsyevd via numpy).
-    Raises ValueError on non-finite entries.
+    Raises ValueError on non-finite entries. Returns fresh, writable arrays.
 
     A scalar matrix c I with 2^-485 <= |c| <= 2^485 (every point and
     gradient of the log-det experiment) gets (c, ..., c) and I, the bits
-    ``np.linalg.eigh`` gives, without LAPACK. The zero matrix (its
+    ``np.linalg.eigh`` gives, without LAPACK. It is recognized on the raw
+    input, before the symmetrized copy and the finite check (c I is both
+    symmetric and finite); any other input takes the symmetrized path, where
+    a matrix that symmetrizes to c I is recognized too. The zero matrix (its
     eigenvalues come back -0.0), c I outside that range (rescaled), other
     diagonals (ties are not in stable-sort order) and stacks go to LAPACK.
     """
     global _scalar_answers
-    a = symmetrize(a)
-    if not np.isfinite(a).all():
-        raise ValueError("non-finite matrix")
-    n = len(a)
-    c = a.item(0) if a.ndim == 2 and n else 0.0
-    # c I: c in both corners (one read turns most others away), n nonzero
-    # entries, all of them c on the diagonal
-    if (_UNSCALED[0] <= abs(c) <= _UNSCALED[1] and a.item(-1) == c
-            and np.count_nonzero(a) == n and (a.diagonal() == c).all()):
+    a = np.asarray(a, dtype=float)
+    c = _scalar(a) if a.ndim == 2 and a.shape[0] == a.shape[1] else None
+    if c is None:
+        a = symmetrize(a)
+        if not np.isfinite(a).all():
+            raise ValueError("non-finite matrix")
+        if a.ndim == 2:
+            c = _scalar(a)
+    if c is not None:
         _scalar_answers += 1
+        n = len(a)
         # fresh arrays: the SPD factor cache marks what it keeps read-only
         return EigDecomp(np.full(n, c), np.eye(n))
     w, q = _lapack("eigh", a)
@@ -120,13 +152,16 @@ def sym_apply(a: np.ndarray | EigDecomp,
     Returns Q diag(fn(w)) Q^T, symmetrized. ``fn`` must be defined on every
     eigenvalue of ``a`` (e.g. log needs a positive spectrum); a non-finite
     value raises ValueError("spectrum outside domain"). ``a`` may also be
-    given as its ``EigDecomp``.
+    given as its ``EigDecomp``; one the SPD factor cache marked as having
+    Q = I gives diag(fn(w)) without the products, with their bits.
     """
     w, q = a if isinstance(a, EigDecomp) else sym_eig(a)
     with np.errstate(all="ignore"):
         fw = np.asarray(fn(w), dtype=float)
     if fw.shape != w.shape or not np.all(np.isfinite(fw)):
         raise ValueError("spectrum outside domain")
+    if type(a) is _Diagonal:
+        return _diagonal(fw)
     return symmetrize((q * fw) @ q.T)
 
 
@@ -194,13 +229,16 @@ def assert_spd(a: np.ndarray, what: str = "matrix") -> np.ndarray:
 def spd_sqrt_inv_sqrt(p: np.ndarray | EigDecomp) -> tuple[np.ndarray, np.ndarray]:
     """(p^{1/2}, p^{-1/2}) from one eigendecomposition.
 
-    ``p`` may also be given as its ``EigDecomp``. Raises
+    ``p`` may also be given as its ``EigDecomp`` (one marked as having
+    Q = I is read as in ``sym_apply``). Raises
     ValueError("spectrum outside domain") if p is not positive definite.
     """
     w, q = p if isinstance(p, EigDecomp) else sym_eig(p)
     if w[0] <= 0.0:
         raise ValueError("spectrum outside domain")
     sw = np.sqrt(w)
+    if type(p) is _Diagonal:
+        return _diagonal(sw), _diagonal(1.0 / sw)
     sqrt = symmetrize((q * sw) @ q.T)
     inv_sqrt = symmetrize((q / sw) @ q.T)
     return sqrt, inv_sqrt

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,17 @@ def rng():
 def random_spd(rng, n, scale=1.0):
     b = rng.standard_normal((n, n))
     return symmetrize(b @ b.T + 0.5 * np.eye(n)) * scale
+
+
+def off_ray_logdet_start(n, seed=0):
+    """A seeded SPD matrix Q diag(e^t) Q^T, Q a random rotation and t in
+    [-1, 1] shifted so that log det equals that of the log-det experiment's
+    start log(n) I: it commutes with no multiple of I but its own."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    t = rng.uniform(-1.0, 1.0, n)
+    t += math.log(math.log(n)) - t.mean()
+    return symmetrize((q * np.exp(t)) @ q.T)
 
 
 def random_sym(rng, n, scale=1.0):

@@ -11,6 +11,7 @@ from rdcopt.manifolds import (
     SPDManifold,
 )
 from rdcopt.matfun import (
+    _Diagonal,
     spd_logdet,
     spd_sqrt_inv_sqrt,
     sym_apply,
@@ -542,6 +543,105 @@ class TestSPDFactorCache:
         before = work_ledger()
         m.adjoint_log_diff(p, q, x)
         assert work_ledger() == before
+
+
+# The dense SPD formulas, each product with Q and the roots written out: the
+# reference that the diagonal route of SPDManifold must match byte for byte.
+def _dense_apply(a, fn):
+    w, q = np.linalg.eigh(symmetrize(a))
+    return symmetrize((q * fn(w)) @ q.T)
+
+
+def _dense_ops(p, other, x, y):
+    """{operation name: dense result} at the point p, for the point ``other``
+    and the tangents x and y."""
+    w, q = np.linalg.eigh(p)
+    sw = np.sqrt(w)
+    s, si = symmetrize((q * sw) @ q.T), symmetrize((q / sw) @ q.T)
+    whitened = symmetrize(si @ other @ si)
+    mu, v = np.linalg.eigh(whitened)
+    half = 0.5 * (np.log(mu)[:, None] - np.log(mu)[None, :])
+    gain = np.divide(half, np.tanh(half), out=np.ones_like(half), where=half != 0.0)
+    e = s @ _dense_apply(whitened, np.sqrt) @ si
+    return {
+        "roots": np.stack([s, si]),
+        "inner": float(np.sum((si @ x @ si) * (si @ y @ si))),
+        "inner_xx": float(np.sum((si @ x @ si) * (si @ x @ si))),
+        "to_frame": symmetrize(si @ x @ si),
+        "from_frame": symmetrize(s @ x @ s),
+        "exp_frame": symmetrize(s @ _dense_apply(x, np.exp) @ s),
+        "exp": symmetrize(s @ _dense_apply(symmetrize(si @ x @ si), np.exp) @ s),
+        "log": symmetrize(s @ _dense_apply(whitened, np.log) @ s),
+        "transport": symmetrize(e @ x @ e.T),
+        "hessian": symmetrize(v @ (gain * (v.T @ x @ v)) @ v.T),
+    }
+
+
+def _cached_ops(m, p, other, x, y):
+    return {
+        "roots": np.stack(m.roots(p)),
+        "inner": m.inner(p, x, y),
+        "inner_xx": m.inner(p, x, x),
+        "to_frame": m.to_frame(p, x),
+        "from_frame": m.from_frame(p, x),
+        "exp_frame": m.exp_frame(p, x),
+        "exp": m.exp(p, x),
+        "log": m.log(p, other),
+        "transport": m.transport(p, other, x),
+        "hessian": m.half_sq_dist_hessian(p, other)(x),
+    }
+
+
+class TestSPDDiagonalRoute:
+    """A cached matrix whose eigenvector matrix is exactly I takes the
+    diagonal route: its operations scale entries where the dense route
+    multiplies by I or by a diagonal root, with the same bytes."""
+
+    @pytest.mark.parametrize("n", [2, 5, 60])
+    def test_matches_the_dense_formulas_byte_for_byte(self, rng, n):
+        ascending = np.diag(np.linspace(0.5, 3.0, n))
+        # LAPACK leaves this diagonal in place: its Q is exactly I
+        assert np.array_equal(np.linalg.eigh(ascending)[1], np.eye(n))
+        points = [1.7 * np.eye(n), 0.3 * np.eye(n), ascending]
+        # general tangents, and negative multiples of I, whose off-diagonals
+        # are -0.0: the dense products sum them from +0 and give +0.0
+        tangents = [random_sym(rng, n), random_sym(rng, n), -0.7 * np.eye(n), -2.0 * np.eye(n)]
+        m = SPDManifold(n)
+        for p in points:
+            for other in points:
+                for x, y in zip(tangents, tangents[1:] + tangents[:1]):
+                    want = _dense_ops(p, other, x, y)
+                    got = _cached_ops(m, p, other, x, y)
+                    for name in want:
+                        assert np.asarray(got[name]).tobytes() == \
+                            np.asarray(want[name]).tobytes(), name
+                    assert type(m._eig(p)) is _Diagonal
+                    assert m._rooted(p).scales is not None
+                    # c I whitens a diagonal to its multiple; the ascending
+                    # diagonal whitens c I to a descending one, which LAPACK
+                    # permutes (the dense route, with the same bytes)
+                    if p is not ascending:
+                        assert type(m._whitened(p, other)) is _Diagonal
+        # c I with c < 0, as the whitened tangents of a descent are
+        for c in (-0.7, -2.0):
+            a = c * np.eye(n)
+            assert type(m._eig(a)) is _Diagonal
+            for fn in (np.exp, np.cbrt):
+                assert sym_apply(m._eig(a), fn).tobytes() == _dense_apply(a, fn).tobytes()
+
+    def test_general_matrices_keep_the_dense_route(self, rng):
+        m = SPDManifold(5)
+        p, other = random_spd(rng, 5), random_spd(rng, 5)
+        diagonal = 2.0 * np.eye(5)
+        x, y = random_sym(rng, 5), -0.7 * np.eye(5)
+        for a, b in ((p, other), (p, diagonal), (diagonal, p)):
+            got, want = _cached_ops(m, a, b, x, y), _dense_ops(a, b, x, y)
+            for name in want:
+                assert np.asarray(got[name]).tobytes() == np.asarray(want[name]).tobytes(), name
+        assert type(m._eig(p)) is not _Diagonal and m._rooted(p).scales is None
+        # a diagonal point whitens a general one to a general matrix
+        assert type(m._whitened(diagonal, p)) is not _Diagonal
+        assert type(m._eig(diagonal)) is _Diagonal
 
 
 class TestRosenbrockPlane:

@@ -109,6 +109,17 @@ class TestSymEig:
             assert work_ledger() - before == Counter({"eigh.calls": 1, "eigh.matrices": 1})
         assert w.flags.writeable and q.flags.writeable
 
+    def test_input_that_symmetrizes_to_scalar(self):
+        # c I is checked on the raw input first; a matrix that only its
+        # symmetrized copy shows to be c I is still answered without LAPACK
+        a = 3.0 * np.eye(4)
+        a[0, 1], a[1, 0] = 0.5, -0.5
+        w_lapack, q_lapack = np.linalg.eigh(symmetrize(a))
+        before = work_ledger()
+        w, q = sym_eig(a)
+        assert work_ledger() - before == Counter(scalar=1)
+        assert w.tobytes() == w_lapack.tobytes() and q.tobytes() == q_lapack.tobytes()
+
     def test_near_scalar_input_goes_to_lapack(self):
         n = 5
         tiny_off = 2.0 * np.eye(n)

@@ -45,7 +45,8 @@ from rdcopt.solvers import (
     trust_region_solve,
 )
 
-from conftest import check_hessian, random_spd, random_sym, tangent_map
+from conftest import (check_hessian, off_ray_logdet_start, random_spd, random_sym,
+                      tangent_map)
 from test_problems import rosenbrock_subproblem
 from trdet import TrDetProblem, trdet_dcproblem
 
@@ -614,6 +615,32 @@ class TestDCPPA:
         dcppa_solve(problem, p0, bench.logdet_lambda(n), LOGDET_SUB, LOGDET_STOP,
                     record_points=False)
         assert work_ledger() - between == collections.Counter(scalar=dcppa)
+
+    @pytest.mark.parametrize("n", [2, 5, 20])
+    def test_logdet_runs_off_the_identity_ray(self, n):
+        # the cost depends on p only through s = log det p, and every gradient
+        # is a multiple of p: from any SPD start the runs stay on its ray c p0
+        # and take the s-steps of log(n) I. This start is no multiple of I, so
+        # the SPD stack runs its dense route, which log(n) I never reaches
+        p0 = off_ray_logdet_start(n)
+        w = np.linalg.eigvalsh(p0)
+        # the f traces and rays were measured to agree within 30 n cond(p0) eps
+        # at n = 2, 5, 20 and 60
+        rtol = 1e3 * n * (w[-1] / w[0]) * np.finfo(float).eps
+        ld0 = np.linalg.slogdet(p0)[1]
+        runs = (lambda problem, start, **kw: dca_solve(problem, start, LOGDET_SUB, LOGDET_STOP, **kw),
+                lambda problem, start, **kw: dcppa_solve(problem, start, bench.logdet_lambda(n),
+                                                         LOGDET_SUB, LOGDET_STOP, **kw))
+        for run in runs:
+            _, on = run(logdet_dcproblem(LogDetProblem(n)), bench.logdet_start(n))
+            before = work_ledger()
+            _, off = run(logdet_dcproblem(LogDetProblem(n)), p0, record_points=True)
+            assert (work_ledger() - before)["eigh.calls"] > 0
+            assert (len(off.f), off.reason, off.inner_steps) == (len(on.f), on.reason, on.inner_steps)
+            np.testing.assert_allclose(off.f, on.f, rtol=rtol, atol=0.0)
+            for p in off.points:
+                c = math.exp((np.linalg.slogdet(p)[1] - ld0) / n)
+                assert np.linalg.norm(p - c * p0) <= rtol * np.linalg.norm(p)
 
 
 class TestFrankWolfe:
