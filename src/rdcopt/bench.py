@@ -63,7 +63,7 @@ class ExperimentConfig:
     """The instance of each experiment: its defaults and its valid range.
 
     Construction rejects an invalid instance with ``ValueError`` before it
-    creates ``out_dir``: sizes and the seed must be integers (not bools).
+    creates ``out_dir``: sizes and the seed must be integers.
     """
 
     out_dir: Path
@@ -80,20 +80,18 @@ class ExperimentConfig:
     m: int = 20
 
     def __post_init__(self):
-        if not (_integer(self.seed) and self.seed >= 0):
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
             raise ValueError("seed must be nonnegative, and an integer")
-        if not (_integer(self.n_min) and _integer(self.n_max)
+        if not (isinstance(self.n_min, numbers.Integral)
+                and isinstance(self.n_max, numbers.Integral)
                 and 2 <= self.n_min <= self.n_max <= 80):
             raise ValueError("n range must lie within [2, 80], in integers")
-        if not (_integer(self.n) and _integer(self.m) and self.n >= 2 and self.m >= 2):
+        if not (isinstance(self.n, numbers.Integral) and isinstance(self.m, numbers.Integral)
+                and self.n >= 2 and self.m >= 2):
             raise ValueError("frechet experiment needs n >= 2 and m >= 2, integers")
         RosenbrockProblem(self.a, self.b)  # its rule for a and b
         self.out_dir = Path(self.out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
-
-
-def _integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:

@@ -162,12 +162,11 @@ class _Factored:
 
     When the eigenvector matrix Q is exactly I (c I, or a diagonal that
     LAPACK leaves in place), ``eig`` is marked ``_Diagonal``, decided once
-    per entry, and ``scales`` holds the diagonals of the roots once they
-    are made: every product with Q or a root is then an entrywise scaling
-    (see ``_sandwich``). ``scales`` is None otherwise.
+    per entry: every product with Q or a root is then an entrywise scaling
+    (see ``_sandwich``).
     """
 
-    __slots__ = ("eig", "roots", "scales", "logdet", "whitened")
+    __slots__ = ("eig", "roots", "logdet", "whitened")
 
     def __init__(self, eig: EigDecomp):
         q = eig.eigenvectors
@@ -175,7 +174,7 @@ class _Factored:
         if q.ndim == 2 and np.count_nonzero(q) == len(q) and (q.diagonal() == 1.0).all():
             eig = _Diagonal(*eig)
         self.eig = _read_only(eig)
-        self.roots = self.scales = self.logdet = self.whitened = None
+        self.roots = self.logdet = self.whitened = None
 
 
 def _sandwich(entry: _Factored, x, k: int):
@@ -184,10 +183,10 @@ def _sandwich(entry: _Factored, x, k: int):
     entry from +0, so it is (d_i x_ij + 0) d_j + 0 for d = diag(r), and as
     d > 0 the inner + 0 changes no bit. Finite x is assumed: the dense
     product spreads a non-finite entry over its row and column (0 * inf)."""
-    if entry.scales is not None:
-        d = entry.scales[k]
-        return d[:, None] * x * d + 0.0
     r = entry.roots[k]
+    if type(entry.eig) is _Diagonal:
+        d = r.diagonal()
+        return d[:, None] * x * d + 0.0
     return r @ x @ r
 
 
@@ -218,7 +217,8 @@ class SPDManifold(Geometry):
     ``from_frame``, the spectral maps of ``exp_frame``, ``log`` and
     ``transport``, and the ``half_sq_dist_hessian`` map scale entries where
     the dense route multiplies by I or a diagonal root, with its bits for
-    finite tangents. Any other matrix keeps the dense route.
+    finite tangents (``transport``'s products with the roots stay dense).
+    Any other matrix keeps the dense route.
     """
 
     def __init__(self, n: int):
@@ -260,12 +260,10 @@ class SPDManifold(Geometry):
         return entry.whitened[1]
 
     def _rooted(self, p) -> _Factored:
-        """p's entry, with its roots (and their diagonals, for a diagonal p)."""
+        """p's entry, with its roots."""
         entry = self._factored(p)
         if entry.roots is None:
             entry.roots = _read_only(spd_sqrt_inv_sqrt(entry.eig))
-            if type(entry.eig) is _Diagonal:
-                entry.scales = tuple(r.diagonal() for r in entry.roots)
         return entry
 
     def roots(self, p) -> tuple[np.ndarray, np.ndarray]:
@@ -311,15 +309,8 @@ class SPDManifold(Geometry):
 
     def transport(self, p, q, x):
         # E X E^T with E = (q p^-1)^{1/2} = p^{1/2}(p^{-1/2} q p^{-1/2})^{1/2} p^{-1/2}
-        entry = self._rooted(p)
-        whitened = self._whitened(p, q)
-        mid = sym_apply(whitened, np.sqrt)
-        if entry.scales is not None and type(whitened) is _Diagonal:
-            # E is diagonal too: diag((s_i mid_ii) si_i), as s @ mid @ si sums it
-            s, si = entry.scales
-            e = s * mid.diagonal() * si
-            return symmetrize(e[:, None] * x * e + 0.0)
-        s, si = entry.roots
+        s, si = self.roots(p)
+        mid = sym_apply(self._whitened(p, q), np.sqrt)
         e = s @ mid @ si
         return symmetrize(e @ x @ e.T)
 

@@ -98,18 +98,6 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.swapaxes(-1, -2))
 
 
-def _scalar(a: np.ndarray):
-    """c if the square matrix a is c I with 2^-485 <= |c| <= 2^485, else None."""
-    n = len(a)
-    c = a.item(0) if n else 0.0
-    # c in both corners (one read turns most others away), n nonzero
-    # entries, all of them c on the diagonal
-    if (_UNSCALED[0] <= abs(c) <= _UNSCALED[1] and a.item(-1) == c
-            and np.count_nonzero(a) == n and (a.diagonal() == c).all()):
-        return c
-    return None
-
-
 def sym_eig(a: np.ndarray) -> EigDecomp:
     """Eigendecomposition of a symmetric matrix, eigenvalues ascending.
 
@@ -129,16 +117,20 @@ def sym_eig(a: np.ndarray) -> EigDecomp:
     """
     global _scalar_answers
     a = np.asarray(a, dtype=float)
-    c = _scalar(a) if a.ndim == 2 and a.shape[0] == a.shape[1] else None
-    if c is None:
+    n = len(a) if a.ndim == 2 and a.shape[0] == a.shape[1] else 0
+    c = a.item(0) if n else 0.0
+    # c I: c in both corners (one read turns most others away), n nonzero
+    # entries, all of them c on the diagonal. symmetrize keeps a finite
+    # diagonal, so the corners read on the raw input hold for its copy too.
+    corners = _UNSCALED[0] <= abs(c) <= _UNSCALED[1] and a.item(-1) == c
+    scalar = corners and np.count_nonzero(a) == n and (a.diagonal() == c).all()
+    if not scalar:
         a = symmetrize(a)
         if not np.isfinite(a).all():
             raise ValueError("non-finite matrix")
-        if a.ndim == 2:
-            c = _scalar(a)
-    if c is not None:
+        scalar = corners and np.count_nonzero(a) == n and (a.diagonal() == c).all()
+    if scalar:
         _scalar_answers += 1
-        n = len(a)
         # fresh arrays: the SPD factor cache marks what it keeps read-only
         return EigDecomp(np.full(n, c), np.eye(n))
     w, q = _lapack("eigh", a)

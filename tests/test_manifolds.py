@@ -616,7 +616,6 @@ class TestSPDDiagonalRoute:
                         assert np.asarray(got[name]).tobytes() == \
                             np.asarray(want[name]).tobytes(), name
                     assert type(m._eig(p)) is _Diagonal
-                    assert m._rooted(p).scales is not None
                     # c I whitens a diagonal to its multiple; the ascending
                     # diagonal whitens c I to a descending one, which LAPACK
                     # permutes (the dense route, with the same bytes)
@@ -638,7 +637,7 @@ class TestSPDDiagonalRoute:
             got, want = _cached_ops(m, a, b, x, y), _dense_ops(a, b, x, y)
             for name in want:
                 assert np.asarray(got[name]).tobytes() == np.asarray(want[name]).tobytes(), name
-        assert type(m._eig(p)) is not _Diagonal and m._rooted(p).scales is None
+        assert type(m._eig(p)) is not _Diagonal
         # a diagonal point whitens a general one to a general matrix
         assert type(m._whitened(diagonal, p)) is not _Diagonal
         assert type(m._eig(diagonal)) is _Diagonal
