@@ -12,7 +12,6 @@ summary, once its ``seconds`` fields are dropped.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -21,7 +20,7 @@ import numpy as np
 
 from .duality import (Grid1D, fenchel_young_gap, primal_dual_sandwich_check, sampled_conjugate,
                       toland_dual_value)
-from .manifolds import Euclidean
+from .manifolds import Euclidean, _is_integer
 from .matfun import work_ledger
 from .problems import (
     LogDetProblem,
@@ -80,14 +79,12 @@ class ExperimentConfig:
     m: int = 20
 
     def __post_init__(self):
-        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+        if not (_is_integer(self.seed) and self.seed >= 0):
             raise ValueError("seed must be nonnegative, and an integer")
-        if not (isinstance(self.n_min, numbers.Integral)
-                and isinstance(self.n_max, numbers.Integral)
+        if not (_is_integer(self.n_min) and _is_integer(self.n_max)
                 and 2 <= self.n_min <= self.n_max <= 80):
             raise ValueError("n range must lie within [2, 80], in integers")
-        if not (isinstance(self.n, numbers.Integral) and isinstance(self.m, numbers.Integral)
-                and self.n >= 2 and self.m >= 2):
+        if not (_is_integer(self.n) and _is_integer(self.m) and self.n >= 2 and self.m >= 2):
             raise ValueError("frechet experiment needs n >= 2 and m >= 2, integers")
         RosenbrockProblem(self.a, self.b)  # its rule for a and b
         self.out_dir = Path(self.out_dir)

@@ -10,13 +10,12 @@ low-dimensional Euclidean instances where a grid sup is trustworthy.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .manifolds import Euclidean, Geometry
+from .manifolds import Euclidean, Geometry, _is_integer
 from .solvers import SolverTrace
 
 __all__ = [
@@ -43,7 +42,7 @@ class Grid1D:
     def __post_init__(self):
         if not -np.inf < self.lower < self.upper < np.inf:
             raise ValueError("grid needs finite lower < upper")
-        if not (isinstance(self.count, numbers.Integral) and self.count >= 2):
+        if not (_is_integer(self.count) and self.count >= 2):
             raise ValueError("grid needs an integer count of at least two points")
 
     @property

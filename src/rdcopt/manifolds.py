@@ -34,6 +34,12 @@ from .matfun import (
 __all__ = ["Geometry", "Euclidean", "SPDManifold", "RosenbrockPlane"]
 
 
+def _is_integer(v) -> bool:
+    """An integer of any type but bool, which ``numbers.Integral`` admits:
+    the package's rule for its integer arguments."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 class Geometry:
     """Interface shared by the concrete geometries.
 
@@ -106,7 +112,7 @@ class Euclidean(Geometry):
     """Flat R^d with the dot-product metric."""
 
     def __init__(self, dim: int):
-        if not (isinstance(dim, numbers.Integral) and dim >= 1):
+        if not (_is_integer(dim) and dim >= 1):
             raise ValueError("dim must be a positive integer")
         self.dim = int(dim)
 
@@ -160,19 +166,14 @@ class _Factored:
     q, eigendecomposition of p^{-1/2} q p^{-1/2}) for the q last whitened
     by this point, each None until first used. Every array is read-only.
 
-    When the eigenvector matrix Q is exactly I (c I, or a diagonal that
-    LAPACK leaves in place), ``eig`` is marked ``_Diagonal``, decided once
-    per entry: every product with Q or a root is then an entrywise scaling
-    (see ``_sandwich``).
+    ``eig`` is what ``sym_eig`` returned; for c I that is a ``_Diagonal``,
+    on which every product with Q or a root is an entrywise scaling (see
+    ``_sandwich``).
     """
 
     __slots__ = ("eig", "roots", "logdet", "whitened")
 
     def __init__(self, eig: EigDecomp):
-        q = eig.eigenvectors
-        # one pass over q: n nonzero entries, and n ones on the diagonal
-        if q.ndim == 2 and np.count_nonzero(q) == len(q) and (q.diagonal() == 1.0).all():
-            eig = _Diagonal(*eig)
         self.eig = _read_only(eig)
         self.roots = self.logdet = self.whitened = None
 
@@ -211,18 +212,18 @@ class SPDManifold(Geometry):
     once between them. Every result is bit for bit that of the uncached
     computation.
 
-    An entry whose eigenvector matrix is exactly I (c I, as every matrix
-    of the log-det experiment is, or a diagonal LAPACK leaves in place)
-    takes the diagonal route: ``roots``, ``inner``, ``to_frame``,
-    ``from_frame``, the spectral maps of ``exp_frame``, ``log`` and
-    ``transport``, and the ``half_sq_dist_hessian`` map scale entries where
-    the dense route multiplies by I or a diagonal root, with its bits for
-    finite tangents (``transport``'s products with the roots stay dense).
-    Any other matrix keeps the dense route.
+    Only an entry for c I, as every matrix of the log-det experiment is,
+    takes the diagonal route; ``sym_eig`` decides it by returning
+    ``_Diagonal``. On it ``roots``, ``inner``, ``to_frame``, ``from_frame``,
+    the spectral maps of ``exp_frame``, ``log`` and ``transport``, and the
+    ``half_sq_dist_hessian`` map scale entries where the dense route
+    multiplies by I or a diagonal root, with its bits for finite tangents
+    (``transport``'s products with the roots stay dense). Any other matrix,
+    other diagonals included, keeps the dense route.
     """
 
     def __init__(self, n: int):
-        if not (isinstance(n, numbers.Integral) and n >= 1):
+        if not (_is_integer(n) and n >= 1):
             raise ValueError("n must be a positive integer")
         self.n = int(n)
         self.dim = self.n * (self.n + 1) // 2

@@ -71,9 +71,10 @@ class EigDecomp(NamedTuple):
 
 
 class _Diagonal(EigDecomp):
-    """An ``EigDecomp`` whose Q is exactly I, as the SPD factor cache marks
-    it: ``sym_apply`` and ``spd_sqrt_inv_sqrt`` then build their diagonal
-    results without multiplying by Q, with the bits of the dense route."""
+    """The ``EigDecomp`` (c, ..., c), I of c I, as ``sym_eig`` returns it,
+    the one place that recognizes c I: ``sym_apply`` and
+    ``spd_sqrt_inv_sqrt`` then build their diagonal results without
+    multiplying by Q, with the bits of the dense route."""
 
     __slots__ = ()
 
@@ -107,32 +108,28 @@ def sym_eig(a: np.ndarray) -> EigDecomp:
     Raises ValueError on non-finite entries. Returns fresh, writable arrays.
 
     A scalar matrix c I with 2^-485 <= |c| <= 2^485 (every point and
-    gradient of the log-det experiment) gets (c, ..., c) and I, the bits
-    ``np.linalg.eigh`` gives, without LAPACK. It is recognized on the raw
-    input, before the symmetrized copy and the finite check (c I is both
-    symmetric and finite); any other input takes the symmetrized path, where
-    a matrix that symmetrizes to c I is recognized too. The zero matrix (its
-    eigenvalues come back -0.0), c I outside that range (rescaled), other
-    diagonals (ties are not in stable-sort order) and stacks go to LAPACK.
+    gradient of the log-det experiment) gets ``_Diagonal`` (c, ..., c), I,
+    the bits ``np.linalg.eigh`` gives, without LAPACK. This is the one
+    place that recognizes c I, once, on the raw input (c I is symmetric and
+    finite). Any other input is symmetrized, checked and sent to LAPACK:
+    a matrix that only symmetrizes to c I, the zero matrix (its eigenvalues
+    come back -0.0), c I outside that range (rescaled), other diagonals
+    (ties are not in stable-sort order) and stacks.
     """
     global _scalar_answers
     a = np.asarray(a, dtype=float)
     n = len(a) if a.ndim == 2 and a.shape[0] == a.shape[1] else 0
     c = a.item(0) if n else 0.0
     # c I: c in both corners (one read turns most others away), n nonzero
-    # entries, all of them c on the diagonal. symmetrize keeps a finite
-    # diagonal, so the corners read on the raw input hold for its copy too.
-    corners = _UNSCALED[0] <= abs(c) <= _UNSCALED[1] and a.item(-1) == c
-    scalar = corners and np.count_nonzero(a) == n and (a.diagonal() == c).all()
-    if not scalar:
-        a = symmetrize(a)
-        if not np.isfinite(a).all():
-            raise ValueError("non-finite matrix")
-        scalar = corners and np.count_nonzero(a) == n and (a.diagonal() == c).all()
-    if scalar:
+    # entries, all of them c on the diagonal
+    if (_UNSCALED[0] <= abs(c) <= _UNSCALED[1] and a.item(-1) == c
+            and np.count_nonzero(a) == n and (a.diagonal() == c).all()):
         _scalar_answers += 1
         # fresh arrays: the SPD factor cache marks what it keeps read-only
-        return EigDecomp(np.full(n, c), np.eye(n))
+        return _Diagonal(np.full(n, c), np.eye(n))
+    a = symmetrize(a)
+    if not np.isfinite(a).all():
+        raise ValueError("non-finite matrix")
     w, q = _lapack("eigh", a)
     return EigDecomp(w, q)
 
@@ -144,8 +141,8 @@ def sym_apply(a: np.ndarray | EigDecomp,
     Returns Q diag(fn(w)) Q^T, symmetrized. ``fn`` must be defined on every
     eigenvalue of ``a`` (e.g. log needs a positive spectrum); a non-finite
     value raises ValueError("spectrum outside domain"). ``a`` may also be
-    given as its ``EigDecomp``; one the SPD factor cache marked as having
-    Q = I gives diag(fn(w)) without the products, with their bits.
+    given as its ``EigDecomp``; the ``_Diagonal`` one ``sym_eig`` gives c I
+    yields diag(fn(w)) without the products, with their bits.
     """
     w, q = a if isinstance(a, EigDecomp) else sym_eig(a)
     with np.errstate(all="ignore"):
@@ -221,8 +218,8 @@ def assert_spd(a: np.ndarray, what: str = "matrix") -> np.ndarray:
 def spd_sqrt_inv_sqrt(p: np.ndarray | EigDecomp) -> tuple[np.ndarray, np.ndarray]:
     """(p^{1/2}, p^{-1/2}) from one eigendecomposition.
 
-    ``p`` may also be given as its ``EigDecomp`` (one marked as having
-    Q = I is read as in ``sym_apply``). Raises
+    ``p`` may also be given as its ``EigDecomp`` (a ``_Diagonal`` one is
+    read as in ``sym_apply``). Raises
     ValueError("spectrum outside domain") if p is not positive definite.
     """
     w, q = p if isinstance(p, EigDecomp) else sym_eig(p)

@@ -15,13 +15,12 @@
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .manifolds import Euclidean, RosenbrockPlane, SPDManifold
+from .manifolds import Euclidean, RosenbrockPlane, SPDManifold, _is_integer
 from .matfun import (
     SPD_RTOL,
     EigDecomp,
@@ -111,7 +110,7 @@ class LogDetProblem:
     phi2: ScalarFunction = field(default_factory=lambda: log_power(2))
 
     def __post_init__(self):
-        if not (isinstance(self.n, numbers.Integral) and self.n >= 1):
+        if not (_is_integer(self.n) and self.n >= 1):
             raise ValueError("n must be a positive integer")
         for name, phi in (("phi1", self.phi1), ("phi2", self.phi2)):
             if _det_convexity_defect(phi) < -1e-9:
@@ -442,10 +441,10 @@ def _box_oracle(s, x, lower, upper):
     lh = symmetrize(xq.T @ lower @ xq)
     uh = symmetrize(xq.T @ upper @ xq)
     b = symmetrize(uh - lh)
-    wb, qb = sym_eig(b)
-    if wb[0] <= SPD_RTOL * max(1.0, wb[-1]):
+    eig_b = sym_eig(b)
+    if eig_b.eigenvalues[0] <= SPD_RTOL * max(1.0, eig_b.eigenvalues[-1]):
         raise ValueError("degenerate box")
-    b_sqrt, b_inv_sqrt = spd_sqrt_inv_sqrt(EigDecomp(wb, qb))
+    b_sqrt, b_inv_sqrt = spd_sqrt_inv_sqrt(eig_b)
 
     # spectral-corner candidates from both standard factors of Uh - Lh, and
     # the lower anchor's complement, mapped into v-space and clipped to [0, I]

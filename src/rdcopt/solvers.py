@@ -19,7 +19,6 @@ hook when g is an indicator function.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from array import array
 from dataclasses import dataclass, field
@@ -27,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .manifolds import Euclidean, Geometry, RosenbrockPlane
+from .manifolds import Euclidean, Geometry, RosenbrockPlane, _is_integer
 
 __all__ = [
     "ArmijoParams",
@@ -68,7 +67,7 @@ class ArmijoParams:
         if not (0 < self.initial_step < math.inf and 0 < self.contraction < 1):
             raise ValueError("invalid line-search parameters")
         if not (0 < self.sufficient_decrease < 1
-                and isinstance(self.max_backtracks, numbers.Integral) and self.max_backtracks >= 1):
+                and _is_integer(self.max_backtracks) and self.max_backtracks >= 1):
             raise ValueError("invalid line-search parameters")
 
 
@@ -102,7 +101,7 @@ class StoppingCriterion:
     grad_change_tol: Optional[float] = None
 
     def __post_init__(self):
-        if not (isinstance(self.max_iter, numbers.Integral) and self.max_iter >= 1):
+        if not (_is_integer(self.max_iter) and self.max_iter >= 1):
             raise ValueError("max_iter must be a positive integer")
         for tol in (self.grad_norm_tol, self.iterate_change_tol, self.grad_change_tol):
             if tol is not None and not tol > 0:

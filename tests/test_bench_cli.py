@@ -78,7 +78,7 @@ class TestDcaVsDcppaRunner:
 
     def test_out_of_range_rejected(self, tmp_path):
         # the config rejects the range before it makes the output directory
-        for n_min, n_max in ((1, 2), (3, 2), (2, 81), (2.5, 10), (2, 10.0)):
+        for n_min, n_max in ((1, 2), (3, 2), (2, 81), (2.5, 10), (2, 10.0), (True, 10)):
             with pytest.raises(ValueError, match="n range"):
                 ExperimentConfig(out_dir=tmp_path / "out", n_min=n_min, n_max=n_max)
         assert not (tmp_path / "out").exists()
@@ -162,10 +162,11 @@ class TestFrechetRunner:
 
     def test_rejects_tiny_sizes(self, tmp_path):
         # a float size would fail later, inside numpy, with TypeError
-        for n, m in ((1, 8), (4, 1), (2.5, 8), (4, 3.5), (4.0, 8)):
+        for n, m in ((1, 8), (4, 1), (2.5, 8), (4, 3.5), (4.0, 8), (4, True)):
             with pytest.raises(ValueError, match="n >= 2 and m >= 2"):
                 ExperimentConfig(out_dir=tmp_path / "out", n=n, m=m, seed=0)
-        for seed in (-1, 1.5):
+        # True is an int to isinstance, and would run seed 1
+        for seed in (-1, 1.5, True):
             with pytest.raises(ValueError, match="seed must be nonnegative"):
                 ExperimentConfig(out_dir=tmp_path / "out", seed=seed)
         assert not (tmp_path / "out").exists()

@@ -52,8 +52,8 @@ class TestGrid1D:
             Grid1D(1.0, 0.0, 10)
         with pytest.raises(ValueError):
             Grid1D(0.0, 1.0, 1)
-        # a fractional count fails here, not first in points()
-        for count in (2.5, 5.0):
+        # a fractional count fails here, not first in points(), and so does True
+        for count in (2.5, 5.0, True):
             with pytest.raises(ValueError, match="integer count"):
                 Grid1D(-1.0, 1.0, count)
         assert len(Grid1D(-1.0, 1.0, np.int64(5)).points()) == 5

@@ -153,9 +153,10 @@ class TestSharedContracts:
 
 
 def test_sizes_are_positive_integers():
-    # int() would truncate a fractional size; a size below one has no space
+    # int() would truncate a fractional size; a size below one has no space;
+    # True is no size, though a bool is an int to isinstance
     for geometry in (Euclidean, SPDManifold):
-        for size in (0, -2, 2.9, 2.0):
+        for size in (0, -2, 2.9, 2.0, True):
             with pytest.raises(ValueError, match="positive integer"):
                 geometry(size)
     assert (SPDManifold(np.int64(3)).n, Euclidean(np.int64(2)).dim) == (3, 2)
@@ -490,13 +491,17 @@ class TestSPDFactorCache:
 
     def test_cached_factors_are_read_only(self, rng):
         m = SPDManifold(3)
-        p = random_spd(rng, 3)
-        for a in (*m.roots(p), *m._eig(p)):
-            with pytest.raises(ValueError, match="read-only"):
-                a[0, ...] = 0.0
-        # nothing was written, so later reads still give the uncached factors
-        for got, want in zip(m.roots(p), spd_sqrt_inv_sqrt(p)):
-            assert np.array_equal(got, want)
+        # c I too: its entry keeps the writable _Diagonal sym_eig returns,
+        # as a read-only _Diagonal
+        for p in (random_spd(rng, 3), 1.7 * np.eye(3)):
+            for a in (*m.roots(p), *m._eig(p)):
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0, ...] = 0.0
+            # nothing was written, so later reads still give the uncached factors
+            for got, want in zip(m.roots(p), spd_sqrt_inv_sqrt(p)):
+                assert np.array_equal(got, want)
+            assert type(m._eig(p)) is type(sym_eig(p))
+        assert type(m._eig(p)) is _Diagonal
 
     def test_counts_each_decomposition_once(self, rng):
         before = work_ledger()
@@ -593,14 +598,16 @@ def _cached_ops(m, p, other, x, y):
 
 
 class TestSPDDiagonalRoute:
-    """A cached matrix whose eigenvector matrix is exactly I takes the
+    """A cached c I, which ``sym_eig`` returns as ``_Diagonal``, takes the
     diagonal route: its operations scale entries where the dense route
-    multiplies by I or by a diagonal root, with the same bytes."""
+    multiplies by I or by a diagonal root, with the same bytes. Any other
+    matrix takes the dense route."""
 
     @pytest.mark.parametrize("n", [2, 5, 60])
     def test_matches_the_dense_formulas_byte_for_byte(self, rng, n):
         ascending = np.diag(np.linspace(0.5, 3.0, n))
-        # LAPACK leaves this diagonal in place: its Q is exactly I
+        # LAPACK leaves this diagonal in place, Q exactly I, but only c I
+        # takes the diagonal route
         assert np.array_equal(np.linalg.eigh(ascending)[1], np.eye(n))
         points = [1.7 * np.eye(n), 0.3 * np.eye(n), ascending]
         # general tangents, and negative multiples of I, whose off-diagonals
@@ -615,12 +622,11 @@ class TestSPDDiagonalRoute:
                     for name in want:
                         assert np.asarray(got[name]).tobytes() == \
                             np.asarray(want[name]).tobytes(), name
-                    assert type(m._eig(p)) is _Diagonal
-                    # c I whitens a diagonal to its multiple; the ascending
-                    # diagonal whitens c I to a descending one, which LAPACK
-                    # permutes (the dense route, with the same bytes)
-                    if p is not ascending:
-                        assert type(m._whitened(p, other)) is _Diagonal
+                    assert (type(m._eig(p)) is _Diagonal) == (p is not ascending)
+                    # c I whitens c I to a multiple of I; a pair with the
+                    # ascending diagonal whitens to a diagonal that is not
+                    both_scalar = p is not ascending and other is not ascending
+                    assert (type(m._whitened(p, other)) is _Diagonal) == both_scalar
         # c I with c < 0, as the whitened tangents of a descent are
         for c in (-0.7, -2.0):
             a = c * np.eye(n)

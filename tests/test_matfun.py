@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from rdcopt.matfun import (
+    EigDecomp,
+    _Diagonal,
     assert_spd,
     is_spd,
     spd_cholesky,
@@ -99,43 +101,40 @@ class TestSymEig:
         np.fill_diagonal(a, c)
         w_lapack, q_lapack = np.linalg.eigh(a)
         before = work_ledger()
-        w, q = sym_eig(a)
+        w, q = eig = sym_eig(a)
         # bytes, not values: sign bits count
         assert w.tobytes() == w_lapack.tobytes()
         assert q.tobytes() == q_lapack.tobytes()
         if 2.0 ** -485 <= abs(c) <= 2.0 ** 485:
             assert work_ledger() - before == Counter(scalar=1)
+            assert type(eig) is _Diagonal
         else:
             assert work_ledger() - before == Counter({"eigh.calls": 1, "eigh.matrices": 1})
+            assert type(eig) is EigDecomp
         assert w.flags.writeable and q.flags.writeable
 
-    def test_input_that_symmetrizes_to_scalar(self):
-        # c I is checked on the raw input first; a matrix that only its
-        # symmetrized copy shows to be c I is still answered without LAPACK
-        a = 3.0 * np.eye(4)
-        a[0, 1], a[1, 0] = 0.5, -0.5
-        w_lapack, q_lapack = np.linalg.eigh(symmetrize(a))
-        before = work_ledger()
-        w, q = sym_eig(a)
-        assert work_ledger() - before == Counter(scalar=1)
-        assert w.tobytes() == w_lapack.tobytes() and q.tobytes() == q_lapack.tobytes()
-
     def test_near_scalar_input_goes_to_lapack(self):
+        # c I is recognized on the raw input only: a matrix that only its
+        # symmetrized copy shows to be c I goes to LAPACK, which gives the
+        # same bytes as for c I
         n = 5
         tiny_off = 2.0 * np.eye(n)
         tiny_off[0, 1] = 1e-300
+        antisymmetric_off = 3.0 * np.eye(4)
+        antisymmetric_off[0, 1], antisymmetric_off[1, 0] = 0.5, -0.5
         stack = np.stack([2.0 * np.eye(n), 3.0 * np.eye(n)])
-        inputs = [np.zeros((n, n)), np.diag([2.0, 2.0, 1.0]), tiny_off, stack]
+        inputs = [np.zeros((n, n)), np.diag([2.0, 2.0, 1.0]), tiny_off, antisymmetric_off, stack]
         expected = [np.linalg.eigh(symmetrize(a)) for a in inputs]
         for a, (w_lapack, q_lapack) in zip(inputs, expected):
             before = work_ledger()
-            w, q = sym_eig(a)
+            w, q = eig = sym_eig(a)
             # a (k, n, n) stack is one call and k matrices
             matrices = len(a) if a.ndim == 3 else 1
             assert work_ledger() - before == Counter({"eigh.calls": 1,
                                                       "eigh.matrices": matrices})
             assert w.tobytes() == w_lapack.tobytes()
             assert q.tobytes() == q_lapack.tobytes()
+            assert type(eig) is EigDecomp
 
 
 class TestSymApply:

@@ -185,7 +185,7 @@ class TestScalarFunctions:
 class TestLogDetProblem:
     def test_size_is_a_positive_integer(self):
         # 2.5 would silently become SPD(2)
-        for n in (0, -1, 2.5, 2.0):
+        for n in (0, -1, 2.5, 2.0, True):
             with pytest.raises(ValueError, match="positive integer"):
                 LogDetProblem(n)
         assert logdet_dcproblem(LogDetProblem(np.int64(3))).geometry.n == 3

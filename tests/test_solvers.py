@@ -96,7 +96,8 @@ class TestArmijo:
     @pytest.mark.parametrize("bad", [{"initial_step": 0.0}, {"contraction": 1.0},
                                      {"sufficient_decrease": 1.0}, {"max_backtracks": 0},
                                      {"max_backtracks": 1.5}, {"max_backtracks": 2.0},
-                                     {"initial_step": math.inf}, {"initial_step": math.nan}])
+                                     {"initial_step": math.inf}, {"initial_step": math.nan},
+                                     {"max_backtracks": True}])
     def test_invalid_parameters(self, bad):
         with pytest.raises(ValueError, match="line-search parameters"):
             ArmijoParams(**bad)
@@ -959,7 +960,7 @@ class TestStoppingCriterion:
         assert not (trace.reason == "iterate change" and trace.step[-1] == 0.0)
 
     def test_validation(self):
-        for max_iter in (0, 1.5, 2.0):
+        for max_iter in (0, 1.5, 2.0, True):
             with pytest.raises(ValueError, match="max_iter must be a positive integer"):
                 StoppingCriterion(max_iter=max_iter)
         assert StoppingCriterion(max_iter=np.int64(3)).max_iter == 3
