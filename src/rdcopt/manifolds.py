@@ -200,12 +200,13 @@ class SPDManifold(Geometry):
     n(n+1)/2.
 
     Each instance keeps the last ``_CACHED`` symmetric matrices it
-    factored, points and whitened matrices alike, keyed by the bytes of
-    the input: the eigendecomposition and, for points, p^{1/2}, p^{-1/2}
-    and log det p. So the operations of a solver and of a problem's
-    closures at one iterate factor it once. Each miss is one ``sym_eig``,
-    which the ``matfun`` work ledger counts as an ``eigh`` call, or as a
-    ``scalar`` answer for c I. A point's entry also keeps the
+    factored, keyed by their bytes: points, whitened matrices and the frame
+    tangents ``exp_frame`` exponentiates, whose entries no later lookup has
+    been seen to read. An entry holds the eigendecomposition and, for
+    points, p^{1/2}, p^{-1/2} and log det p: the operations of a solver and
+    of a problem's closures at one iterate factor it once. Each miss is
+    one ``sym_eig``, which the ``matfun`` work ledger counts as an ``eigh``
+    call, or as a ``scalar`` answer for c I. A point's entry also keeps the
     eigendecomposition of p^{-1/2} q p^{-1/2} for the q it last whitened,
     keyed by q's bytes: ``log``, ``dist``, ``transport``,
     ``half_sq_dist_hessian`` and ``adjoint_log_diff`` of one pair whiten it

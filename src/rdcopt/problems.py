@@ -7,8 +7,8 @@
   ``g = a(x1^2-x2)^2 + 2(x1-b)^2`` and ``h = (x1-b)^2``, on flat space or on
   the valley-adapted plane metric;
 * box-constrained maximization of the Frechet variance on the SPD cone,
-  with its linear subproblem over a Loewner interval solved to optimality
-  and a feasibility safeguard that walks infeasible oracle answers into the box;
+  with its linear subproblem over a Loewner interval solved to optimality, a
+  safeguard that walks oracle answers into the box, and a feasible start;
 * the 1-D quartic ``(x^4 + x^2) - 2x^2`` of the duality checks.
 """
 
@@ -579,32 +579,20 @@ def frechet_dcproblem(prob: FrechetBoxProblem) -> DCProblem:
     g is the indicator of the box, so the DC subproblem is the constrained
     linear problem min over the box of <-grad h(p_k), log_{p_k} p>; the box
     oracle solves it by a six-start projected gradient from spectral
-    corners, and the safeguard pulls the answer back to feasibility.
+    corners, and the safeguard walks the answer into the box toward p_k.
+    The start must be feasible: DCA raises ``SolverError`` on its +inf cost.
     """
     oracle = frechet_linear_oracle(prob)
-    last = [None, None]  # the bytes of the point tested last, and its verdict
-
-    def feasible(p):
-        key = np.asarray(p, dtype=float).tobytes()
-        if key != last[0]:
-            last[:] = key, box_feasible(p, prob.lower, prob.upper)
-        return last[1]
+    last = [None]  # the bytes of the hook's last answer, which is feasible
 
     def g_cost(p):
-        return 0.0 if feasible(p) else np.inf
-
-    midpoint = symmetrize(0.5 * (np.asarray(prob.lower) + np.asarray(prob.upper)))
+        known = np.asarray(p, dtype=float).tobytes() == last[0]
+        return 0.0 if known or box_feasible(p, prob.lower, prob.upper) else np.inf
 
     def hook(p, x):
-        z = oracle(p, -x)
-        # the safeguard walks toward the previous iterate; from an infeasible
-        # start (DCA allows one) it anchors at the strictly feasible box
-        # midpoint instead; g_cost has just tested p
-        anchor = p if feasible(p) else midpoint
-        out = feasibility_safeguard(anchor, z, prob.lower, prob.upper, prob.geometry)
-        if out is not midpoint:
-            # the safeguard found it feasible, or it is p: g_cost need not test it
-            last[:] = np.asarray(out, dtype=float).tobytes(), True
+        # p is feasible, by induction from the checked start; the answer is too, or is p
+        out = feasibility_safeguard(p, oracle(p, -x), prob.lower, prob.upper, prob.geometry)
+        last[0] = np.asarray(out, dtype=float).tobytes()
         return out
 
     return DCProblem(
@@ -621,12 +609,12 @@ def random_frechet_instance(n: int, m: int, seed: int):
 
     Data q_j = B B^T + n 1e-3 I with standard normal B; weights uniform,
     normalized. The box is [weighted harmonic mean, weighted arithmetic
-    mean] and the start is their average, always feasible. Raises
-    ValueError("degenerate box") when the data make the box collapse
-    (e.g. m = 1).
+    mean] and the start is their average, always feasible. n and m must be
+    positive integers and seed a nonnegative one (not bool); raises
+    ValueError("degenerate box") when the data make the box collapse (m = 1).
     """
-    if n < 1 or m < 1:
-        raise ValueError("n and m must be positive")
+    if not (all(map(_is_integer, (n, m, seed))) and n >= 1 and m >= 1 and seed >= 0):
+        raise ValueError("n and m must be positive integers, and seed a nonnegative one")
     rng = np.random.default_rng(seed)
     eye = np.eye(n)
     points = np.empty((m, n, n))

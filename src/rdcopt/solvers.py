@@ -631,11 +631,7 @@ def _dc_solve(problem: DCProblem, p0, sub: Optional[SubSolverSpec],
         plane = isinstance(geom, RosenbrockPlane)
 
     def evaluate(p):
-        f = problem.cost(p)
-        # an indicator-valued g may be +inf at the start (DCA needs no
-        # feasible starting point); everything after the first step is finite
-        if hook is None or trace.f or np.isnan(f):
-            _require_finite(f, "cost")
+        f = _require_finite(problem.cost(p), "cost")
         x = problem.h_rgrad(p)
         # the stopping rule reads grad f when g is smooth, otherwise grad h
         return f, x, x if problem.g_rgrad is None else problem.g_rgrad(p) - x

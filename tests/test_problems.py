@@ -47,6 +47,7 @@ from rdcopt.problems import (
     rosenbrock_grad,
 )
 from rdcopt.solvers import (
+    SolverError,
     StoppingCriterion,
     dca_solve,
     is_critical,
@@ -851,6 +852,17 @@ class TestRandomInstance:
         with pytest.raises(ValueError, match="sum to one"):
             FrechetBoxProblem(points=prob.points, weights=np.full(3, 0.3), **box)
 
+    def test_arguments_follow_the_integer_rule(self):
+        # bools and floats are no integers, though numpy would take True as 1
+        for n, m, seed in ((True, 3, 0), (2.0, 3, 0), (0, 3, 0), (2, True, 0), (2, 3.0, 0),
+                           (2, 3, True), (2, 3, 1.5), (2, 3, -1)):
+            with pytest.raises(ValueError, match="positive integers, and seed a nonnegative"):
+                random_frechet_instance(n, m, seed)
+        prob, p0 = random_frechet_instance(np.int64(2), np.int64(3), np.int64(1))
+        ref, ref_p0 = random_frechet_instance(2, 3, 1)
+        np.testing.assert_array_equal(prob.points, ref.points)
+        np.testing.assert_array_equal(p0, ref_p0)
+
     def test_single_point_degenerate(self):
         with pytest.raises(ValueError, match="degenerate box"):
             random_frechet_instance(3, 1, seed=0)
@@ -943,15 +955,16 @@ class TestFrechetDCParts:
         for point in trace.points:
             assert box_slack(point, prob.lower, prob.upper) >= -1e-10
 
-    def test_dca_accepts_infeasible_start(self, frechet_instance, rng):
-        # DCA needs no feasible starting point: the first subproblem step
-        # lands in the box and the cost is finite from then on
+    def test_dca_rejects_infeasible_start(self, frechet_instance):
+        # the start must be feasible, as for Frank-Wolfe: g is +inf outside
+        # the box, and DCA raises on the start's cost before any step
         prob, _ = frechet_instance
         dc = frechet_dcproblem(prob)
         p0 = symmetrize(prob.upper * 4.0)  # outside the box
         assert not box_feasible(p0, prob.lower, prob.upper)
-        stop = dataclasses.replace(FRECHET_STOP, max_iter=50)
-        p, trace = dca_solve(dc, p0, None, stop, record_points=True)
-        assert np.isinf(trace.f[0])
-        assert np.all(np.isfinite(np.asarray(trace.f)[1:]))
-        assert box_slack(p, prob.lower, prob.upper) >= -1e-10
+        frechet_variance(prob, p0)  # h at p0, which DCA then reads from the cache
+        before = work_ledger()
+        with pytest.raises(SolverError, match="non-finite cost"):
+            dca_solve(dc, p0, None, FRECHET_STOP)
+        # the box test alone, decided by the violated upper bound; no oracle ran
+        assert work_ledger() - before == Counter({"eigvalsh.calls": 1, "eigvalsh.matrices": 1})
