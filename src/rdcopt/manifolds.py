@@ -148,9 +148,9 @@ class Euclidean(Geometry):
 # trial (or finite-difference) point and the outer DC iterate at a time, and at
 # the whitened matrices p^-1/2 q p^-1/2 between them. On one n = 5 log-det
 # DCA + DCPPA pair with exact Hessians in frame coordinates, six entries make
-# 398 eigendecompositions, eight 397 and ten 390, as before the frame. Each
-# point's entry also remembers the whitened matrix it last met, so a DCPPA
-# sub-solve whitens each trial point against the outer iterate once.
+# 396 eigendecompositions, eight 389 and ten 385. Each point's entry also
+# remembers the whitened matrix it last met, so a DCPPA sub-solve whitens each
+# trial point against the outer iterate once.
 _CACHED = 10
 
 
@@ -199,12 +199,12 @@ class SPDManifold(Geometry):
     diffeomorphisms (Hadamard manifold). The manifold dimension is
     n(n+1)/2.
 
-    Each instance keeps the last ``_CACHED`` symmetric matrices it
-    factored, keyed by their bytes: points, whitened matrices and the frame
-    tangents ``exp_frame`` exponentiates, whose entries no later lookup has
-    been seen to read. An entry holds the eigendecomposition and, for
-    points, p^{1/2}, p^{-1/2} and log det p: the operations of a solver and
-    of a problem's closures at one iterate factor it once. Each miss is
+    Each instance keeps the last ``_CACHED`` points and whitened matrices
+    it factored, keyed by their bytes; ``exp_frame`` factors its frame
+    tangent where it exponentiates it, since no lookup reads one again. An
+    entry holds the eigendecomposition and, for points, p^{1/2}, p^{-1/2}
+    and log det p: the operations of a solver and of a problem's closures
+    at one iterate factor it once. Each miss is
     one ``sym_eig``, which the ``matfun`` work ledger counts as an ``eigh``
     call, or as a ``scalar`` answer for c I. A point's entry also keeps the
     eigendecomposition of p^{-1/2} q p^{-1/2} for the q it last whitened,
@@ -248,9 +248,6 @@ class SPDManifold(Geometry):
         del cache[_CACHED:]
         return entry
 
-    def _eig(self, a) -> EigDecomp:
-        return self._factored(a).eig
-
     def _whitened(self, p, q) -> EigDecomp:
         """The eigendecomposition of p^{-1/2} q p^{-1/2}: from p's entry when q
         is the matrix p last whitened, otherwise through the cache."""
@@ -258,7 +255,7 @@ class SPDManifold(Geometry):
         q = np.asarray(q, dtype=float)
         key = q.shape, q.tobytes()
         if entry.whitened is None or entry.whitened[0] != key:
-            entry.whitened = key, self._eig(self.to_frame(p, q))
+            entry.whitened = key, self._factored(self.to_frame(p, q)).eig
         return entry.whitened[1]
 
     def _rooted(self, p) -> _Factored:
@@ -297,7 +294,8 @@ class SPDManifold(Geometry):
         return self.exp_frame(p, self.to_frame(p, x))
 
     def exp_frame(self, p, y):
-        return self.from_frame(p, sym_apply(self._eig(y), np.exp))
+        # the decomposition, not y: c I keeps the diagonal route
+        return self.from_frame(p, sym_apply(sym_eig(y), np.exp))
 
     def log(self, p, q):
         return self.from_frame(p, sym_apply(self._whitened(p, q), np.log))

@@ -242,7 +242,8 @@ class DCProblem:
             raise ValueError("subproblem_hessian needs subproblem")
 
     def cost(self, p) -> float:
-        return float(self.g_cost(p)) - float(self.h_cost(p))
+        g = float(self.g_cost(p))
+        return g if g == math.inf else g - float(self.h_cost(p))
 
 
 def _require_finite(value: float, what: str) -> float:

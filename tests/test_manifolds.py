@@ -4,6 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from rdcopt import manifolds
 from rdcopt.manifolds import (
     _CACHED,
     Euclidean,
@@ -11,6 +12,7 @@ from rdcopt.manifolds import (
     SPDManifold,
 )
 from rdcopt.matfun import (
+    EigDecomp,
     _Diagonal,
     spd_logdet,
     spd_sqrt_inv_sqrt,
@@ -478,14 +480,13 @@ class TestSPDFactorCache:
     def test_cache_stays_bounded(self, rng):
         m = SPDManifold(3)
         q = random_spd(rng, 3)
-        for _ in range(3):
-            p = random_spd(rng, 3)
-            for _ in range(2 * _CACHED):
-                x = random_sym(rng, 3)
-                m.inner(p, x, random_sym(rng, 3))
-                m.exp(p, x)
-                m.transport(q, p, x)
-                assert len(m._cache) <= _CACHED
+        # each point leaves its own entry and that of q's whitened p
+        for _ in range(_CACHED):
+            p, x = random_spd(rng, 3), random_sym(rng, 3)
+            m.inner(p, x, random_sym(rng, 3))
+            m.exp(p, x)
+            m.transport(q, p, x)
+            assert len(m._cache) <= _CACHED
         # the bound was reached
         assert len(m._cache) == _CACHED
 
@@ -494,14 +495,14 @@ class TestSPDFactorCache:
         # c I too: its entry keeps the writable _Diagonal sym_eig returns,
         # as a read-only _Diagonal
         for p in (random_spd(rng, 3), 1.7 * np.eye(3)):
-            for a in (*m.roots(p), *m._eig(p)):
+            for a in (*m.roots(p), *m._factored(p).eig):
                 with pytest.raises(ValueError, match="read-only"):
                     a[0, ...] = 0.0
             # nothing was written, so later reads still give the uncached factors
             for got, want in zip(m.roots(p), spd_sqrt_inv_sqrt(p)):
                 assert np.array_equal(got, want)
-            assert type(m._eig(p)) is type(sym_eig(p))
-        assert type(m._eig(p)) is _Diagonal
+            assert type(m._factored(p).eig) is type(sym_eig(p))
+        assert type(m._factored(p).eig) is _Diagonal
 
     def test_counts_each_decomposition_once(self, rng):
         before = work_ledger()
@@ -513,8 +514,9 @@ class TestSPDFactorCache:
             m.logdet(p)
             m.dist(p, q)
             m.exp(p, x)
-        # p, p^-1/2 q p^-1/2 and p^-1/2 x p^-1/2, each decomposed once
-        assert work_ledger() - before == Counter({"eigh.calls": 3, "eigh.matrices": 3})
+        # p and p^-1/2 q p^-1/2 once each; the frame tangent p^-1/2 x p^-1/2
+        # on each exp, which factors it outside the cache
+        assert work_ledger() - before == Counter({"eigh.calls": 4, "eigh.matrices": 4})
 
     def test_whitened_memo_gives_the_cached_decomposition(self, rng, monkeypatch):
         m = SPDManifold(4)
@@ -522,7 +524,7 @@ class TestSPDFactorCache:
         x = random_sym(rng, 4)
         for other in (q, r, q):
             memo = m._whitened(p, other)
-            assert memo is m._eig(m.to_frame(p, other))
+            assert memo is m._factored(m.to_frame(p, other)).eig
             assert all(not a.flags.writeable for a in memo)
         # every pair operation reads the memo without whitening again
         frames = []
@@ -622,7 +624,7 @@ class TestSPDDiagonalRoute:
                     for name in want:
                         assert np.asarray(got[name]).tobytes() == \
                             np.asarray(want[name]).tobytes(), name
-                    assert (type(m._eig(p)) is _Diagonal) == (p is not ascending)
+                    assert (type(m._factored(p).eig) is _Diagonal) == (p is not ascending)
                     # c I whitens c I to a multiple of I; a pair with the
                     # ascending diagonal whitens to a diagonal that is not
                     both_scalar = p is not ascending and other is not ascending
@@ -630,9 +632,30 @@ class TestSPDDiagonalRoute:
         # c I with c < 0, as the whitened tangents of a descent are
         for c in (-0.7, -2.0):
             a = c * np.eye(n)
-            assert type(m._eig(a)) is _Diagonal
+            assert type(m._factored(a).eig) is _Diagonal
             for fn in (np.exp, np.cbrt):
-                assert sym_apply(m._eig(a), fn).tobytes() == _dense_apply(a, fn).tobytes()
+                assert sym_apply(m._factored(a).eig, fn).tobytes() == \
+                    _dense_apply(a, fn).tobytes()
+
+    def test_tangents_stay_out_of_the_cache(self, rng, monkeypatch):
+        # exp factors its frame tangent where it exponentiates it, and hands
+        # sym_apply the decomposition, so a c I tangent keeps the diagonal route
+        n = 5
+        m = SPDManifold(n)
+        routes = []
+        apply = manifolds.sym_apply
+        monkeypatch.setattr(manifolds, "sym_apply",
+                            lambda a, fn: routes.append(type(a)) or apply(a, fn))
+        for p in (1.7 * np.eye(n), random_spd(rng, n)):
+            m.roots(p)
+            keys = [key for key, _ in m._cache]
+            for y, route in ((-0.7 * np.eye(n), _Diagonal), (random_sym(rng, n), EigDecomp)):
+                routes.clear()
+                want = _dense_ops(p, p, y, y)
+                assert m.exp_frame(p, y).tobytes() == want["exp_frame"].tobytes()
+                assert routes == [route]
+                assert m.exp(p, y).tobytes() == want["exp"].tobytes()
+                assert [key for key, _ in m._cache] == keys
 
     def test_general_matrices_keep_the_dense_route(self, rng):
         m = SPDManifold(5)
@@ -643,10 +666,10 @@ class TestSPDDiagonalRoute:
             got, want = _cached_ops(m, a, b, x, y), _dense_ops(a, b, x, y)
             for name in want:
                 assert np.asarray(got[name]).tobytes() == np.asarray(want[name]).tobytes(), name
-        assert type(m._eig(p)) is not _Diagonal
+        assert type(m._factored(p).eig) is not _Diagonal
         # a diagonal point whitens a general one to a general matrix
         assert type(m._whitened(diagonal, p)) is not _Diagonal
-        assert type(m._eig(diagonal)) is _Diagonal
+        assert type(m._factored(diagonal).eig) is _Diagonal
 
 
 class TestRosenbrockPlane:

@@ -962,9 +962,9 @@ class TestFrechetDCParts:
         dc = frechet_dcproblem(prob)
         p0 = symmetrize(prob.upper * 4.0)  # outside the box
         assert not box_feasible(p0, prob.lower, prob.upper)
-        frechet_variance(prob, p0)  # h at p0, which DCA then reads from the cache
         before = work_ledger()
         with pytest.raises(SolverError, match="non-finite cost"):
             dca_solve(dc, p0, None, FRECHET_STOP)
-        # the box test alone, decided by the violated upper bound; no oracle ran
+        # the box test alone, decided by the violated upper bound: neither h
+        # (the variance) nor the oracle ran
         assert work_ledger() - before == Counter({"eigvalsh.calls": 1, "eigvalsh.matrices": 1})
