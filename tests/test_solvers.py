@@ -600,7 +600,8 @@ class TestDCPPA:
         assert len(whitened) >= trace.inner_steps[0]
         assert max(whitened.values()) == 1
 
-    @pytest.mark.parametrize("n, dca, dcppa", [(5, 118, 267), (20, 145, 302), (60, 162, 332)])
+    @pytest.mark.parametrize("n, dca, dcppa", [(5, 118, 267), (20, 145, 302), (60, 162, 332)],
+                             ids=["n5", "n20", "n60"])
     def test_eigendecompositions_of_a_logdet_pair(self, n, dca, dcppa):
         # DCA, then DCPPA on the same problem and factor cache, as
         # `rdcopt bench dca-vs-dcppa` runs them. At n = 5, recomputing every
