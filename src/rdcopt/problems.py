@@ -543,10 +543,11 @@ def feasibility_safeguard(p_prev, q_star, lower, upper, geometry: SPDManifold):
     Returns q_star if its Loewner slacks are nonnegative. Otherwise walks
     the geodesic of ``geometry`` from q_star toward the (feasible) previous
     iterate with the steps t = 1e-12 * 10^j, j = 0..11, and returns the
-    first point whose slacks are nonnegative, or p_prev itself, so the
-    search always succeeds. On the instances of seeds 0-59 at n = 5, m = 20
-    it walks on every DCA step: of 131 answers, 61 pass at t = 1e-12, 1 at
-    1e-6, 1 at 1e-3, 41 at 1e-2, 17 at 1e-1 (a step cut by 10%), 10 fall back.
+    first point whose slacks are nonnegative, or else p_prev itself (the
+    same object), which ``frechet_dcproblem``'s hook reads as no feasible
+    step. On the instances of seeds 0-59 at n = 5, m = 20 it walks on every
+    DCA step: of 131 answers, 61 pass at t = 1e-12, 1 at 1e-6, 1 at 1e-3,
+    41 at 1e-2, 17 at 1e-1 (a step cut by 10%), 10 fall back.
     """
     if box_feasible(q_star, lower, upper):
         return q_star
@@ -580,7 +581,9 @@ def frechet_dcproblem(prob: FrechetBoxProblem) -> DCProblem:
     linear problem min over the box of <-grad h(p_k), log_{p_k} p>; the box
     oracle solves it by a six-start projected gradient from spectral
     corners, and the safeguard walks the answer into the box toward p_k.
-    The start must be feasible: DCA raises ``SolverError`` on its +inf cost.
+    Where the walk fails and the safeguard hands back p_k, the hook returns
+    None, and DCA ends on "no feasible step" (ROADMAP item 4). The start
+    must be feasible: DCA raises ``SolverError`` on its +inf cost.
     """
     oracle = frechet_linear_oracle(prob)
     last = [None]  # the bytes of the hook's last answer, which is feasible
@@ -592,6 +595,8 @@ def frechet_dcproblem(prob: FrechetBoxProblem) -> DCProblem:
     def hook(p, x):
         # p is feasible, by induction from the checked start; the answer is too, or is p
         out = feasibility_safeguard(p, oracle(p, -x), prob.lower, prob.upper, prob.geometry)
+        if out is p:  # the safeguard's walk failed: no feasible step from p
+            return None
         last[0] = np.asarray(out, dtype=float).tobytes()
         return out
 

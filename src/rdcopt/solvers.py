@@ -142,7 +142,7 @@ class SolverTrace:
 
     Row ``k`` holds the cost at the k-th iterate, the step distance
     d(p_{k-1}, p_k) (zero for k = 0) and the wall-clock seconds elapsed
-    since the solver started.
+    since the trace was made, which ``append`` stamps.
     Points and DC subgradients are kept only when requested.
     ``subsolver_failures`` lists the outer steps whose sub-solve hit its
     cap. Each per-step column gets one entry per call of the step map from
@@ -151,10 +151,11 @@ class SolverTrace:
     ``hessian_products`` (``trust_region_solve``, and ``_dc_solve`` with
     trust-region sub-solves, as does ``tr_rejected``, the rejected steps)
     and ``step_size`` (``frank_wolfe_solve``). The outer loop calls its step
-    map once per step, and once more on "fixed point" or "sub-solver failed".
+    map once per step, and once more, with no row, when that call ends the run.
     """
 
     def __init__(self, record_points: bool = False):
+        self._start = time.perf_counter()
         self.f = array("d")
         self.step = array("d")
         self.seconds = array("d")
@@ -167,11 +168,10 @@ class SolverTrace:
         self.tr_rejected: list[int] = []
         self.step_size: list[float] = []
 
-    def append(self, f: float, step: float, seconds: float,
-               point=None, subgradient=None) -> None:
+    def append(self, f: float, step: float, point=None, subgradient=None) -> None:
         self.f.append(f)
         self.step.append(step)
-        self.seconds.append(seconds)
+        self.seconds.append(time.perf_counter() - self._start)
         if self.points is not None:
             self.points.append(point)
             self.subgradients.append(subgradient)
@@ -204,7 +204,9 @@ class DCProblem:
 
     ``g_rgrad`` may be omitted when g is an indicator function; such
     problems must provide ``constrained_subsolver(p, X) -> point`` solving
-    the DC subproblem in closed form over the constraint set. Smooth
+    the DC subproblem in closed form over the constraint set, or returning
+    None where it finds no feasible step from p: the run then ends on "no
+    feasible step" at p. Smooth
     problems may provide ``subproblem(q, X) -> (cost, rgrad)`` returning a
     closed form of the linearized surrogate; otherwise the surrogate is
     built generically from the geometry's adjoint log differential.
@@ -293,13 +295,12 @@ def gradient_descent(geometry: Geometry, f: Callable, rgrad: Callable, p0,
     clause fires. A stalled line search terminates the run with reason
     "linesearch stalled" instead of raising.
     """
-    t0 = time.perf_counter()
     trace = SolverTrace()
     p = p0
     fp = _require_finite(float(f(p)), "cost")
     g = rgrad(p)
     gn = geometry.norm(p, g)
-    trace.append(fp, 0.0, time.perf_counter() - t0)
+    trace.append(fp, 0.0)
     trace.reason = _stop_reason(stop, 0, gn)
     steps = 0
     # each search warm-starts from the previous accepted step (with room to
@@ -319,7 +320,7 @@ def gradient_descent(geometry: Geometry, f: Callable, rgrad: Callable, p0,
         g_next = rgrad(p_next)
         gn_next = geometry.norm(p_next, g_next)
         steps += 1
-        trace.append(f_next, step_dist, time.perf_counter() - t0)
+        trace.append(f_next, step_dist)
         trace.reason = _stop_reason(
             stop, steps, gn_next, step_dist,
             lambda: geometry.norm(p_next, geometry.transport(p, p_next, g) - g_next))
@@ -327,34 +328,27 @@ def gradient_descent(geometry: Geometry, f: Callable, rgrad: Callable, p0,
     return p, trace
 
 
-def fd_hessian_apply(geometry: Geometry, rgrad: Callable, p, x,
-                     step: Optional[float] = None, rgrad_p=None):
+def fd_hessian_apply(geometry: Geometry, rgrad: Callable, p, x, rgrad_p=None):
     """Hessian-vector product by a Riemannian forward difference.
 
     (transport_{q->p}(grad f(q)) - grad f(p)) * (||x|| / h) with
-    q = exp_p(h x/||x||); returns the zero tangent for x = 0. The default
-    step is 1e-8 (1 + ||p||).
+    q = exp_p(h x/||x||) and h = 1e-8 (1 + ||p||), ||p|| the ambient norm;
+    returns the zero tangent for x = 0.
     """
     xnorm = geometry.norm(p, x)
     if xnorm == 0.0:
         return np.zeros_like(np.asarray(x, dtype=float))
-    h = step if step is not None else _fd_step(p)
+    h = _FD_STEP_SCALE * (1.0 + float(np.linalg.norm(np.ravel(p))))
     q = geometry.exp(p, (h / xnorm) * x)
     gq = geometry.transport(q, p, rgrad(q))
     gp = rgrad(p) if rgrad_p is None else rgrad_p
     return (gq - gp) * (xnorm / h)
 
 
-def _fd_step(p) -> float:
-    """The default finite-difference step, 1e-8 (1 + ||p||), ||p|| the ambient norm."""
-    return _FD_STEP_SCALE * (1.0 + float(np.linalg.norm(np.ravel(p))))
-
-
 def _fd_hessian(geometry: Geometry, rgrad: Callable, p, g):
-    """:func:`fd_hessian_apply` at p, with the default step, in frame coordinates."""
-    step = _fd_step(p)
+    """:func:`fd_hessian_apply` at p in frame coordinates."""
     return lambda y: geometry.to_frame(p, fd_hessian_apply(
-        geometry, rgrad, p, geometry.from_frame(p, y), step=step, rgrad_p=g))
+        geometry, rgrad, p, geometry.from_frame(p, y), rgrad_p=g))
 
 
 def _dot(a, b) -> float:
@@ -418,14 +412,13 @@ def trust_region_solve(geometry: Geometry, f: Callable, rgrad: Callable, p0,
     with zero step distance; ``trace.hessian_products`` gives the Hessian
     products of each step.
     """
-    t0 = time.perf_counter()
     trace = SolverTrace()
     p = p0
     fp = _require_finite(float(f(p)), "cost")
     g = rgrad(p)
     gy = geometry.to_frame(p, g)
     gn = math.sqrt(_dot(gy, gy))
-    trace.append(fp, 0.0, time.perf_counter() - t0)
+    trace.append(fp, 0.0)
     trace.reason = _stop_reason(stop, 0, gn)
     radius = _TR_INITIAL_RADIUS
     cg_budget = max(geometry.dim, 10)
@@ -455,7 +448,7 @@ def trust_region_solve(geometry: Geometry, f: Callable, rgrad: Callable, p0,
             gy = geometry.to_frame(p, g)
             gn = math.sqrt(_dot(gy, gy))
             hvp = None
-        trace.append(fp, step_dist or 0.0, time.perf_counter() - t0)
+        trace.append(fp, step_dist or 0.0)
         trace.reason = _stop_reason(
             stop, steps, gn, step_dist,
             lambda: geometry.norm(p, geometry.transport(p_prev, p, g_prev) - g))
@@ -583,25 +576,24 @@ def _outer_loop(geometry: Geometry, p, evaluate: Callable, step: Callable,
 
     ``evaluate(p) -> (f, x, g)`` gives the cost at p, the covector the step
     map reads (grad h for the DC methods, grad f for Frank-Wolfe) and the
-    gradient the stopping rule reads; ``step(k, p_k, x_k)`` returns p_{k+1}.
-    A step that returns p_k itself ends the run as a fixed point, unless
-    the step set another reason.
+    gradient the stopping rule reads; ``step(k, p_k, x_k)`` returns
+    ``(p_{k+1}, reason)``. A reason ends the run, with p_k and no new row;
+    otherwise a p_{k+1} whose bytes equal p_k's ends it as "fixed point".
+    This loop alone writes ``trace.reason``.
     """
-    t0 = time.perf_counter()
     f, x, g = evaluate(p)
-    trace.append(f, 0.0, time.perf_counter() - t0, point=p, subgradient=x)
+    trace.append(f, 0.0, point=p, subgradient=x)
     k = 0
     while trace.reason is None:
-        p_next = step(k, p, x)
-        if _same_point(p_next, p):
-            trace.reason = trace.reason or "fixed point"
+        p_next, reason = step(k, p, x)
+        if reason is not None or _same_point(p_next, p):
+            trace.reason = reason or "fixed point"
             break
         f, x_next, g_next = evaluate(p_next)
         gn = geometry.norm(p_next, g_next)
         step_dist = geometry.dist(p, p_next)
         k += 1
-        trace.append(f, step_dist, time.perf_counter() - t0,
-                     point=p_next, subgradient=x_next)
+        trace.append(f, step_dist, point=p_next, subgradient=x_next)
         trace.reason = _stop_reason(
             stop, k, gn, step_dist,
             lambda: geometry.norm(p_next, geometry.transport(p, p_next, g) - g_next),
@@ -639,7 +631,8 @@ def _dc_solve(problem: DCProblem, p0, sub: Optional[SubSolverSpec],
 
     def step(k, p, x):
         if hook is not None:
-            return hook(p, x)
+            p_next = hook(p, x)
+            return (p, "no feasible step") if p_next is None else (p_next, None)
         if fast:
             cost, grad = problem.subproblem_2d(p, x)
             p_next, reason, steps = _descend_2d(plane, cost, grad, p, sub.armijo, crit)
@@ -658,8 +651,8 @@ def _dc_solve(problem: DCProblem, p0, sub: Optional[SubSolverSpec],
             trace.subsolver_failures.append(k)
             # a trust region that rejected steps and kept p_k failed there
             if sub.kind == "trust_region" and trace.tr_rejected[-1] and _same_point(p_next, p):
-                trace.reason = "sub-solver failed"
-        return p_next
+                return p_next, "sub-solver failed"
+        return p_next, None
 
     return _outer_loop(geom, p0, evaluate, step, stop, trace)
 
@@ -671,9 +664,10 @@ def dca_solve(problem: DCProblem, p0, sub: Optional[SubSolverSpec],
     Each iteration takes X_k = grad h(p_k) and moves to a minimizer of the
     convex surrogate g(p) - <X_k, log_{p_k}(p)>, solved by the configured
     sub-solver (warm-started at p_k) or by the problem's constrained
-    closed-form hook. The cost sequence is nonincreasing; a subproblem
-    returning p_k exactly ends the run as a fixed point, or as "sub-solver
-    failed" when it is a capped trust-region sub-solve that rejected steps.
+    closed-form hook. The cost sequence is nonincreasing. A subproblem
+    returning p_k exactly ends the run as a fixed point, a capped
+    trust-region sub-solve that rejected steps and kept p_k as "sub-solver
+    failed", and a hook that returns None as "no feasible step".
     """
     return _dc_solve(problem, p0, sub, stop, lam=None, record_points=record_points)
 
@@ -714,7 +708,7 @@ def frank_wolfe_solve(geometry: Geometry, rgrad_f: Callable, linear_oracle: Call
         q = linear_oracle(p, g)
         s_k = 2.0 / (2.0 + k)
         trace.step_size.append(s_k)
-        return geometry.geodesic(p, q, s_k)
+        return geometry.geodesic(p, q, s_k), None
 
     return _outer_loop(geometry, p0, evaluate, step, stop, trace)
 

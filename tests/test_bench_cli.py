@@ -172,10 +172,10 @@ class TestFrechetRunner:
         assert not (tmp_path / "out").exists()
 
     def test_default_seed_counts_steps(self, tmp_path):
-        # seed 42's DCA takes 2 steps (3 rows) and then returns its iterate;
-        # Frank-Wolfe is capped at as many steps
+        # seed 42's DCA takes 2 steps (3 rows) and then finds no feasible
+        # step; Frank-Wolfe is capped at as many steps
         summary = run_frechet(ExperimentConfig(out_dir=tmp_path))
-        assert (summary["dca"]["steps"], summary["dca"]["reason"]) == (2, "fixed point")
+        assert (summary["dca"]["steps"], summary["dca"]["reason"]) == (2, "no feasible step")
         assert (summary["frank_wolfe"]["steps"], summary["frank_wolfe"]["reason"]) == (
             2, "max iterations")
         assert "iterations" not in summary["dca"]

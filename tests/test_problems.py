@@ -705,8 +705,8 @@ class TestBoxLinearSubproblem:
 
     def test_dca_oracle_calls_match_reference(self, monkeypatch, tmp_path):
         oracle = problems._box_oracle
-        # seed 42 at (5, 20) is the CLI's default instance, which DCA leaves
-        # on a false "fixed point"
+        # seed 42 at (5, 20) is the CLI's default instance, on which DCA ends
+        # on "no feasible step": the safeguard cannot walk an answer into the box
         for n, m, seed in ((5, 20, 15), (10, 100, 1), (5, 20, 42)):
             calls = []
 
@@ -954,6 +954,23 @@ class TestFrechetDCParts:
             assert np.all(np.diff(h) >= -1e-12)
         for point in trace.points:
             assert box_slack(point, prob.lower, prob.upper) >= -1e-10
+
+    def test_dca_stop_reasons_match_the_oracle(self):
+        # "fixed point" claims a critical point: over the benchmark's 60
+        # instances it may stand only where the box oracle returns the final
+        # iterate, and "no feasible step" (the safeguard could not walk the
+        # oracle's answer into the box) only where the oracle moves it
+        reasons = Counter()
+        for seed in range(60):
+            prob, p0 = random_frechet_instance(5, 20, seed)
+            p, trace = dca_solve(frechet_dcproblem(prob), p0, None, FRECHET_STOP,
+                                 record_points=False)
+            reasons[trace.reason] += 1
+            if trace.reason in ("fixed point", "no feasible step"):
+                z = frechet_linear_oracle(prob)(p, -frechet_grad(prob, p))
+                moved = np.linalg.norm(z - p) > 1e-8
+                assert moved == (trace.reason == "no feasible step"), (seed, trace.reason)
+        assert reasons["no feasible step"] >= 1, reasons
 
     def test_dca_rejects_infeasible_start(self, frechet_instance):
         # the start must be feasible, as for Frank-Wolfe: g is +inf outside

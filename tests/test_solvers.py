@@ -333,20 +333,29 @@ class TestDCA:
         assert counts["eigh"] == 0
         assert counts["solve"] == 0
 
-    def test_fixed_point_trace_length_one(self, rng):
-        geom = SPDManifold(2)
+    @staticmethod
+    def _hooked_run(rng, hook):
         p0 = random_spd(rng, 2)
         problem = DCProblem(
-            geometry=geom,
+            geometry=SPDManifold(2),
             g_cost=lambda p: 0.0,
             h_cost=lambda p: 0.0,
             h_rgrad=lambda p: np.zeros((2, 2)),
-            constrained_subsolver=lambda p, x: p,
+            constrained_subsolver=hook,
         )
         p, trace = dca_solve(problem, p0, None, StoppingCriterion(max_iter=10))
         assert p is p0
         assert len(trace.f) == 1
-        assert trace.reason == "fixed point"
+        return trace.reason
+
+    def test_fixed_point_trace_length_one(self, rng):
+        # a hook that returns its input is a true fixed point
+        assert self._hooked_run(rng, lambda p, x: p) == "fixed point"
+
+    def test_hook_without_a_feasible_step_ends_the_run(self, rng):
+        # a hook that finds no feasible step returns None: the run ends at
+        # p0, on its own reason, not as a fixed point
+        assert self._hooked_run(rng, lambda p, x: None) == "no feasible step"
 
     def test_monotone_descent(self):
         problem = logdet_dcproblem(LogDetProblem(5))
